@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import _gf2py, gf2
+from . import gf2
 from .registers import (
     GeneratorSpec,
     HybridSpec,
@@ -32,7 +32,8 @@ from .sampling import SamplingSchedule, repetition_profile
 
 
 class KeystreamFormatError(ValueError):
-    """Keystream file is malformed, truncated or inconsistent with its header."""
+    """Keystream is malformed, truncated, inconsistent with its header, or
+    too short for the attack."""
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,12 @@ class WindowRecovery:
     per_sample_sizes: tuple[int, ...]
 
 
-def gf2_solve(system: Gf2LinearSystem, engine: str | None = None):
+def gf2_solve(system: Gf2LinearSystem):
     """Gaussian elimination; returns ('unique', state), ('inconsistent', None)
     or ('underdetermined', rank)."""
-    eng = gf2.get_engine(engine)
     rows = [expr.coeffs for expr, _ in system.rows]
     rhs = [bit for _, bit in system.rows]
-    status, value = eng.solve_system(rows, rhs, system.nvars)
+    status, value = gf2.solve_system(rows, rhs, system.nvars)
     if status == "unique":
         state = tuple((value >> j) & 1 for j in range(system.nvars))
         return ("unique", state)
@@ -105,7 +105,6 @@ def gfsga_recover(
     gen: GeneratorSpec,
     blocks: Sequence[int],
     schedule: SamplingSchedule,
-    engine: str | None = None,
     completion_cap_bits: int = 14,
 ) -> AttackResult:
     """Recover an LFSR filter generator's initial state from sampled blocks.
@@ -131,10 +130,9 @@ def gfsga_recover(
     for s in schedule.steps:
         shifts.append(shifts[-1] + s)
     if shifts[-1] >= len(blocks):
-        raise ValueError("keystream does not cover the sampling schedule")
+        raise KeystreamFormatError("keystream does not cover the sampling schedule")
     exprs = label_expressions(gen.register, taps.positions[-1] + shifts[-1])
     table = preimage_table(gen.filter)
-    eng = gf2.get_engine(engine)
     positions = taps.positions
 
     started = time.perf_counter()
@@ -145,16 +143,13 @@ def gfsga_recover(
     def verify(state_bits: tuple) -> bool:
         return _replays(gen, state_bits, blocks)
 
-    def complete_path(known: dict[int, int], rank: int) -> None:
+    def complete_path(elim: gf2.Eliminator) -> None:
         # Consistent but rank-deficient path: sweep the missing dimensions.
         nonlocal solved
-        if L - rank > completion_cap_bits:
+        if L - elim.rank > completion_cap_bits:
             return
-        full = _gf2py.Eliminator(L)
-        for label, bit in known.items():
-            full.add_row(exprs[label - 1], bit)
         solved += 1
-        for value in full.solutions():
+        for value in elim.solutions():
             state = tuple((value >> j) & 1 for j in range(L))
             if verify(state):
                 successes.append(state)
@@ -162,7 +157,7 @@ def gfsga_recover(
     def dfs(sample: int, known: dict[int, int], elim) -> None:
         nonlocal solved, pruned
         if sample == len(shifts):
-            complete_path(known, elim.rank)
+            complete_path(elim)
             return
         shift = shifts[sample]
         space = table.get(blocks[shift])
@@ -192,15 +187,14 @@ def gfsga_recover(
                 continue
             if branch_elim.rank == L:
                 solved += 1
-                state = tuple(
-                    (branch_elim.solve() >> j) & 1 for j in range(L)
-                )
+                value = branch_elim.solve()
+                state = tuple((value >> j) & 1 for j in range(L))
                 if verify(state):
                     successes.append(state)
             else:
                 dfs(sample + 1, branch_known, branch_elim)
 
-    dfs(0, {}, eng.Eliminator(L))
+    dfs(0, {}, gf2.Eliminator(L))
     wall = time.perf_counter() - started
     state = successes[0] if successes else None
     return AttackResult(state, solved, pruned, wall)
@@ -247,7 +241,7 @@ def nfsr_window_recover(
         raise ValueError("window too short: need (p-1)*n > L")
     need = window + -(-total_bits // m)
     if len(blocks) < need:
-        raise ValueError(
+        raise KeystreamFormatError(
             f"need at least {need} blocks ({window} window + state verification)"
         )
     table = preimage_table(gen.filter)

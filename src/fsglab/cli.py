@@ -20,6 +20,7 @@ from .complexity import (
     gfsga_constant_cost,
     gfsga_variable_cost,
     internal_state_recovery_cost,
+    window_recovered_bits,
 )
 from .config import ConfigError, ScenarioConfig, load_config
 from .fixtures import run_fixture
@@ -58,7 +59,7 @@ def _state_hex(state) -> str:
     return format(acc, f"0{width}x")
 
 
-def cmd_analyze(config: ScenarioConfig, seed: int | None, workers: int) -> Report:
+def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
     gen = config.generator
     analysis = config.analysis
     n, m = gen.filter.n, gen.filter.m
@@ -88,7 +89,7 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None, workers: int) -> Repor
     L = gen.total_length
     overdefined = n * profile.samples - profile.total > L
     if hybrid and set(profile.steps) == {1}:
-        recovered = n + sum(n - q for q in profile.q)
+        recovered = window_recovered_bits(profile)
         cost = internal_state_recovery_cost(profile, n, m, L, recovered)
         payload["estimate"] = cost.estimate.to_dict()
         payload["window_cost"] = {
@@ -175,7 +176,7 @@ class AttackFailure(RuntimeError):
     pass
 
 
-def cmd_attack(config: ScenarioConfig, seed: int | None, workers: int) -> Report:
+def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
     gen_cfg = config.generator
     if not gen_cfg.filter.source:
         raise ConfigError("attack needs a concrete filter (source hex or random)")
@@ -260,11 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="scenario config (JSON)")
     common.add_argument("--seed", type=int, default=None, help="seed for randomized parts")
-    common.add_argument("--workers", type=int, default=1, help="parallel workers")
     common.add_argument("--format", choices=("table", "structured"), default=None)
     common.add_argument("--out", default=None, help="write the report to this path")
     sub.add_parser("analyze", parents=[common], help="profile and cost a sampling mode")
-    sub.add_parser("optimize", parents=[common], help="search for resistant tap placements")
+    opt = sub.add_parser("optimize", parents=[common], help="search for resistant tap placements")
+    opt.add_argument("--workers", type=int, default=1,
+                     help="processes scoring step-B orderings")
     sub.add_parser("attack", parents=[common], help="run a state-recovery attack")
     rep = sub.add_parser("report", parents=[common], help="recompute a reference table")
     rep.add_argument("fixture", help="fixture id (e.g. table3, example1)")
@@ -284,11 +286,11 @@ def main(argv=None) -> int:
             config = load_config(args.config)
             fmt = args.format or config.report_format
             if args.command == "analyze":
-                report = cmd_analyze(config, args.seed, args.workers)
+                report = cmd_analyze(config, args.seed)
             elif args.command == "optimize":
                 report = cmd_optimize(config, args.seed, args.workers)
             else:
-                report = cmd_attack(config, args.seed, args.workers)
+                report = cmd_attack(config, args.seed)
         emit(report, fmt, args.out)
         return EXIT_OK
     except (AttackFailure, KeystreamFormatError) as exc:

@@ -167,48 +167,24 @@ def optimal_constant_sigma(
     L: int,
     solver_exponent: float = DEFAULT_SOLVER_EXPONENT,
     stop: Stop = RankStop(),
-    workers: int = 1,
 ) -> tuple[int, ComplexityEstimate]:
     """Sweep sigma over 1..L and return the cheapest constant-mode attack.
 
     Distances that never produce an overdefined system are skipped; exact
     cost ties resolve to the smallest sigma.
     """
-    candidates = _sigma_sweep(taps, n, m, L, solver_exponent, stop, workers)
-    if not candidates:
-        raise NoOverdefinedSystemError("no sigma in 1..L yields an overdefined system")
-    best_cost, best_sigma, best_est = min(candidates)
-    return best_sigma, best_est
-
-
-def _sigma_sweep(taps, n, m, L, solver_exponent, stop, workers):
-    sigmas = range(1, L + 1)
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [list(sigmas)[i::workers] for i in range(workers)]
-        out = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_sweep_chunk, taps, chunk, n, m, L, solver_exponent, stop)
-                for chunk in chunks
-            ]
-            for fut in futs:
-                out.extend(fut.result())
-        return out
-    return _sweep_chunk(taps, list(sigmas), n, m, L, solver_exponent, stop)
-
-
-def _sweep_chunk(taps, sigmas, n, m, L, solver_exponent, stop):
-    out = []
-    for sigma in sigmas:
+    candidates = []
+    for sigma in range(1, L + 1):
         try:
             profile = constant_profile(taps, sigma, stop=stop)
         except NoOverdefinedSystemError:
             continue
         est = gfsga_constant_cost(profile, n, m, L, solver_exponent)
-        out.append((est.log2_total, sigma, est))
-    return out
+        candidates.append((est.log2_total, sigma, est))
+    if not candidates:
+        raise NoOverdefinedSystemError("no sigma in 1..L yields an overdefined system")
+    best_cost, best_sigma, best_est = min(candidates)
+    return best_sigma, best_est
 
 
 def nfsr_gfsga_cost(
@@ -237,6 +213,11 @@ def nfsr_gfsga_cost(
         R_used=profile.total,
         sigma_or_schedule=f"nfsr:{profile.mode}",
     )
+
+
+def window_recovered_bits(profile: RepetitionProfile) -> int:
+    """R_p = n + sum(n - q_j): the distinct state bits read inside a window."""
+    return profile.n + sum(profile.n - q for q in profile.q)
 
 
 def internal_state_recovery_cost(

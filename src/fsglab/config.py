@@ -77,7 +77,6 @@ class AnalysisConfig:
 class AttackConfig:
     keystream: str | None
     window_model: str
-    workers: int
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,23 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _section(obj: dict, key: str, context: str, required: bool = False) -> dict:
+    """obj[key], checked to be a JSON object; an absent optional one is empty."""
+    value = _require(obj, key, context) if required else obj.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}.{key} must be an object")
+    return value
+
+
+def _int(obj: dict, key: str, context: str, default: int | None = None) -> int:
+    """obj[key] as an integer; required unless a default is given."""
+    value = _require(obj, key, context) if default is None else obj.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}.{key} must be an integer, not {value!r}") from None
+
+
 def _positions(values, context: str) -> tuple[int, ...]:
     if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
         raise ConfigError(f"{context} must be a list of integers")
@@ -116,7 +132,7 @@ def _positions(values, context: str) -> tuple[int, ...]:
 
 
 def _parse_anf(obj: dict, length: int, context: str) -> NfsrSpec:
-    constant = int(obj.get("constant", 0))
+    constant = _int(obj, "constant", context, 0)
     monomials = obj.get("monomials", [])
     if not isinstance(monomials, list):
         raise ConfigError(f"{context}.monomials must be a list of position lists")
@@ -127,45 +143,45 @@ def _parse_anf(obj: dict, length: int, context: str) -> NfsrSpec:
 
 def _parse_generator(obj: dict) -> GeneratorConfig:
     kind = _require(obj, "kind", "generator")
-    filt = obj.get("filter", {})
+    filt = _section(obj, "filter", "generator")
     fcfg = FilterConfig(
-        n=int(_require(filt, "n", "generator.filter")),
-        m=int(_require(filt, "m", "generator.filter")),
+        n=_int(filt, "n", "generator.filter"),
+        m=_int(filt, "m", "generator.filter"),
         source=filt.get("source"),
         hex_table=filt.get("hex"),
         seed=filt.get("seed"),
     )
     if kind == "hybrid":
-        lf = _require(obj, "lfsr", "generator")
-        nf = _require(obj, "nfsr", "generator")
+        lf = _section(obj, "lfsr", "generator", required=True)
+        nf = _section(obj, "nfsr", "generator", required=True)
         lfsr = LfsrSpec(
-            int(_require(lf, "length", "generator.lfsr")),
+            _int(lf, "length", "generator.lfsr"),
             frozenset(_positions(_require(lf, "feedback", "generator.lfsr"), "feedback")),
         )
         nfsr = _parse_anf(
-            _require(nf, "anf", "generator.nfsr"),
-            int(_require(nf, "length", "generator.nfsr")),
+            _section(nf, "anf", "generator.nfsr", required=True),
+            _int(nf, "length", "generator.nfsr"),
             "generator.nfsr.anf",
         )
         register: LfsrSpec | NfsrSpec | HybridSpec = HybridSpec(
             lfsr, nfsr, bool(obj.get("coupling", True))
         )
-        taps_obj = _require(obj, "taps", "generator")
-        if not isinstance(taps_obj, dict):
-            raise ConfigError("hybrid generator.taps must map register to positions")
+        taps_obj = _section(obj, "taps", "generator", required=True)
         taps: TapSet | HybridTaps = HybridTaps(
             lfsr=TapSet(_positions(_require(taps_obj, "lfsr", "taps"), "taps.lfsr"), lfsr.length),
             nfsr=TapSet(_positions(_require(taps_obj, "nfsr", "taps"), "taps.nfsr"), nfsr.length),
         )
     else:
-        length = int(_require(obj, "length", "generator"))
+        length = _int(obj, "length", "generator")
         if kind == "lfsr":
             register = LfsrSpec(
                 length,
                 frozenset(_positions(_require(obj, "feedback", "generator"), "feedback")),
             )
         elif kind == "nfsr":
-            register = _parse_anf(_require(obj, "anf", "generator"), length, "generator.anf")
+            register = _parse_anf(
+                _section(obj, "anf", "generator", required=True), length, "generator.anf"
+            )
         else:
             raise ConfigError(f"unknown generator kind {kind!r}")
         taps = TapSet(_positions(_require(obj, "taps", "generator"), "taps"), length)
@@ -184,7 +200,7 @@ def _parse_stop(obj, context: str) -> Stop:
         return RankStop()
     if isinstance(obj, dict):
         if "samples" in obj:
-            return SampleStop(int(obj["samples"]))
+            return SampleStop(_int(obj, "samples", f"{context}.stop"))
         if obj.get("rank", True):
             return RankStop()
     raise ConfigError(f"{context}.stop must be {{'rank': true}} or {{'samples': c}}")
@@ -194,7 +210,6 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
     mode = obj.get("mode", "constant")
     if mode not in ("constant", "greedy", "cyclic", "custom"):
         raise ConfigError(f"unknown analysis mode {mode!r}")
-    sigma = obj.get("sigma")
     schedule = obj.get("schedule")
     if mode == "custom":
         if not schedule:
@@ -211,7 +226,7 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
     stop = _parse_stop(obj["stop"], "analysis") if "stop" in obj else stop_default
     return AnalysisConfig(
         mode=mode,
-        sigma=None if sigma is None else int(sigma),
+        sigma=None if obj.get("sigma") is None else _int(obj, "sigma", "analysis"),
         schedule=None if schedule is None else tuple(schedule),
         solver_exponent=float(obj.get("solver_exponent", 3.0)),
         m_calibration=bool(obj.get("m_calibration", False)),
@@ -222,26 +237,25 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
 def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    gen = _parse_generator(_require(raw, "generator", "config"))
-    analysis = _parse_analysis(raw.get("analysis", {}), gen)
-    attack_obj = raw.get("attack", {})
+    gen = _parse_generator(_section(raw, "generator", "config", required=True))
+    analysis = _parse_analysis(_section(raw, "analysis", "config"), gen)
+    attack_obj = _section(raw, "attack", "config")
     window_model = attack_obj.get("window_model", "per-register")
     if window_model not in ("per-register", "merged"):
         raise ConfigError("attack.window_model must be per-register or merged")
     attack = AttackConfig(
         keystream=attack_obj.get("keystream"),
         window_model=window_model,
-        workers=int(attack_obj.get("workers", 1)),
     )
-    opt_obj = raw.get("optimize", {})
+    opt_obj = _section(raw, "optimize", "config")
     differences = opt_obj.get("differences")
     optimize = OptimizeConfig(
         differences=None if differences is None else tuple(_positions(differences, "optimize.differences")),
-        budget=int(opt_obj.get("budget", 12)),
-        chunk_size=int(opt_obj.get("chunk_size", 5)),
-        retries=int(opt_obj.get("retries", 6)),
+        budget=_int(opt_obj, "budget", "optimize", 12),
+        chunk_size=_int(opt_obj, "chunk_size", "optimize", 5),
+        retries=_int(opt_obj, "retries", "optimize", 6),
     )
-    fmt = raw.get("report", {}).get("format", "table")
+    fmt = _section(raw, "report", "config").get("format", "table")
     if fmt not in ("table", "structured"):
         raise ConfigError("report.format must be table or structured")
     return ScenarioConfig(gen, analysis, attack, optimize, fmt, raw)

@@ -17,6 +17,7 @@ from .complexity import (
     internal_state_recovery_cost,
     optimal_constant_sigma,
     restricted_annihilator_cost,
+    window_recovered_bits,
 )
 from .optimizer import calibrate_filter_width, scorecard
 from .sampling import (
@@ -384,7 +385,7 @@ def example3_window_profile() -> RepetitionProfile:
 def fixture_example3() -> FixtureReport:
     n, m, L = EXAMPLE3_PARAMS
     prof = example3_window_profile()
-    recovered = n + sum(n - q for q in prof.q)
+    recovered = window_recovered_bits(prof)
     cost = internal_state_recovery_cost(prof, n, m, L, recovered)
     rows = [
         _delta_row("window q table", list(EXAMPLE3_Q), list(prof.q)),
@@ -434,7 +435,7 @@ def example4_fixture_profile() -> RepetitionProfile:
 def fixture_example4() -> FixtureReport:
     n, m, L = EXAMPLE4_PARAMS
     fixture_prof = example4_fixture_profile()
-    recovered = n + sum(n - q for q in fixture_prof.q)
+    recovered = window_recovered_bits(fixture_prof)
     cost = internal_state_recovery_cost(fixture_prof, n, m, L, recovered)
     first, middle, tail = EXAMPLE4_EXPONENT_PARTS
     steps = [1] * len(EXAMPLE4_Q)

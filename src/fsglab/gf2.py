@@ -1,49 +1,104 @@
-"""GF(2) linear algebra engine selection.
+"""GF(2) elimination over int bitsets.
 
-The compiled extension (:mod:`fsglab._gf2core`) is preferred when it was
-built; otherwise the pure-Python int-bitset engine is used. Both expose the
-same surface, and ``get_engine`` lets tests and benchmarks pin one explicitly.
+Row vectors are Python integers; bit j holds the coefficient of variable j.
 """
 
 from __future__ import annotations
 
-from . import _gf2py
-
-try:  # pragma: no cover - depends on build environment
-    from . import _gf2core
-
-    _default = _gf2core
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover
-    _gf2core = None
-    _default = _gf2py
-    HAVE_COMPILED = False
-
-ENGINE_NAME = _default.ENGINE_NAME
-ADDED = _gf2py.ADDED
-DEPENDENT = _gf2py.DEPENDENT
-INCONSISTENT = _gf2py.INCONSISTENT
-
-Eliminator = _default.Eliminator
-solve_system = _default.solve_system
-rank_of = _default.rank_of
+ADDED = 0
+DEPENDENT = 1
+INCONSISTENT = 2
 
 
-def available_engines() -> list[str]:
-    names = ["pure"]
-    if HAVE_COMPILED:
-        names.append("compiled")
-    return names
+class Eliminator:
+    """Incremental Gaussian elimination over GF(2), kept in row echelon form.
+
+    Every stored row owns a distinct pivot column (its highest set bit);
+    lower bits stay as they came, so the unique solution is recovered by
+    back-substitution once ``rank == ncols``.
+    """
+
+    __slots__ = ("ncols", "rank", "_rows", "_rhs")
+
+    def __init__(self, ncols: int):
+        if ncols <= 0:
+            raise ValueError("ncols must be positive")
+        self.ncols = ncols
+        self.rank = 0
+        self._rows: dict[int, int] = {}  # pivot column -> row bitset
+        self._rhs: dict[int, int] = {}
+
+    def add_row(self, coeffs: int, rhs: int) -> int:
+        """Reduce a row against the basis; returns ADDED, DEPENDENT or INCONSISTENT."""
+        rows = self._rows
+        rhs_map = self._rhs
+        while coeffs:
+            p = coeffs.bit_length() - 1
+            if p in rows:
+                coeffs ^= rows[p]
+                rhs ^= rhs_map[p]
+            else:
+                rows[p] = coeffs
+                rhs_map[p] = rhs
+                self.rank += 1
+                return ADDED
+        return INCONSISTENT if rhs else DEPENDENT
+
+    def copy(self) -> "Eliminator":
+        dup = Eliminator.__new__(Eliminator)
+        dup.ncols = self.ncols
+        dup.rank = self.rank
+        dup._rows = dict(self._rows)
+        dup._rhs = dict(self._rhs)
+        return dup
+
+    def solve(self) -> int | None:
+        """Unique solution as a bitset, or None unless rank == ncols."""
+        if self.rank != self.ncols:
+            return None
+        return self._back_substitute(0)
+
+    def solutions(self):
+        """Yield every solution of the accumulated (consistent) system.
+
+        Free columns are swept exhaustively; 2^(ncols - rank) vectors come
+        out, so callers should bound the deficit first.
+        """
+        free = [p for p in range(self.ncols) if p not in self._rows]
+        for assignment in range(1 << len(free)):
+            x = 0
+            for j, col in enumerate(free):
+                if (assignment >> j) & 1:
+                    x |= 1 << col
+            yield self._back_substitute(x)
+
+    def _back_substitute(self, x: int) -> int:
+        """Fill the pivot bits of x, given its free bits."""
+        rows = self._rows
+        rhs = self._rhs
+        for p in range(self.ncols):  # ascending: lower bits already solved
+            if p in rows and rhs[p] ^ (((rows[p] ^ (1 << p)) & x).bit_count() & 1):
+                x |= 1 << p
+        return x
 
 
-def get_engine(name: str | None = None):
-    """Return the engine module for ``name`` ('pure', 'compiled' or None)."""
-    if name is None:
-        return _default
-    if name == "pure":
-        return _gf2py
-    if name == "compiled":
-        if not HAVE_COMPILED:
-            raise RuntimeError("compiled GF(2) engine is not available")
-        return _gf2core
-    raise ValueError(f"unknown engine {name!r}")
+def solve_system(rows: list[int], rhs: list[int], ncols: int):
+    """Classify and solve a GF(2) system.
+
+    Returns ``("unique", x)``, ``("inconsistent", None)`` or
+    ``("underdetermined", rank)``.
+    """
+    elim = Eliminator(ncols)
+    for coeffs, r in zip(rows, rhs):
+        if elim.add_row(coeffs, r) == INCONSISTENT:
+            return ("inconsistent", None)
+    if elim.rank == ncols:
+        return ("unique", elim.solve())
+    return ("underdetermined", elim.rank)
+
+
+def rank_of(rows: list[int], ncols: int) -> int:
+    elim = Eliminator(ncols)
+    for coeffs in rows:
+        elim.add_row(coeffs, 0)
+    return elim.rank

@@ -90,6 +90,14 @@ def _render_estimate(est: dict, out: list[str]) -> None:
     out.append(f"per-sample exponents: {est['per_sample_exponents']}")
 
 
+def _scorecard_costs(sc: dict) -> str:
+    cyclic = "-" if sc["cyclic_log2"] is None else f"{sc['cyclic_log2']:.2f}"
+    return (
+        f"sigma*={sc['optimal_sigma']} constant={sc['constant_log2']:.2f} "
+        f"greedy={sc['greedy_log2']:.2f} cyclic={cyclic}"
+    )
+
+
 def render_table(report: Report) -> str:
     out: list[str] = [f"== {report.command} =="]
     payload = report.payload
@@ -107,16 +115,8 @@ def render_table(report: Report) -> str:
     if "scorecard" in payload and payload["scorecard"]:
         sc = payload["scorecard"]
         out.append(
-            "scorecard: taps={taps} lambda={lam} fpds={fpds} sigma*={sig} "
-            "constant={c:.2f} greedy={g:.2f} cyclic={y}".format(
-                taps=sc["taps"],
-                lam=sc["lambda"],
-                fpds=sc["fpds"],
-                sig=sc["optimal_sigma"],
-                c=sc["constant_log2"],
-                g=sc["greedy_log2"],
-                y="-" if sc["cyclic_log2"] is None else f"{sc['cyclic_log2']:.2f}",
-            )
+            f"scorecard: taps={sc['taps']} lambda={sc['lambda']} fpds={sc['fpds']} "
+            + _scorecard_costs(sc)
         )
     if "trace" in payload and payload["trace"]:
         out.append("search trace:")
@@ -135,8 +135,8 @@ def render_table(report: Report) -> str:
             f"window: length={w['window_length']} recovered={w['recovered_bit_count']}"
             f" remaining={w['remaining_guess']}"
         )
-    if "calibration" in payload and payload["calibration"]:
-        out.append(f"calibration best m: {payload['calibration']['best_m']}")
+    for row in payload.get("calibration_sweep", []):
+        out.append(f"calibration m={row['m']}: " + _scorecard_costs(row))
     for note in payload.get("notes", []):
         out.append(f"note: {note}")
     if report.timing:

@@ -2,17 +2,6 @@ import random
 
 import pytest
 
-from fsglab import gf2
-
-
-def engines():
-    return gf2.available_engines()
-
-
-@pytest.fixture(params=engines())
-def gf2_engine(request):
-    return request.param
-
 
 @pytest.fixture
 def rng():

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from fsglab import (
     FilterSpec,
     GeneratorSpec,
@@ -108,6 +110,25 @@ def test_config_errors_are_exit_2(tmp_path):
     assert main(["analyze"]) == 2  # --config required
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["generator"]["filter"].update(n=None),
+        lambda doc: doc.update(analysis=[]),
+        lambda doc: doc.update(attack=[]),
+        lambda doc: doc.update(report="x"),
+    ],
+    ids=["filter-n-null", "analysis-list", "attack-list", "report-string"],
+)
+def test_malformed_config_is_exit_2(tmp_path, capsys, mutate):
+    gen, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)
+    doc = {"generator": gen, "analysis": {"mode": "greedy"}}
+    mutate(doc)
+    cfg = write_config(tmp_path, "bad.json", doc)
+    assert main(["analyze", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_structured_report_round_trip_and_determinism(tmp_path):
     gen, _, _ = lfsr_generator_section(80, (1, 6, 19, 26, 52, 63, 80), 7, 2)
     cfg = write_config(
@@ -136,7 +157,7 @@ def test_report_object_matches_structured_output(tmp_path):
     out = tmp_path / "r.json"
     assert main(["analyze", "--config", cfg_path, "--seed", "3",
                  "--format", "structured", "--out", str(out)]) == 0
-    in_memory = cmd_analyze(load_config(cfg_path), 3, 1)
+    in_memory = cmd_analyze(load_config(cfg_path), 3)
     assert json.loads(out.read_text()) == in_memory.to_dict()
 
 
@@ -227,6 +248,38 @@ def test_attack_truncated_keystream_is_exit_4(tmp_path):
     assert main(["attack", "--config", cfg]) == 4
 
 
+NFSR_GENERATOR = {
+    "kind": "nfsr",
+    "length": 16,
+    "anf": {"constant": 1, "monomials": [[1], [3, 5], [2, 9]]},
+    "taps": [2, 5, 8, 10],
+    "filter": {"n": 4, "m": 1, "source": "random", "seed": 44},
+}
+
+
+@pytest.mark.parametrize("kind", ["lfsr", "nfsr"])
+def test_attack_keystream_too_short_is_exit_4(tmp_path, capsys, kind):
+    if kind == "lfsr":
+        gen_section, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)
+    else:
+        gen_section = NFSR_GENERATOR
+    filt = gen_section["filter"]
+    ks = tmp_path / "stream.ks"
+    # Well formed, but shorter than the schedule or the window needs.
+    write_keystream_file(ks, filt["n"], filt["m"], gen_section["length"], [1] * 3)
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "generator": gen_section,
+            "analysis": {"mode": "greedy"},
+            "attack": {"keystream": str(ks)},
+        },
+    )
+    assert main(["attack", "--config", cfg]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_attack_header_mismatch_is_exit_4(tmp_path):
     gen_section, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)
     ks = tmp_path / "stream.ks"
@@ -291,6 +344,10 @@ def test_analyze_m_calibration_sweep(tmp_path, capsys):
     sweep = doc["payload"]["calibration_sweep"]
     assert [row["m"] for row in sweep] == [1, 2, 3, 4]
     assert all("constant_log2" in row for row in sweep)
+    assert main(["analyze", "--config", cfg, "--format", "table"]) == 0
+    text = capsys.readouterr().out
+    assert "calibration m=2: sigma*=1 constant=69.97 greedy=63.97 cyclic=59.97" in text
+    assert text.count("calibration m=") == 4
 
 
 def test_report_fixture_and_unknown_id(capsys):

@@ -153,13 +153,6 @@ def test_optimal_sigma_single_tap():
     assert sigma == 1
 
 
-def test_optimal_sigma_workers_match_serial():
-    serial = optimal_constant_sigma(EX1, 7, 2, 80, workers=1)
-    parallel = optimal_constant_sigma(EX1, 7, 2, 80, workers=2)
-    assert serial[0] == parallel[0]
-    assert serial[1].log2_total == pytest.approx(parallel[1].log2_total, abs=1e-12)
-
-
 def test_nfsr_cost_solver_term():
     prof = constant_profile(EX1, 13, stop=RankStop())
     linear = nfsr_gfsga_cost(prof, 7, 2, 128, NfsrCostParams(r=1, e=1, omega=2.807))

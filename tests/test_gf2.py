@@ -13,9 +13,8 @@ def random_invertible(rng, ncols):
             return rows
 
 
-def test_identity_solve(gf2_engine):
-    eng = gf2.get_engine(gf2_engine)
-    elim = eng.Eliminator(8)
+def test_identity_solve():
+    elim = gf2.Eliminator(8)
     target = 0b10110010
     for j in range(8):
         assert elim.add_row(1 << j, (target >> j) & 1) == gf2.ADDED
@@ -23,39 +22,35 @@ def test_identity_solve(gf2_engine):
     assert elim.solve() == target
 
 
-def test_dependent_and_inconsistent(gf2_engine):
-    eng = gf2.get_engine(gf2_engine)
-    elim = eng.Eliminator(4)
+def test_dependent_and_inconsistent():
+    elim = gf2.Eliminator(4)
     elim.add_row(0b0011, 1)
     assert elim.add_row(0b0011, 1) == gf2.DEPENDENT
     assert elim.add_row(0b0011, 0) == gf2.INCONSISTENT
     assert elim.rank == 1
 
 
-def test_solve_system_classification(gf2_engine):
-    eng = gf2.get_engine(gf2_engine)
-    status, rank = eng.solve_system([0b01, 0b01], [0, 0], 2)
+def test_solve_system_classification():
+    status, rank = gf2.solve_system([0b01, 0b01], [0, 0], 2)
     assert status == "underdetermined" and rank == 1
-    status, _ = eng.solve_system([0b01, 0b01], [0, 1], 2)
+    status, _ = gf2.solve_system([0b01, 0b01], [0, 1], 2)
     assert status == "inconsistent"
 
 
 @pytest.mark.parametrize("ncols", [5, 31, 64, 100, 130])
-def test_random_solves_verified_by_substitution(gf2_engine, ncols):
-    eng = gf2.get_engine(gf2_engine)
+def test_random_solves_verified_by_substitution(ncols):
     rng = random.Random(ncols)
     for _ in range(25):
         rows = random_invertible(rng, ncols)
         solution = rng.getrandbits(ncols)
         rhs = [(row & solution).bit_count() & 1 for row in rows]
-        status, got = eng.solve_system(rows, rhs, ncols)
+        status, got = gf2.solve_system(rows, rhs, ncols)
         assert status == "unique"
         assert got == solution
 
 
-def test_copy_isolation(gf2_engine):
-    eng = gf2.get_engine(gf2_engine)
-    elim = eng.Eliminator(6)
+def test_copy_isolation():
+    elim = gf2.Eliminator(6)
     elim.add_row(0b000111, 1)
     dup = elim.copy()
     dup.add_row(0b111000, 0)
@@ -63,18 +58,18 @@ def test_copy_isolation(gf2_engine):
     assert elim.add_row(0b111000, 1) == gf2.ADDED
 
 
-def test_engines_agree_on_random_streams():
-    if not gf2.HAVE_COMPILED:
-        pytest.skip("compiled engine not built")
-    pure = gf2.get_engine("pure")
-    comp = gf2.get_engine("compiled")
-    rng = random.Random(7)
-    for _ in range(40):
-        ncols = rng.randint(1, 120)
-        a, b = pure.Eliminator(ncols), comp.Eliminator(ncols)
-        for _ in range(ncols + 8):
-            row = rng.getrandbits(ncols)
-            rhs = rng.getrandbits(1)
-            assert a.add_row(row, rhs) == b.add_row(row, rhs)
-        assert a.rank == b.rank
-        assert a.solve() == b.solve()
+def test_solutions_sweep_the_whole_solution_space():
+    rng = random.Random(3)
+    ncols = 7
+    solution = rng.getrandbits(ncols)
+    elim = gf2.Eliminator(ncols)
+    rows = [rng.getrandbits(ncols) for _ in range(4)]
+    for row in rows:
+        elim.add_row(row, (row & solution).bit_count() & 1)
+    expected = {
+        x for x in range(1 << ncols)
+        if all((row & x).bit_count() & 1 == (row & solution).bit_count() & 1 for row in rows)
+    }
+    got = list(elim.solutions())
+    assert len(got) == 1 << (ncols - elim.rank)
+    assert set(got) == expected and solution in expected
