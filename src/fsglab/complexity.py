@@ -14,10 +14,9 @@ from typing import Sequence
 
 from .sampling import (
     NoOverdefinedSystemError,
-    RankStop,
     RepetitionProfile,
-    Stop,
     TapSet,
+    _label_mask,
     constant_profile,
 )
 
@@ -166,25 +165,53 @@ def optimal_constant_sigma(
     m: int,
     L: int,
     solver_exponent: float = DEFAULT_SOLVER_EXPONENT,
-    stop: Stop = RankStop(),
 ) -> tuple[int, ComplexityEstimate]:
     """Sweep sigma over 1..L and return the cheapest constant-mode attack.
 
-    Distances that never produce an overdefined system are skipped; exact
-    cost ties resolve to the smallest sigma.
+    Each sigma is priced without building its profile. The sweep runs the
+    recursion of :func:`constant_profile` (r_i = |I_1 u .. u I_i| with
+    I_i = I_0 ^ (I_0 + i*sigma), steady at r_k past the horizon
+    k = floor(span/sigma)) under its rank stop, and keeps one integer, the
+    clamped exponent E = (n-m) + sum_i max(0, n-m-r_i). The solver term is
+    the same for every sigma, so E orders the distances exactly as
+    log2_total does. E never decreases as samples are added, so a sigma is
+    abandoned as soon as E reaches the best E so far: it can at most tie,
+    and exact ties resolve to the smallest sigma. The rank stop's 4*L cap
+    never binds, because the lowest tap never repeats (r_i <= n-1), so every
+    sample adds an equation and c <= L-n+2. Only the winner's profile and
+    estimate are built, through :func:`constant_profile` and
+    :func:`gfsga_constant_cost`; the result equals that of a sweep building
+    both for every sigma.
     """
-    candidates = []
+    if n != taps.n:
+        raise ValueError("n must equal the tap count")
+    if L > taps.register_length:
+        raise ValueError("L must not exceed the register length")
+    taps_mask = _label_mask(taps.positions)
+    span = taps.span
+    rank_bound = taps.register_length  # overdefined once n*c - R exceeds it
+    nm = n - m
+    best_sigma = None
+    best_e = math.inf
     for sigma in range(1, L + 1):
-        try:
-            profile = constant_profile(taps, sigma, stop=stop)
-        except NoOverdefinedSystemError:
-            continue
-        est = gfsga_constant_cost(profile, n, m, L, solver_exponent)
-        candidates.append((est.log2_total, sigma, est))
-    if not candidates:
+        k = span // sigma
+        acc = r = total = 0
+        c = 1
+        e = nm
+        while n * c - total <= rank_bound and e < best_e:
+            if c <= k:
+                acc |= taps_mask & (taps_mask << (c * sigma))
+                r = acc.bit_count()
+            total += r
+            if r < nm:
+                e += nm - r
+            c += 1
+        if e < best_e:
+            best_sigma, best_e = sigma, e
+    if best_sigma is None:
         raise NoOverdefinedSystemError("no sigma in 1..L yields an overdefined system")
-    best_cost, best_sigma, best_est = min(candidates)
-    return best_sigma, best_est
+    profile = constant_profile(taps, best_sigma)
+    return best_sigma, gfsga_constant_cost(profile, n, m, L, solver_exponent)
 
 
 def nfsr_gfsga_cost(

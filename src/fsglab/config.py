@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from .registers import (
     FilterSpec,
@@ -119,10 +120,22 @@ def _section(obj: dict, key: str, context: str, required: bool = False) -> dict:
 def _int(obj: dict, key: str, context: str, default: int | None = None) -> int:
     """obj[key] as an integer; required unless a default is given."""
     value = _require(obj, key, context) if default is None else obj.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{context}.{key} must be an integer, not {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{context}.{key} must be an integer, not {value!r}")
+    return value
+
+
+def _float(obj: dict, key: str, context: str, default: float) -> float:
+    """obj[key] as a finite positive number; absent means the default."""
+    value = obj.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ConfigError(f"{context}.{key} must be a finite positive number, not {value!r}")
+    return float(value)
 
 
 def _positions(values, context: str) -> tuple[int, ...]:
@@ -149,7 +162,7 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
         m=_int(filt, "m", "generator.filter"),
         source=filt.get("source"),
         hex_table=filt.get("hex"),
-        seed=filt.get("seed"),
+        seed=None if filt.get("seed") is None else _int(filt, "seed", "generator.filter"),
     )
     if kind == "hybrid":
         lf = _section(obj, "lfsr", "generator", required=True)
@@ -228,7 +241,7 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
         mode=mode,
         sigma=None if obj.get("sigma") is None else _int(obj, "sigma", "analysis"),
         schedule=None if schedule is None else tuple(schedule),
-        solver_exponent=float(obj.get("solver_exponent", 3.0)),
+        solver_exponent=_float(obj, "solver_exponent", "analysis", 3.0),
         m_calibration=bool(obj.get("m_calibration", False)),
         stop=stop,
     )

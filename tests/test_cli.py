@@ -117,8 +117,22 @@ def test_config_errors_are_exit_2(tmp_path):
         lambda doc: doc.update(analysis=[]),
         lambda doc: doc.update(attack=[]),
         lambda doc: doc.update(report="x"),
+        lambda doc: doc["analysis"].update(solver_exponent=None),
+        lambda doc: doc["analysis"].update(solver_exponent=True),
+        lambda doc: doc["analysis"].update(solver_exponent="3"),
+        lambda doc: doc["analysis"].update(solver_exponent=float("nan")),
+        lambda doc: doc["analysis"].update(solver_exponent=float("inf")),
+        lambda doc: doc["analysis"].update(solver_exponent=0),
+        lambda doc: doc["analysis"].update(solver_exponent=-1.5),
+        lambda doc: doc["generator"]["filter"].update(seed="x"),
+        lambda doc: doc["generator"]["filter"].update(seed=1.5),
+        lambda doc: doc["generator"]["filter"].update(seed=[1]),
     ],
-    ids=["filter-n-null", "analysis-list", "attack-list", "report-string"],
+    ids=["filter-n-null", "analysis-list", "attack-list", "report-string",
+         "solver-exponent-null", "solver-exponent-bool", "solver-exponent-string",
+         "solver-exponent-nan", "solver-exponent-inf", "solver-exponent-zero",
+         "solver-exponent-negative", "filter-seed-string", "filter-seed-float",
+         "filter-seed-list"],
 )
 def test_malformed_config_is_exit_2(tmp_path, capsys, mutate):
     gen, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)

@@ -5,6 +5,7 @@ import pytest
 
 from fsglab import (
     NfsrCostParams,
+    NoOverdefinedSystemError,
     RankStop,
     TapSet,
     constant_profile,
@@ -145,6 +146,74 @@ def test_optimal_sigma_reference_and_minimality():
         for sig in range(1, L + 1):
             prof = constant_profile(taps, sig, stop=RankStop())
             assert opt.log2_total <= gfsga_constant_cost(prof, n, m, L).log2_total + 1e-9
+
+
+def _reference_sweep(taps, n, m, L):
+    """Every sigma through constant_profile + gfsga_constant_cost, min by (cost, sigma)."""
+    rows = []
+    for sigma in range(1, L + 1):
+        try:
+            prof = constant_profile(taps, sigma, stop=RankStop())
+        except NoOverdefinedSystemError:
+            continue
+        est = gfsga_constant_cost(prof, n, m, L)
+        rows.append((est.log2_total, sigma, est))
+    if not rows:
+        raise NoOverdefinedSystemError("no sigma in 1..L yields an overdefined system")
+    best = min(rows)
+    ties = sum(row[0] == best[0] for row in rows) - 1
+    return (best[1], best[2]), ties
+
+
+def test_optimal_sigma_equals_full_sweep():
+    rng = random.Random(0x51A)
+    shapes = [(n, m) for n in range(2, 19) for m in range(1, n)]
+    tie_cases = 0
+    for i in range(1000):
+        n, m = shapes[i % len(shapes)]
+        L = rng.randint(max(8, n), 170)
+        if i % 5 == 0:  # evenly spaced taps: every multiple of the spacing ties
+            gap = rng.randint(1, (L - 1) // (n - 1))
+            positions = tuple(1 + j * gap for j in range(n))
+        else:
+            positions = tuple(sorted(rng.sample(range(1, L + 1), n)))
+        taps = TapSet(positions, L)
+        expected, ties = _reference_sweep(taps, n, m, L)
+        tie_cases += ties > 0
+        assert optimal_constant_sigma(taps, n, m, L) == expected, (positions, L, m)
+    assert tie_cases > 200
+    # A rank-stopped profile is overdefined within L-n+2 samples at any
+    # sigma, so every sigma raises only when the sweep range is empty.
+    taps = TapSet((1, 2, 3), 12)
+    with pytest.raises(NoOverdefinedSystemError):
+        _reference_sweep(taps, 3, 1, 0)
+    with pytest.raises(NoOverdefinedSystemError):
+        optimal_constant_sigma(taps, 3, 1, 0)
+
+
+def test_optimal_sigma_builds_one_profile(monkeypatch):
+    import fsglab.complexity as complexity
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return constant_profile(*args, **kwargs)
+
+    monkeypatch.setattr(complexity, "constant_profile", counted)
+    rng = random.Random(43)
+    for _ in range(20):
+        taps = random_taps(rng, max_l=120, max_n=12)
+        calls.clear()
+        sigma, _ = optimal_constant_sigma(taps, taps.n, 1, taps.register_length)
+        assert calls == [sigma]
+
+
+def test_optimal_sigma_rejects_mismatched_arguments():
+    with pytest.raises(ValueError):
+        optimal_constant_sigma(EX1, 6, 2, 80)
+    with pytest.raises(ValueError):
+        optimal_constant_sigma(EX1, 7, 2, 81)
 
 
 def test_optimal_sigma_single_tap():
