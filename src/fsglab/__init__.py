@@ -36,12 +36,10 @@ from .registers import (  # noqa: F401
     HybridSpec,
     HybridTaps,
     LfsrSpec,
-    LinearExpr,
     NfsrSpec,
     PreimageSpace,
     keystream,
     lfsr_step,
-    linear_tap_expressions,
     nfsr_step,
     preimage_table,
     primitive_lfsr,
@@ -73,11 +71,9 @@ from .optimizer import (  # noqa: F401
 )
 from .attack import (  # noqa: F401
     AttackResult,
-    Gf2LinearSystem,
     KeystreamFormatError,
     WindowRecovery,
     filtered_preimages,
-    gf2_solve,
     gfsga_recover,
     nfsr_window_recover,
     read_keystream_file,

@@ -20,7 +20,6 @@ from .registers import (
     HybridSpec,
     HybridTaps,
     LfsrSpec,
-    LinearExpr,
     NfsrSpec,
     PreimageSpace,
     label_expressions,
@@ -34,19 +33,6 @@ from .sampling import SamplingSchedule, repetition_profile
 class KeystreamFormatError(ValueError):
     """Keystream is malformed, truncated, inconsistent with its header, or
     too short for the attack."""
-
-
-@dataclass(frozen=True)
-class Gf2LinearSystem:
-    """Rows of (linear form, observed bit) over L initial-state variables."""
-
-    rows: tuple[tuple[LinearExpr, int], ...]
-    nvars: int
-
-    def __post_init__(self):
-        for expr, _ in self.rows:
-            if expr.length != self.nvars:
-                raise ValueError("row width does not match variable count")
 
 
 @dataclass(frozen=True)
@@ -67,18 +53,6 @@ class WindowRecovery:
     recovered_bit_count: int
     remaining_guess: int
     per_sample_sizes: tuple[int, ...]
-
-
-def gf2_solve(system: Gf2LinearSystem):
-    """Gaussian elimination; returns ('unique', state), ('inconsistent', None)
-    or ('underdetermined', rank)."""
-    rows = [expr.coeffs for expr, _ in system.rows]
-    rhs = [bit for _, bit in system.rows]
-    status, value = gf2.solve_system(rows, rhs, system.nvars)
-    if status == "unique":
-        state = tuple((value >> j) & 1 for j in range(system.nvars))
-        return ("unique", state)
-    return (status, value)
 
 
 def filtered_preimages(space: PreimageSpace, known: Mapping[int, int]) -> PreimageSpace:

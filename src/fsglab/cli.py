@@ -22,7 +22,7 @@ from .complexity import (
     internal_state_recovery_cost,
     window_recovered_bits,
 )
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import AnalysisConfig, ConfigError, ScenarioConfig, load_config
 from .fixtures import run_fixture
 from .optimizer import (
     SearchExhaustedError,
@@ -36,8 +36,9 @@ from .registers import HybridSpec, LfsrSpec
 from .report import Report, emit, make_provenance
 from .sampling import (
     NoOverdefinedSystemError,
-    RankStop,
+    RepetitionProfile,
     SamplingSchedule,
+    TapSet,
     constant_profile,
     cyclic_schedule,
     greedy_schedule,
@@ -59,6 +60,24 @@ def _state_hex(state) -> str:
     return format(acc, f"0{width}x")
 
 
+def _profile(taps: TapSet, analysis: AnalysisConfig) -> RepetitionProfile:
+    """The profile of the configured sampling mode, cut by ``analysis.stop``.
+
+    ``analyze`` prices it and ``attack`` runs its steps, so both see the same
+    schedule.
+    """
+    mode, stop = analysis.mode, analysis.stop
+    if mode == "custom":
+        return repetition_profile(taps, analysis.schedule, stop=stop)
+    if mode == "constant":
+        if analysis.sigma is None:
+            raise ConfigError("constant mode needs analysis.sigma")
+        return constant_profile(taps, analysis.sigma, stop=stop)
+    if mode == "greedy":
+        return greedy_schedule(taps, stop)[1]
+    return cyclic_schedule(taps, stop)[1]
+
+
 def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
     gen = config.generator
     analysis = config.analysis
@@ -74,17 +93,7 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
         )
         payload["notes"].append(f"hybrid counting model: {config.attack.window_model}")
     else:
-        taps = gen.taps
-        if analysis.mode == "constant":
-            if analysis.sigma is None:
-                raise ConfigError("constant mode needs analysis.sigma")
-            profile = constant_profile(taps, analysis.sigma, stop=analysis.stop or RankStop())
-        elif analysis.mode == "greedy":
-            _, profile = greedy_schedule(taps, analysis.stop or RankStop())
-        elif analysis.mode == "cyclic":
-            _, profile = cyclic_schedule(taps, analysis.stop or RankStop())
-        else:
-            profile = repetition_profile(taps, analysis.schedule, stop=analysis.stop)
+        profile = _profile(gen.taps, analysis)
     payload["profile"] = profile.to_dict()
     L = gen.total_length
     overdefined = n * profile.samples - profile.total > L
@@ -195,7 +204,8 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
     payload: dict = {"notes": []}
     started = time.perf_counter()
     if isinstance(gen.register, LfsrSpec):
-        schedule = _attack_schedule(config)
+        profile = _profile(gen_cfg.taps, config.analysis)
+        schedule = SamplingSchedule(profile.steps, profile.mode)
         result = gfsga_recover(gen, blocks, schedule)
         payload["schedule"] = list(schedule.steps)
         if result.recovered_state is None:
@@ -226,24 +236,6 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
     report = Report("attack", payload, make_provenance(config.sha256(), seed))
     report.timing["wall_clock"] = time.perf_counter() - started
     return report
-
-
-def _attack_schedule(config: ScenarioConfig) -> SamplingSchedule:
-    gen = config.generator
-    analysis = config.analysis
-    taps = gen.taps
-    if analysis.mode == "custom":
-        return SamplingSchedule(analysis.schedule, "custom")
-    if analysis.mode == "constant":
-        if analysis.sigma is None:
-            raise ConfigError("constant mode needs analysis.sigma")
-        profile = constant_profile(taps, analysis.sigma, stop=analysis.stop or RankStop())
-        return SamplingSchedule(profile.steps, "constant")
-    if analysis.mode == "greedy":
-        schedule, _ = greedy_schedule(taps, analysis.stop or RankStop())
-        return schedule
-    schedule, _ = cyclic_schedule(taps, analysis.stop or RankStop())
-    return schedule
 
 
 def cmd_report_tables(fixture_id: str, seed: int | None) -> Report:

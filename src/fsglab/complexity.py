@@ -176,12 +176,12 @@ def optimal_constant_sigma(
     the same for every sigma, so E orders the distances exactly as
     log2_total does. E never decreases as samples are added, so a sigma is
     abandoned as soon as E reaches the best E so far: it can at most tie,
-    and exact ties resolve to the smallest sigma. The rank stop's 4*L cap
-    never binds, because the lowest tap never repeats (r_i <= n-1), so every
-    sample adds an equation and c <= L-n+2. Only the winner's profile and
-    estimate are built, through :func:`constant_profile` and
-    :func:`gfsga_constant_cost`; the result equals that of a sweep building
-    both for every sigma.
+    and exact ties resolve to the smallest sigma. The lowest tap never
+    repeats (r_i <= n-1), so every sample adds an equation and c <= L-n+2.
+    Only the winner's profile and estimate are built, through
+    :func:`constant_profile` (the direct sampling loop) and
+    :func:`gfsga_constant_cost`; the tests hold this recursion to a sweep
+    that builds both for every sigma with that loop.
     """
     if n != taps.n:
         raise ValueError("n must equal the tap count")

@@ -138,8 +138,26 @@ def _float(obj: dict, key: str, context: str, default: float) -> float:
     return float(value)
 
 
+def _str(obj: dict, key: str, context: str) -> str | None:
+    """obj[key] as a string; absent or null means None."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{context}.{key} must be a string, not {value!r}")
+    return value
+
+
+def _bool(obj: dict, key: str, context: str, default: bool) -> bool:
+    """obj[key] as a JSON boolean; absent means the default."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{context}.{key} must be true or false, not {value!r}")
+    return value
+
+
 def _positions(values, context: str) -> tuple[int, ...]:
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or any(
+        isinstance(v, bool) or not isinstance(v, int) for v in values
+    ):
         raise ConfigError(f"{context} must be a list of integers")
     return tuple(values)
 
@@ -161,7 +179,7 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
         n=_int(filt, "n", "generator.filter"),
         m=_int(filt, "m", "generator.filter"),
         source=filt.get("source"),
-        hex_table=filt.get("hex"),
+        hex_table=_str(filt, "hex", "generator.filter"),
         seed=None if filt.get("seed") is None else _int(filt, "seed", "generator.filter"),
     )
     if kind == "hybrid":
@@ -177,7 +195,7 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
             "generator.nfsr.anf",
         )
         register: LfsrSpec | NfsrSpec | HybridSpec = HybridSpec(
-            lfsr, nfsr, bool(obj.get("coupling", True))
+            lfsr, nfsr, _bool(obj, "coupling", "generator", True)
         )
         taps_obj = _section(obj, "taps", "generator", required=True)
         taps: TapSet | HybridTaps = HybridTaps(
@@ -242,7 +260,7 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
         sigma=None if obj.get("sigma") is None else _int(obj, "sigma", "analysis"),
         schedule=None if schedule is None else tuple(schedule),
         solver_exponent=_float(obj, "solver_exponent", "analysis", 3.0),
-        m_calibration=bool(obj.get("m_calibration", False)),
+        m_calibration=_bool(obj, "m_calibration", "analysis", False),
         stop=stop,
     )
 
@@ -257,7 +275,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if window_model not in ("per-register", "merged"):
         raise ConfigError("attack.window_model must be per-register or merged")
     attack = AttackConfig(
-        keystream=attack_obj.get("keystream"),
+        keystream=_str(attack_obj, "keystream", "attack"),
         window_model=window_model,
     )
     opt_obj = _section(raw, "optimize", "config")

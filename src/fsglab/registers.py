@@ -138,26 +138,6 @@ class FilterSpec:
 
 
 @dataclass(frozen=True)
-class LinearExpr:
-    """GF(2) linear form in the initial state; bit j-1 of ``coeffs`` is cell j."""
-
-    coeffs: int
-    length: int
-
-    def evaluate(self, state: State) -> int:
-        acc = 0
-        c = self.coeffs
-        while c:
-            low = c & -c
-            acc ^= state[low.bit_length() - 1]
-            c ^= low
-        return acc
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(j + 1 for j in range(self.length) if (self.coeffs >> j) & 1)
-
-
-@dataclass(frozen=True)
 class PreimageSpace:
     """All filter inputs mapping to ``output_value``, in truth-table index order."""
 
@@ -306,31 +286,6 @@ def keystream(gen: GeneratorSpec, initial_state, count: int) -> list[int]:
         blocks.append(gen.filter.apply(read_taps(state, gen.taps)))
         state = step_register(state, gen.register)
     return blocks
-
-
-def cell_expressions(spec: LfsrSpec, t: int) -> list[LinearExpr]:
-    """Linear forms giving each cell's content after t clocks of the LFSR."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    L = spec.length
-    exprs = [1 << j for j in range(L)]
-    fb_positions = sorted(spec.feedback_positions)
-    for _ in range(t):
-        fb = 0
-        for p in fb_positions:
-            fb ^= exprs[p - 1]
-        exprs = exprs[1:] + [fb]
-    return [LinearExpr(c, L) for c in exprs]
-
-
-def linear_tap_expressions(spec: LfsrSpec, taps: TapSet, t: int) -> list[LinearExpr]:
-    """Expression i evaluates, on the initial state, to the bit at tap l_i after t clocks."""
-    if taps.register_length != spec.length:
-        raise ValueError("tap set does not match register length")
-    if any(not 1 <= p <= spec.length for p in taps.positions):
-        raise ValueError("tap outside 1..L")
-    cells = cell_expressions(spec, t)
-    return [cells[p - 1] for p in taps.positions]
 
 
 def label_expressions(spec: LfsrSpec, max_label: int) -> list[int]:

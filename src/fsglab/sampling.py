@@ -14,12 +14,13 @@ independent counting routes are provided and kept in agreement by tests:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class NoOverdefinedSystemError(RuntimeError):
-    """Sampling hit its cap without producing an overdefined system."""
+    """Sampling ended without producing an overdefined system."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,6 @@ class SamplingSchedule:
 @dataclass(frozen=True)
 class RankStop:
     """Stop at the minimal sample count c with n*c - R > L."""
-
-    cap_factor: int = 4
 
 
 @dataclass(frozen=True)
@@ -196,58 +195,61 @@ def _labels(mask: int) -> frozenset[int]:
 
 def _run_steps(
     taps: TapSet,
-    step_iter: Iterator[int],
+    choose: Callable[[int], int | None],
     stop: Stop,
     mode: str,
     sigma: int | None = None,
     k: int | None = None,
     materialize_sets: bool = True,
+    overshoot: int = 0,
 ) -> RepetitionProfile:
-    """Direct integer-label sampling loop shared by the profile builders."""
+    """The integer-label sampling loop behind every profile builder.
+
+    ``seen`` holds the labels of all samples so far, shifted down by the
+    current cumulative shift (bit 0 is label shift+1; lower labels can never
+    meet a later sample and are dropped). ``choose(seen)`` returns the next
+    sampling distance, or None when the schedule is exhausted. Under a
+    RankStop the run keeps ``overshoot`` samples past the first overdefined
+    count. Every sample's highest label is new, so each adds at least one
+    distinct equation and a rank stop ends within L-n+2 samples.
+    """
     n = taps.n
     L = taps.register_length
     taps_mask = _label_mask(taps.positions)
-    union = taps_mask
+    seen = taps_mask
     shift = 0
     q: list[int] = []
     sets: list[frozenset] = []
     steps: list[int] = []
     total = 0
     c = 1
-    cap = stop.cap_factor * L if isinstance(stop, RankStop) else None
-
-    def done() -> bool:
+    while True:
         if isinstance(stop, RankStop):
-            return n * c - total > L
-        if isinstance(stop, SampleStop):
-            return c >= stop.samples
-        return False
-
-    while not done():
-        try:
-            step = next(step_iter)
-        except StopIteration:
+            if n * c - total > L:
+                if overshoot <= 0:
+                    break
+                overshoot -= 1
+        elif isinstance(stop, SampleStop) and c >= stop.samples:
+            break
+        step = choose(seen)
+        if step is None:
             if stop is None:
                 break
             raise NoOverdefinedSystemError(
                 "schedule exhausted before the stop condition was met"
-            ) from None
+            )
         if not 1 <= step <= L:
             raise ValueError("sampling distances must lie in 1..L")
         shift += step
-        state = taps_mask << shift
-        inter = state & union
+        seen >>= step
+        inter = seen & taps_mask
         q.append(inter.bit_count())
         if materialize_sets:
-            sets.append(_labels(inter))
+            sets.append(_labels(inter << shift))
         total += q[-1]
-        union |= state
+        seen |= taps_mask
         steps.append(step)
         c += 1
-        if cap is not None and c > cap:
-            raise NoOverdefinedSystemError(
-                f"no overdefined system within {cap} samples"
-            )
     return RepetitionProfile(
         q=tuple(q),
         samples=c,
@@ -262,6 +264,12 @@ def _run_steps(
     )
 
 
+def _replay(steps: Iterable[int]) -> Callable[[int], int | None]:
+    """Chooser that plays back ``steps`` in order, then reports exhaustion."""
+    it = iter(steps)
+    return lambda _seen: next(it, None)
+
+
 def repetition_profile(
     taps: TapSet,
     schedule: SamplingSchedule | Sequence[int],
@@ -272,8 +280,7 @@ def repetition_profile(
 
     With ``stop=None`` the whole schedule is consumed; a RankStop returns the
     minimal sample count c with n*c - R > L and raises
-    :class:`NoOverdefinedSystemError` if the schedule or the cap runs out
-    first.
+    :class:`NoOverdefinedSystemError` if the schedule runs out first.
     """
     if isinstance(schedule, SamplingSchedule):
         steps, mode = schedule.steps, schedule.mode
@@ -282,7 +289,7 @@ def repetition_profile(
     sigma = steps[0] if mode == "constant" and steps else None
     k = taps.span // sigma if sigma else None
     return _run_steps(
-        taps, iter(steps), stop, mode, sigma=sigma, k=k,
+        taps, _replay(steps), stop, mode, sigma=sigma, k=k,
         materialize_sets=materialize_sets,
     )
 
@@ -290,56 +297,19 @@ def repetition_profile(
 def constant_profile(
     taps: TapSet, sigma: int, stop: Stop = RankStop()
 ) -> RepetitionProfile:
-    """Constant-distance profile via the cumulative intersection recursion.
+    """Profile of the constant schedule sigma, sigma, .. up to ``stop``.
 
-    Builds I_i = I_{i-1} union (I_0 ^ (I_0 + i*sigma)) up to the horizon
-    k = floor((l_n - l_1)/sigma) and extends with the steady value r_k, so it
-    is cheap for any sample count. Agrees with :func:`repetition_profile` on
-    the equivalent constant schedule (tested property).
+    ``k`` is the shift horizon floor((l_n - l_1)/sigma): past it every
+    sample repeats the same number of bits. Repeated label sets are not
+    materialized.
     """
-    L = taps.register_length
-    if not 1 <= sigma <= L:
+    if not 1 <= sigma <= taps.register_length:
         raise ValueError("sigma must lie in 1..L")
-    n = taps.n
-    taps_mask = _label_mask(taps.positions)
-    k = taps.span // sigma
-    r: list[int] = []
-    acc = 0
-    for i in range(1, k + 1):
-        acc |= taps_mask & (taps_mask << (i * sigma))
-        r.append(acc.bit_count())
-    r_k = r[-1] if r else 0
-
-    def r_at(i: int) -> int:  # 1-based
-        return r[i - 1] if i <= k else r_k
-
-    if isinstance(stop, SampleStop):
-        c = stop.samples
-    elif isinstance(stop, RankStop):
-        cap = stop.cap_factor * L
-        c = 1
-        total = 0
-        while n * c - total <= L:
-            total += r_at(c)
-            c += 1
-            if c > cap:
-                raise NoOverdefinedSystemError(
-                    f"no overdefined system within {cap} samples at sigma={sigma}"
-                )
-    else:
+    if stop is None:
         raise ValueError("constant_profile needs a RankStop or SampleStop")
-    q = tuple(r_at(i) for i in range(1, c))
-    return RepetitionProfile(
-        q=q,
-        samples=c,
-        total=sum(q),
-        n=n,
-        register_length=L,
-        mode="constant",
-        steps=(sigma,) * (c - 1),
-        sigma=sigma,
-        k=k,
-        repeated_sets=None,
+    return _run_steps(
+        taps, lambda _seen: sigma, stop, "constant", sigma=sigma,
+        k=taps.span // sigma, materialize_sets=False,
     )
 
 
@@ -412,62 +382,17 @@ def greedy_schedule(
     overdefined (the reference runs of this mode include one such sample);
     pass overshoot=0 for the minimal schedule.
     """
-    n = taps.n
-    L = taps.register_length
-    taps_mask = _label_mask(taps.positions)
-    union = taps_mask
-    shift = 0
-    q: list[int] = []
-    sets: list[frozenset] = []
-    steps: list[int] = []
-    total = 0
-    c = 1
-    remaining_overshoot = overshoot
-    cap = stop.cap_factor * L if isinstance(stop, RankStop) else None
-
-    def done() -> bool:
-        nonlocal remaining_overshoot
-        if isinstance(stop, RankStop):
-            if n * c - total > L:
-                if remaining_overshoot <= 0:
-                    return True
-                remaining_overshoot -= 1
-            return False
-        if isinstance(stop, SampleStop):
-            return c >= stop.samples
+    if stop is None:
         raise ValueError("greedy_schedule needs a RankStop or SampleStop")
+    taps_mask = _label_mask(taps.positions)
+    shifted = [taps_mask << s for s in range(1, taps.register_length + 1)]
 
-    while not done():
-        best_count = -1
-        best_sigma = 1
-        for sigma in range(1, L + 1):
-            count = (union & (taps_mask << (shift + sigma))).bit_count()
-            if count > best_count:
-                best_count = count
-                best_sigma = sigma
-        shift += best_sigma
-        state = taps_mask << shift
-        inter = state & union
-        q.append(inter.bit_count())
-        sets.append(_labels(inter))
-        total += q[-1]
-        union |= state
-        steps.append(best_sigma)
-        c += 1
-        if cap is not None and c > cap:
-            raise NoOverdefinedSystemError(f"no overdefined system within {cap} samples")
-    schedule = SamplingSchedule(tuple(steps), "greedy")
-    profile = RepetitionProfile(
-        q=tuple(q),
-        samples=c,
-        total=total,
-        n=n,
-        register_length=L,
-        mode="greedy",
-        steps=tuple(steps),
-        repeated_sets=tuple(sets),
-    )
-    return schedule, profile
+    def most_overlap(seen: int) -> int:
+        counts = [(seen & mask).bit_count() for mask in shifted]
+        return counts.index(max(counts)) + 1  # the smallest sigma on ties
+
+    profile = _run_steps(taps, most_overlap, stop, "greedy", overshoot=overshoot)
+    return SamplingSchedule(profile.steps, "greedy"), profile
 
 
 def cyclic_schedule(
@@ -483,12 +408,7 @@ def cyclic_schedule(
     if stop is None:
         raise ValueError("cyclic_schedule needs a RankStop or SampleStop")
     d = consecutive_differences(taps)
-
-    def steps() -> Iterator[int]:
-        while True:
-            yield from d
-
-    profile = _run_steps(taps, steps(), stop, "cyclic")
+    profile = _run_steps(taps, _replay(itertools.cycle(d)), stop, "cyclic")
     return SamplingSchedule(profile.steps, "cyclic"), profile
 
 

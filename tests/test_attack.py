@@ -6,16 +6,13 @@ import pytest
 from fsglab import (
     FilterSpec,
     GeneratorSpec,
-    Gf2LinearSystem,
     HybridSpec,
     HybridTaps,
     KeystreamFormatError,
-    LinearExpr,
     NfsrSpec,
     RankStop,
     TapSet,
     filtered_preimages,
-    gf2_solve,
     gfsga_recover,
     gfsga_variable_cost,
     greedy_schedule,
@@ -37,19 +34,6 @@ def planted_lfsr_instance(rng, L, n, m, filter_seed=None):
     while not any(state):
         state = tuple(rng.getrandbits(1) for _ in range(L))
     return gen, state
-
-
-def test_gf2_solve_identity_and_contradiction():
-    exprs = [LinearExpr(1 << j, 4) for j in range(4)]
-    state = (1, 0, 1, 1)
-    system = Gf2LinearSystem(tuple((e, state[j]) for j, e in enumerate(exprs)), 4)
-    assert gf2_solve(system) == ("unique", state)
-    bad = Gf2LinearSystem(
-        ((exprs[0], 1), (exprs[0], 0), (exprs[1], 0), (exprs[2], 0), (exprs[3], 0)), 4
-    )
-    assert gf2_solve(bad) == ("inconsistent", None)
-    thin = Gf2LinearSystem(((exprs[0], 1),), 4)
-    assert gf2_solve(thin) == ("underdetermined", 1)
 
 
 def test_filtered_preimages_against_brute_force():

@@ -1,7 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fsglab import (
     FilterSpec,
@@ -14,7 +17,10 @@ from fsglab import (
     write_keystream_file,
 )
 from fsglab.cli import main
+from fsglab.config import load_config
 from fsglab.registers import NfsrSpec
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name, data):
@@ -127,12 +133,15 @@ def test_config_errors_are_exit_2(tmp_path):
         lambda doc: doc["generator"]["filter"].update(seed="x"),
         lambda doc: doc["generator"]["filter"].update(seed=1.5),
         lambda doc: doc["generator"]["filter"].update(seed=[1]),
+        lambda doc: doc["analysis"].update(m_calibration="false"),
+        lambda doc: doc["analysis"].update(m_calibration=1),
+        lambda doc: doc["generator"].update(taps=[True, 5, 10, 14, 16]),
     ],
     ids=["filter-n-null", "analysis-list", "attack-list", "report-string",
          "solver-exponent-null", "solver-exponent-bool", "solver-exponent-string",
          "solver-exponent-nan", "solver-exponent-inf", "solver-exponent-zero",
          "solver-exponent-negative", "filter-seed-string", "filter-seed-float",
-         "filter-seed-list"],
+         "filter-seed-list", "m-calibration-string", "m-calibration-int", "taps-bool"],
 )
 def test_malformed_config_is_exit_2(tmp_path, capsys, mutate):
     gen, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)
@@ -292,6 +301,123 @@ def test_attack_keystream_too_short_is_exit_4(tmp_path, capsys, kind):
     )
     assert main(["attack", "--config", cfg]) == 4
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def planted_lfsr_attack(tmp_path, analysis):
+    """Config path for an attack on a planted L=20 LFSR keystream."""
+    rng = random.Random(6)
+    L, taps_pos, n, m = 20, (3, 5, 10, 14, 16), 5, 2
+    gen_section, spec, filt = lfsr_generator_section(L, taps_pos, n, m, seed=29)
+    gen = GeneratorSpec(spec, TapSet(taps_pos, L), filt)
+    state = tuple(rng.getrandbits(1) for _ in range(L))
+    blocks = keystream(gen, state, 6 * L)
+    ks = tmp_path / "stream.ks"
+    write_keystream_file(ks, n, m, L, blocks)
+    return write_config(
+        tmp_path,
+        "c.json",
+        {
+            "generator": gen_section,
+            "analysis": analysis,
+            "attack": {"keystream": str(ks)},
+            "report": {"format": "structured"},
+        },
+    )
+
+
+def test_attack_runs_the_schedule_analyze_prices(tmp_path, capsys):
+    greedy, _ = greedy_schedule(TapSet((3, 5, 10, 14, 16), 20), RankStop())
+    analysis = {
+        "mode": "custom",
+        "schedule": list(greedy.steps) + [1, 1, 1],
+        "stop": {"rank": True},
+    }
+    cfg = planted_lfsr_attack(tmp_path, analysis)
+    assert main(["analyze", "--config", cfg]) == 0
+    priced = json.loads(capsys.readouterr().out)["payload"]["profile"]["steps"]
+    assert len(priced) < len(analysis["schedule"])
+    assert main(["attack", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["schedule"] == priced
+
+
+def test_attack_short_custom_schedule_under_rank_stop_is_exit_3(tmp_path):
+    analysis = {"mode": "custom", "schedule": [5, 2], "stop": {"rank": True}}
+    cfg = planted_lfsr_attack(tmp_path, analysis)
+    assert main(["analyze", "--config", cfg]) == 3
+    assert main(["attack", "--config", cfg]) == 3
+
+
+# Fields that only ``attack`` reads; the numbers cannot be live descriptors.
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["generator"]["filter"].update(hex=1000000),
+        lambda doc: doc["generator"]["filter"].update(hex=12.5),
+        lambda doc: doc["attack"].update(keystream=1000000),
+        lambda doc: doc["attack"].update(keystream=12.5),
+    ],
+    ids=["hex-int", "hex-float", "keystream-int", "keystream-float"],
+)
+def test_attack_wrong_type_is_exit_2(tmp_path, capsys, mutate):
+    cfg = planted_lfsr_attack(tmp_path, {"mode": "greedy"})
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    cfg = write_config(tmp_path, "bad.json", doc)
+    assert main(["attack", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hybrid_coupling_string_is_exit_2(tmp_path, capsys):
+    with open(SHIPPED_CONFIGS / "hybrid_window.json") as fh:
+        doc = json.load(fh)
+    doc["generator"]["coupling"] = "false"
+    assert main(["analyze", "--config", write_config(tmp_path, "bad.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+MUTANT_VALUES = (None, True, "false", 0, -1, 1.5, "x", [], {})
+
+
+def node_paths(node, prefix=()):
+    """Paths to every key or list item below ``node``, sections included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from node_paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SHIPPED_CONFIGS.glob("*.json")))
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_shipped_config_ends_in_an_exit_code(tmp_path, name, data):
+    with open(SHIPPED_CONFIGS / f"{name}.json") as fh:
+        doc = json.load(fh)
+    attack = name == "toy_attack_lfsr"
+    if attack:
+        gen = load_config(SHIPPED_CONFIGS / f"{name}.json").generator.build_generator()
+        rng = random.Random(3)
+        state = tuple(rng.getrandbits(1) for _ in range(20))
+        ks = tmp_path / "toy.ks"
+        write_keystream_file(ks, 5, 2, 20, keystream(gen, state, 120))
+        doc["attack"]["keystream"] = str(ks)
+    path = data.draw(st.sampled_from(sorted(node_paths(doc), key=repr)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(MUTANT_VALUES))
+    cfg = write_config(tmp_path, "mutant.json", doc)
+    assert main(["analyze", "--config", cfg]) in (0, 2, 3, 4)
+    if attack:
+        assert main(["attack", "--config", cfg]) in (0, 2, 3, 4)
 
 
 def test_attack_header_mismatch_is_exit_4(tmp_path):

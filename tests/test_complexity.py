@@ -152,10 +152,7 @@ def _reference_sweep(taps, n, m, L):
     """Every sigma through constant_profile + gfsga_constant_cost, min by (cost, sigma)."""
     rows = []
     for sigma in range(1, L + 1):
-        try:
-            prof = constant_profile(taps, sigma, stop=RankStop())
-        except NoOverdefinedSystemError:
-            continue
+        prof = constant_profile(taps, sigma, stop=RankStop())
         est = gfsga_constant_cost(prof, n, m, L)
         rows.append((est.log2_total, sigma, est))
     if not rows:

@@ -106,6 +106,53 @@ def test_constant_equals_direct_custom_schedule():
         assert fast.samples == direct.samples
 
 
+def test_constant_profile_matches_intersection_recursion():
+    # r_i = |I_1 u .. u I_i| with I_i = I_0 ^ (I_0 + i*sigma), steady at r_k
+    # past k = floor(span/sigma): the recursion the sigma sweep prices with.
+    rng = random.Random(19)
+    for _ in range(200):
+        taps = random_taps(rng, max_l=120, max_n=12)
+        sigma = rng.randint(1, taps.register_length)
+        c = rng.randint(1, 40)
+        base = set(taps.positions)
+        r, acc = [], set()
+        for i in range(1, c):
+            if i <= taps.span // sigma:
+                acc |= base & {p + i * sigma for p in base}
+            r.append(len(acc))
+        prof = constant_profile(taps, sigma, stop=SampleStop(c))
+        assert prof.q == tuple(r)
+        assert prof.k == taps.span // sigma
+
+
+def test_rank_stop_ends_within_l_minus_n_plus_2_samples():
+    rng = random.Random(23)
+    for _ in range(150):
+        taps = random_taps(rng, max_l=100, max_n=12)
+        L, n = taps.register_length, taps.n
+        sigma = rng.randint(1, L)
+        custom = [rng.randint(1, L) for _ in range(L)]
+        profiles = [
+            greedy_schedule(taps, RankStop(), overshoot=0)[1],
+            cyclic_schedule(taps, RankStop())[1],
+            constant_profile(taps, sigma, stop=RankStop()),
+            repetition_profile(taps, custom, stop=RankStop()),
+        ]
+        for prof in profiles:
+            assert prof.is_overdefined()
+            assert prof.samples <= L - n + 2
+
+
+def test_profile_builders_need_a_stop():
+    for build in (
+        lambda: greedy_schedule(EX1, None),
+        lambda: cyclic_schedule(EX1, None),
+        lambda: constant_profile(EX1, 5, stop=None),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_constant_monotone_and_steady_beyond_k():
     rng = random.Random(12)
     for _ in range(50):
@@ -181,6 +228,9 @@ def test_greedy_minimal_stop_is_one_sample_short():
     _, prof = greedy_schedule(EX1, RankStop(), overshoot=0)
     assert prof.samples == 21
     assert prof.total == 63
+    _, longer = greedy_schedule(EX1, RankStop(), overshoot=3)
+    assert longer.samples == 24
+    assert longer.steps[:20] == prof.steps
 
 
 def test_greedy_each_step_is_maximal():
