@@ -37,7 +37,6 @@ from .registers import (  # noqa: F401
     HybridTaps,
     LfsrSpec,
     NfsrSpec,
-    PreimageSpace,
     keystream,
     lfsr_step,
     nfsr_step,
@@ -73,7 +72,6 @@ from .attack import (  # noqa: F401
     AttackResult,
     KeystreamFormatError,
     WindowRecovery,
-    filtered_preimages,
     gfsga_recover,
     nfsr_window_recover,
     read_keystream_file,

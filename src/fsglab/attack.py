@@ -1,18 +1,19 @@
-"""Attack execution: GF(2) systems, preimage filtering and state recovery.
+"""Attack execution: state recovery along a per-sample plan.
 
-The recovery engines enumerate per-sample preimage candidates depth first,
-keeping a store of known bits keyed by integer timeline labels so that a
-candidate contradicting an already-fixed bit is cut immediately. Samples are
-processed in schedule order and preimages in truth-table index order, which
-makes every run deterministic.
+Both recovery engines walk the samples depth first. Which filter inputs reread
+a timeline label fixed by an earlier sample depends only on the taps and the
+schedule, so ``_sample_plan`` works it out once. A path is a label bitset of
+its guessed bits. Samples are processed in schedule order and preimages in
+truth-table index order, which makes every run deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import gf2
 from .registers import (
@@ -21,13 +22,17 @@ from .registers import (
     HybridTaps,
     LfsrSpec,
     NfsrSpec,
-    PreimageSpace,
     label_expressions,
     preimage_table,
     read_taps,
     step_register,
 )
-from .sampling import SamplingSchedule, repetition_profile
+from .sampling import (
+    NoOverdefinedSystemError,
+    SamplingSchedule,
+    hybrid_window_profile,
+    repetition_profile,
+)
 
 
 class KeystreamFormatError(ValueError):
@@ -42,10 +47,6 @@ class AttackResult:
     candidates_pruned: int
     wall_clock: float
 
-    @property
-    def succeeded(self) -> bool:
-        return self.recovered_state is not None
-
 
 @dataclass(frozen=True)
 class WindowRecovery:
@@ -55,15 +56,51 @@ class WindowRecovery:
     per_sample_sizes: tuple[int, ...]
 
 
-def filtered_preimages(space: PreimageSpace, known: Mapping[int, int]) -> PreimageSpace:
-    """Members agreeing with the known input bits (positions are 1-based)."""
-    if any(not 1 <= p for p in known):
-        raise ValueError("input positions are 1-based")
-    members = []
-    for x in space.members:
-        if all((x >> (pos - 1)) & 1 == bit for pos, bit in known.items()):
-            members.append(x)
-    return PreimageSpace(space.output_value, tuple(members))
+def _sample_plan(reads: Sequence[Sequence[int]]) -> list[tuple]:
+    """Per sample ``(mask, fixed, fresh, twins)``, given the label
+    ``reads[s][i]`` that filter input i reads at sample s.
+
+    ``mask`` has bit i set iff an earlier sample read input i's label, and
+    ``fixed`` lists those (input, label) pairs. ``fresh`` pairs each label new
+    at this sample with its first input; ``twins`` pairs that input with each
+    later one rereading the label.
+    """
+    seen = 0
+    plan = []
+    for labels in reads:
+        mask = 0
+        fixed, fresh, twins = [], [], []
+        first: dict[int, int] = {}  # fresh label -> its first input
+        for i, label in enumerate(labels):
+            if seen >> label & 1:
+                mask |= 1 << i
+                fixed.append((i, label))
+            elif label in first:
+                twins.append((first[label], i))
+            else:
+                first[label] = i
+                fresh.append((i, label))
+        for label in first:
+            seen |= 1 << label
+        plan.append((mask, tuple(fixed), tuple(fresh), tuple(twins)))
+    return plan
+
+
+def _matching(members: Sequence[int], mask: int, fixed, path: int) -> list[int]:
+    """Preimages x with ``x & mask == want``: the path's bits at the fixed inputs."""
+    want = 0
+    for i, label in fixed:
+        want |= (path >> label & 1) << i
+    return [x for x in members if x & mask == want]
+
+
+def _state(value: int, lengths: Sequence[int]) -> tuple:
+    """0/1 register state from a bitset over the cells, register after register."""
+    parts = []
+    for length in lengths:
+        parts.append(tuple((value >> j) & 1 for j in range(length)))
+        value >>= length
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
 
 def _replays(gen: GeneratorSpec, state, observed: Sequence[int]) -> bool:
@@ -88,15 +125,15 @@ def gfsga_recover(
     it is solved and the candidate state checked against the whole observed
     keystream. The overdefined-count condition does not guarantee full rank
     (distinct equations can be linearly dependent), so a path that survives
-    the schedule short of full rank is completed by sweeping its at most
-    ``completion_cap_bits`` undetermined dimensions. Returns the first
+    the schedule short of full rank is completed by sweeping its undetermined
+    dimensions: L minus the rank of every label the schedule reads, refused
+    before enumerating above ``completion_cap_bits``. Returns the first
     verified state in enumeration order or a failure marker.
     """
     if not isinstance(gen.register, LfsrSpec):
         raise ValueError("gfsga_recover handles LFSR generators")
     taps = gen.taps
     L = gen.register.length
-    n = taps.n
     profile = repetition_profile(taps, schedule.steps, materialize_sets=False)
     if not profile.is_overdefined():
         raise ValueError("schedule does not produce an overdefined system")
@@ -106,69 +143,53 @@ def gfsga_recover(
     if shifts[-1] >= len(blocks):
         raise KeystreamFormatError("keystream does not cover the sampling schedule")
     exprs = label_expressions(gen.register, taps.positions[-1] + shifts[-1])
+    plan = _sample_plan([[pos + shift for pos in taps.positions] for shift in shifts])
+    rank = gf2.rank_of([exprs[label - 1] for *_, fresh, _ in plan for _, label in fresh], L)
+    if L - rank > completion_cap_bits:
+        raise NoOverdefinedSystemError(
+            f"labels read have rank {rank} of {L}: {L - rank} free bits exceed "
+            f"the completion cap of {completion_cap_bits}")
     table = preimage_table(gen.filter)
-    positions = taps.positions
 
     started = time.perf_counter()
     solved = 0
     pruned = 0
     successes: list[tuple] = []
 
-    def verify(state_bits: tuple) -> bool:
-        return _replays(gen, state_bits, blocks)
-
-    def complete_path(elim: gf2.Eliminator) -> None:
-        # Consistent but rank-deficient path: sweep the missing dimensions.
-        nonlocal solved
-        if L - elim.rank > completion_cap_bits:
-            return
-        solved += 1
-        for value in elim.solutions():
-            state = tuple((value >> j) & 1 for j in range(L))
-            if verify(state):
-                successes.append(state)
-
-    def dfs(sample: int, known: dict[int, int], elim) -> None:
+    def dfs(sample: int, path: int, elim: gf2.Eliminator) -> None:
         nonlocal solved, pruned
-        if sample == len(shifts):
-            complete_path(elim)
+        if sample == len(plan):
+            # Consistent but rank-deficient path: sweep the missing dimensions.
+            solved += 1
+            for value in elim.solutions():
+                state = _state(value, (L,))
+                if _replays(gen, state, blocks):
+                    successes.append(state)
             return
-        shift = shifts[sample]
-        space = table.get(blocks[shift])
-        if space is None:
+        members = table.get(blocks[shifts[sample]])
+        if members is None:
             pruned += 1
             return
-        constraints = {}
-        fresh = []
-        for i, pos in enumerate(positions):
-            label = pos + shift
-            if label in known:
-                constraints[i + 1] = known[label]
-            else:
-                fresh.append((i, label))
-        for x in filtered_preimages(space, constraints).members:
-            branch_known = dict(known)
+        mask, fixed, fresh, _ = plan[sample]
+        for x in _matching(members, mask, fixed, path):
+            branch = path
             branch_elim = elim.copy()
-            ok = True
             for i, label in fresh:
                 bit = (x >> i) & 1
-                branch_known[label] = bit
                 if branch_elim.add_row(exprs[label - 1], bit) == gf2.INCONSISTENT:
-                    ok = False
+                    pruned += 1
                     break
-            if not ok:
-                pruned += 1
-                continue
-            if branch_elim.rank == L:
-                solved += 1
-                value = branch_elim.solve()
-                state = tuple((value >> j) & 1 for j in range(L))
-                if verify(state):
-                    successes.append(state)
+                branch |= bit << label
             else:
-                dfs(sample + 1, branch_known, branch_elim)
+                if branch_elim.rank < L:
+                    dfs(sample + 1, branch, branch_elim)
+                else:
+                    solved += 1
+                    state = _state(branch_elim.solve(), (L,))
+                    if _replays(gen, state, blocks):
+                        successes.append(state)
 
-    dfs(0, {}, gf2.Eliminator(L))
+    dfs(0, 0, gf2.Eliminator(L))
     wall = time.perf_counter() - started
     state = successes[0] if successes else None
     return AttackResult(state, solved, pruned, wall)
@@ -204,13 +225,13 @@ def nfsr_window_recover(
     All tap reads inside the window land on original state cells, so joint
     candidates for the covered bits are enumerated directly from the filtered
     preimage spaces; each candidate's uncovered bits are exhausted and the
-    regenerated keystream compared with the observation.
+    regenerated keystream compared with the observation. Cell ``pos`` of
+    register r carries label ``offset_r + pos``; ``merged`` shares offset 0.
     """
     if model not in ("per-register", "merged"):
         raise ValueError("model must be 'per-register' or 'merged'")
     families, total_bits, window = _window_geometry(gen)
-    n = gen.filter.n
-    m = gen.filter.m
+    n, m = gen.filter.n, gen.filter.m
     if window * n <= total_bits:
         raise ValueError("window too short: need (p-1)*n > L")
     need = window + -(-total_bits // m)
@@ -219,126 +240,84 @@ def nfsr_window_recover(
             f"need at least {need} blocks ({window} window + state verification)"
         )
     table = preimage_table(gen.filter)
-
-    # Input slot -> (family tag, register position) in filter input order.
-    slots: list[tuple[str, int]] = []
-    for tag, ts in families:
-        slots.extend((tag, pos) for pos in ts.positions)
-
-    def slot_key(tag: str, pos: int):
-        return pos if model == "merged" else (tag, pos)
+    lengths = [ts.register_length for _, ts in families]
+    cell_offsets = [sum(lengths[:r]) for r in range(len(lengths))]
+    label_offsets = [0] * len(lengths) if model == "merged" else cell_offsets
+    plan = _sample_plan([
+        [off + pos + s for off, (_, ts) in zip(label_offsets, families) for pos in ts.positions]
+        for s in range(window)
+    ])
 
     started = time.perf_counter()
     pruned = 0
-    joints: list[dict] = []
+    joints: list[int] = []
 
-    def dfs(sample: int, known: dict) -> None:
+    def dfs(sample: int, path: int) -> None:
         nonlocal pruned
         if sample == window:
-            joints.append(known)
+            joints.append(path)
             return
-        space = table.get(blocks[sample])
-        if space is None:
+        members = table.get(blocks[sample])
+        if members is None:
             pruned += 1
             return
-        constraints = {}
-        fresh = []
-        for i, (tag, pos) in enumerate(slots):
-            key = slot_key(tag, pos + sample)
-            if key in known:
-                constraints[i + 1] = known[key]
-            else:
-                fresh.append((i, key))
-        filtered = filtered_preimages(space, constraints)
-        if not filtered.members:
+        mask, fixed, fresh, twins = plan[sample]
+        filtered = _matching(members, mask, fixed, path)
+        if not filtered:
             pruned += 1
-        for x in filtered.members:
-            branch = dict(known)
-            consistent = True
-            for i, key in fresh:
-                bit = (x >> i) & 1
-                if branch.get(key, bit) != bit:  # merged model can self-collide
-                    consistent = False
-                    break
-                branch[key] = bit
-            if consistent:
-                dfs(sample + 1, branch)
-            else:
+        for x in filtered:
+            if any((x >> i ^ x >> j) & 1 for i, j in twins):
                 pruned += 1
+                continue
+            branch = path
+            for i, label in fresh:
+                branch |= ((x >> i) & 1) << label
+            dfs(sample + 1, branch)
 
-    dfs(0, {})
+    dfs(0, 0)
 
-    # Covered labels are path-independent; measure them from the tap layout.
-    covered: set = set()
-    for s in range(window):
-        for tag, ts in families:
-            for pos in ts.positions:
-                covered.add(slot_key(tag, pos + s))
-    recovered_bits = len(covered)
+    # Covered labels are the plan's fresh labels; every joint fixes them all.
+    covered = sum(1 << label for *_, fresh, _ in plan for _, label in fresh)
+    recovered_bits = covered.bit_count()
     remaining = total_bits - recovered_bits
 
-    all_positions: list[tuple[str, int]] = []
-    if isinstance(gen.register, HybridSpec):
-        all_positions += [("lfsr", p) for p in range(1, gen.register.lfsr.length + 1)]
-        all_positions += [("nfsr", p) for p in range(1, gen.register.nfsr.length + 1)]
-    else:
-        all_positions += [("nfsr", p) for p in range(1, gen.register.length + 1)]
-
-    def build_states(assign: dict):
-        if isinstance(gen.register, HybridSpec):
-            lf = tuple(assign[("lfsr", p)] for p in range(1, gen.register.lfsr.length + 1))
-            nf = tuple(assign[("nfsr", p)] for p in range(1, gen.register.nfsr.length + 1))
-            return (lf, nf)
-        return tuple(assign[("nfsr", p)] for p in range(1, gen.register.length + 1))
+    # A (0, cell bit) choice per cell of an uncovered label. product() steps
+    # its last argument fastest, so the lowest cell goes last.
+    choices = [
+        (0, 1 << (cell_off + pos - 1))
+        for cell_off, label_off, length in zip(cell_offsets, label_offsets, lengths)
+        for pos in range(1, length + 1)
+        if not covered >> (label_off + pos) & 1
+    ]
 
     verified = 0
     successes = []
-    free_slots = [
-        (tag, pos)
-        for tag, pos in all_positions
-        if slot_key(tag, pos) not in covered
-    ]
-    observed = list(blocks)
     for joint in joints:
-        base = {}
-        for tag, pos in all_positions:
-            key = slot_key(tag, pos)
-            if key in joint:
-                base[(tag, pos)] = joint[key]
-        for guess in range(1 << len(free_slots)):
-            assign = dict(base)
-            for j, slot in enumerate(free_slots):
-                assign[slot] = (guess >> j) & 1
-            state = build_states(assign)
+        base = 0
+        for cell_off, label_off, length in zip(cell_offsets, label_offsets, lengths):
+            base |= ((joint >> (label_off + 1)) & ((1 << length) - 1)) << cell_off
+        for bits in itertools.product(*reversed(choices)):
+            state = _state(base | sum(bits), lengths)
             verified += 1
-            if _replays(gen, state, observed):
+            if _replays(gen, state, blocks):
                 successes.append(state)
 
     wall = time.perf_counter() - started
-    sizes = tuple(
-        1 << max(0, n - m - q)
-        for q in _window_q(families, window, model)
-    )
+    sizes = tuple(1 << max(0, n - m - q) for q in _window_q(families, window, model))
     recovery = WindowRecovery(
         window_length=window,
         recovered_bit_count=recovered_bits,
         remaining_guess=remaining,
         per_sample_sizes=(1 << (n - m),) + sizes,
     )
-    result = AttackResult(
-        successes[0] if successes else None, verified, pruned, wall
-    )
+    result = AttackResult(successes[0] if successes else None, verified, pruned, wall)
     return recovery, result
 
 
 def _window_q(families, window: int, model: str) -> list[int]:
-    from .sampling import hybrid_window_profile
-
-    steps = [1] * (window - 1)
-    if not steps:
+    if window < 2:
         return []
-    prof = hybrid_window_profile(list(families), steps, model=model)
-    return list(prof.q)
+    return list(hybrid_window_profile(families, [1] * (window - 1), model=model).q)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,11 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
     started = time.perf_counter()
     if isinstance(gen.register, LfsrSpec):
         profile = _profile(gen_cfg.taps, config.analysis)
+        if not profile.is_overdefined():
+            raise NoOverdefinedSystemError(
+                f"system not overdefined: {profile.distinct_equations} "
+                f"distinct equations for {L} unknowns"
+            )
         schedule = SamplingSchedule(profile.steps, profile.mode)
         result = gfsga_recover(gen, blocks, schedule)
         payload["schedule"] = list(schedule.steps)

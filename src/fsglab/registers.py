@@ -138,14 +138,6 @@ class FilterSpec:
 
 
 @dataclass(frozen=True)
-class PreimageSpace:
-    """All filter inputs mapping to ``output_value``, in truth-table index order."""
-
-    output_value: int
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class HybridTaps:
     """Tap sets for a register pair; filter inputs read LFSR taps first."""
 
@@ -305,9 +297,9 @@ def label_expressions(spec: LfsrSpec, max_label: int) -> list[int]:
     return exprs
 
 
-def preimage_table(filt: FilterSpec) -> dict[int, PreimageSpace]:
-    """Partition of {0,1}^n into preimage classes of observed output values."""
+def preimage_table(filt: FilterSpec) -> dict[int, tuple[int, ...]]:
+    """Each output value's preimages in {0,1}^n, in truth-table index order."""
     classes: dict[int, list[int]] = {}
     for idx, z in enumerate(filt.truth_table):
         classes.setdefault(z, []).append(idx)
-    return {z: PreimageSpace(z, tuple(members)) for z, members in classes.items()}
+    return {z: tuple(members) for z, members in classes.items()}

@@ -10,19 +10,19 @@ from fsglab import (
     HybridTaps,
     KeystreamFormatError,
     NfsrSpec,
+    NoOverdefinedSystemError,
     RankStop,
     TapSet,
-    filtered_preimages,
     gfsga_recover,
     gfsga_variable_cost,
     greedy_schedule,
     keystream,
     nfsr_window_recover,
-    preimage_table,
     primitive_lfsr,
     read_keystream_file,
     write_keystream_file,
 )
+from fsglab.attack import _matching, _sample_plan
 
 
 def planted_lfsr_instance(rng, L, n, m, filter_seed=None):
@@ -36,36 +36,55 @@ def planted_lfsr_instance(rng, L, n, m, filter_seed=None):
     return gen, state
 
 
-def test_filtered_preimages_against_brute_force():
+def _random_reads(rng, kind):
+    """Labels read per sample and input, as the attacks lay them out."""
+    if kind == "lfsr":
+        L = rng.randint(8, 40)
+        taps = sorted(rng.sample(range(1, L + 1), rng.randint(2, min(7, L))))
+        shifts = [0]
+        for _ in range(rng.randint(0, 12)):
+            shifts.append(shifts[-1] + rng.randint(1, L))
+        return [[pos + shift for pos in taps] for shift in shifts]
+    lengths = [rng.randint(6, 16) for _ in range(rng.randint(1, 2))]
+    taps = [sorted(rng.sample(range(1, length // 2 + 1), rng.randint(1, 3)))
+            for length in lengths]
+    window = min(length - t[-1] for length, t in zip(lengths, taps)) - 1
+    offsets = [0] * len(lengths) if kind == "merged" else [0, lengths[0]][:len(lengths)]
+    return [[off + pos + s for off, t in zip(offsets, taps) for pos in t]
+            for s in range(window)]
+
+
+def test_sample_plan_against_brute_force():
     rng = random.Random(4)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        m = rng.randint(1, n)
-        table = tuple(rng.getrandbits(m) for _ in range(1 << n))
-        filt = FilterSpec(n, m, table)
-        spaces = preimage_table(filt)
-        z = rng.choice(table)
-        known = {
-            pos: rng.getrandbits(1)
-            for pos in rng.sample(range(1, n + 1), rng.randint(0, n))
-        }
-        got = filtered_preimages(spaces[z], known)
-        brute = [
-            x
-            for x in range(1 << n)
-            if filt.apply_index(x) == z
-            and all((x >> (p - 1)) & 1 == b for p, b in known.items())
-        ]
-        assert list(got.members) == brute
-
-
-def test_filtered_preimages_pinning():
-    filt = FilterSpec.uniform_random(5, 2, seed=8)
-    spaces = preimage_table(filt)
-    space = spaces[0]
-    assert len(filtered_preimages(space, {}).members) == 8
-    empty_ok = filtered_preimages(space, {1: 0, 2: 1, 3: 1})
-    assert all((x >> 1) & 1 and (x >> 2) & 1 and not x & 1 for x in empty_ok.members)
+    twins_seen = {"lfsr": 0, "per-register": 0, "merged": 0}
+    for _ in range(300):
+        kind = rng.choice(sorted(twins_seen))
+        reads = _random_reads(rng, kind)
+        plan = _sample_plan(reads)
+        assert len(plan) == len(reads)
+        for s, (labels, (mask, fixed, fresh, twins)) in enumerate(zip(reads, plan)):
+            earlier = {label for row in reads[:s] for label in row}
+            first = {}
+            for i, label in enumerate(labels):
+                first.setdefault(label, i)
+            assert mask == sum(1 << i for i, label in enumerate(labels) if label in earlier)
+            assert fixed == tuple((i, label) for i, label in enumerate(labels)
+                                  if label in earlier)
+            assert fresh == tuple((i, label) for i, label in enumerate(labels)
+                                  if label not in earlier and first[label] == i)
+            assert twins == tuple((first[label], i) for i, label in enumerate(labels)
+                                  if label not in earlier and first[label] != i)
+            twins_seen[kind] += len(twins)
+            n = len(labels)
+            path = rng.getrandbits(max(max(row) for row in reads) + 1)
+            members = sorted(rng.sample(range(1 << n), rng.randint(0, 1 << n)))
+            assert _matching(members, mask, fixed, path) == [
+                x for x in members
+                if all((x >> i) & 1 == (path >> label) & 1 for i, label in fixed)
+            ]
+    # Only the merged window model reads one label twice within a sample.
+    assert twins_seen["lfsr"] == twins_seen["per-register"] == 0
+    assert twins_seen["merged"] > 0
 
 
 def test_recover_planted_state_greedy_schedule():
@@ -101,6 +120,21 @@ def test_recover_fails_on_corrupt_keystream():
     blocks[3] ^= 1  # corrupt one observed block
     result = gfsga_recover(gen, blocks, schedule)
     assert result.recovered_state is None
+
+
+def test_recover_refuses_schedule_beyond_the_completion_cap():
+    # The greedy schedule is count-overdefined, but the labels it reads span
+    # only rank 12 of 28: every path would end 16 bits short of a state.
+    rng = random.Random(25)
+    L = 28
+    taps = TapSet((1, 7, 10, 13, 26), L)
+    gen = GeneratorSpec(primitive_lfsr(L), taps, FilterSpec.uniform_random(5, 2, seed=3))
+    state = tuple(rng.getrandbits(1) for _ in range(L))
+    schedule, prof = greedy_schedule(taps, RankStop())
+    assert prof.is_overdefined()
+    blocks = keystream(gen, state, sum(schedule.steps) + 2 * L)
+    with pytest.raises(NoOverdefinedSystemError, match="rank 12 of 28"):
+        gfsga_recover(gen, blocks, schedule)
 
 
 def test_recover_rejects_underdefined_schedule():

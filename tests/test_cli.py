@@ -347,6 +347,20 @@ def test_attack_short_custom_schedule_under_rank_stop_is_exit_3(tmp_path):
     assert main(["attack", "--config", cfg]) == 3
 
 
+def test_attack_not_overdefined_custom_schedule_is_exit_3(tmp_path, capsys):
+    # analyze reports the schedule as not overdefined; attack refuses it alike.
+    doc = json.loads((SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
+    doc["analysis"] = {"mode": "custom", "schedule": [5, 2]}
+    ks = tmp_path / "toy.ks"
+    write_keystream_file(ks, 5, 2, 20, [0] * 40)
+    doc["attack"]["keystream"] = str(ks)
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["analyze", "--config", cfg, "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["estimate"] is None
+    assert main(["attack", "--config", cfg]) == 3
+    assert "not overdefined" in capsys.readouterr().err
+
+
 # Fields that only ``attack`` reads; the numbers cannot be live descriptors.
 @pytest.mark.parametrize(
     "mutate",

@@ -73,3 +73,14 @@ def test_solutions_sweep_the_whole_solution_space():
     got = list(elim.solutions())
     assert len(got) == 1 << (ncols - elim.rank)
     assert set(got) == expected and solution in expected
+
+
+def test_rank_of_matches_eliminator():
+    rng = random.Random(12)
+    for _ in range(200):
+        ncols = rng.randint(1, 40)
+        rows = [rng.getrandbits(rng.randint(0, ncols)) for _ in range(rng.randint(0, 50))]
+        elim = gf2.Eliminator(ncols)
+        for row in rows:
+            elim.add_row(row, 0)
+        assert gf2.rank_of(rows, ncols) == elim.rank

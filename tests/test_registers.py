@@ -214,14 +214,14 @@ def test_uniform_preimage_sizes():
     assert filt.is_uniform
     table = preimage_table(filt)
     assert len(table) == 4
-    assert all(len(space.members) == 32 for space in table.values())
+    assert all(len(members) == 32 for members in table.values())
 
 
 def test_constant_filter_single_class():
     filt = FilterSpec(4, 1, (1,) * 16)
     table = preimage_table(filt)
     assert set(table) == {1}
-    assert len(table[1].members) == 16
+    assert table[1] == tuple(range(16))
     assert not filt.is_uniform
 
 
@@ -234,10 +234,11 @@ def test_preimage_partition(n, data):
     )
     filt = FilterSpec(n, m, tuple(table_vals))
     table = preimage_table(filt)
-    all_members = [x for space in table.values() for x in space.members]
+    all_members = [x for members in table.values() for x in members]
     assert sorted(all_members) == list(range(2**n))
-    for z, space in table.items():
-        assert all(filt.apply_index(x) == z for x in space.members)
+    for z, members in table.items():
+        assert list(members) == sorted(members)
+        assert all(filt.apply_index(x) == z for x in members)
 
 
 def test_truth_table_hex_round_trip():
