@@ -9,7 +9,6 @@ truth-table index order, which makes every run deterministic.
 
 from __future__ import annotations
 
-import itertools
 import struct
 import time
 from dataclasses import dataclass
@@ -57,32 +56,26 @@ class WindowRecovery:
 
 
 def _sample_plan(reads: Sequence[Sequence[int]]) -> list[tuple]:
-    """Per sample ``(mask, fixed, fresh, twins)``, given the label
-    ``reads[s][i]`` that filter input i reads at sample s.
+    """Per sample ``(mask, fixed, fresh)``, given the label ``reads[s][i]``
+    that filter input i reads at sample s (no sample reads a label twice).
 
     ``mask`` has bit i set iff an earlier sample read input i's label, and
-    ``fixed`` lists those (input, label) pairs. ``fresh`` pairs each label new
-    at this sample with its first input; ``twins`` pairs that input with each
-    later one rereading the label.
+    ``fixed`` lists those (input, label) pairs; ``fresh`` lists the others.
     """
     seen = 0
     plan = []
     for labels in reads:
         mask = 0
-        fixed, fresh, twins = [], [], []
-        first: dict[int, int] = {}  # fresh label -> its first input
+        fixed, fresh = [], []
         for i, label in enumerate(labels):
             if seen >> label & 1:
                 mask |= 1 << i
                 fixed.append((i, label))
-            elif label in first:
-                twins.append((first[label], i))
             else:
-                first[label] = i
                 fresh.append((i, label))
-        for label in first:
+        for _, label in fresh:
             seen |= 1 << label
-        plan.append((mask, tuple(fixed), tuple(fresh), tuple(twins)))
+        plan.append((mask, tuple(fixed), tuple(fresh)))
     return plan
 
 
@@ -144,7 +137,7 @@ def gfsga_recover(
         raise KeystreamFormatError("keystream does not cover the sampling schedule")
     exprs = label_expressions(gen.register, taps.positions[-1] + shifts[-1])
     plan = _sample_plan([[pos + shift for pos in taps.positions] for shift in shifts])
-    rank = gf2.rank_of([exprs[label - 1] for *_, fresh, _ in plan for _, label in fresh], L)
+    rank = gf2.rank_of([exprs[label - 1] for *_, fresh in plan for _, label in fresh], L)
     if L - rank > completion_cap_bits:
         raise NoOverdefinedSystemError(
             f"labels read have rank {rank} of {L}: {L - rank} free bits exceed "
@@ -170,7 +163,7 @@ def gfsga_recover(
         if members is None:
             pruned += 1
             return
-        mask, fixed, fresh, _ = plan[sample]
+        mask, fixed, fresh = plan[sample]
         for x in _matching(members, mask, fixed, path):
             branch = path
             branch_elim = elim.copy()
@@ -218,18 +211,19 @@ def _window_geometry(gen: GeneratorSpec):
 def nfsr_window_recover(
     gen: GeneratorSpec,
     blocks: Sequence[int],
-    model: str = "per-register",
 ) -> tuple[WindowRecovery, AttackResult]:
     """Distance-1 window attack against NFSR or hybrid generators.
 
     All tap reads inside the window land on original state cells, so joint
     candidates for the covered bits are enumerated directly from the filtered
-    preimage spaces; each candidate's uncovered bits are exhausted and the
-    regenerated keystream compared with the observation. Cell ``pos`` of
-    register r carries label ``offset_r + pos``; ``merged`` shares offset 0.
+    preimage spaces. Cell ``pos`` of register r carries label
+    ``offset_r + pos``, the registers laid end to end. The 2^free completions
+    of a joint's uncovered cells are replayed bitsliced against the keystream
+    past the window (``_first_completion``); the first surviving completion
+    of the first joint that has one is the recovered state, as if every
+    completion were replayed one at a time in enumeration order.
+    ``systems_solved`` counts every completion of every joint.
     """
-    if model not in ("per-register", "merged"):
-        raise ValueError("model must be 'per-register' or 'merged'")
     families, total_bits, window = _window_geometry(gen)
     n, m = gen.filter.n, gen.filter.m
     if window * n <= total_bits:
@@ -241,10 +235,9 @@ def nfsr_window_recover(
         )
     table = preimage_table(gen.filter)
     lengths = [ts.register_length for _, ts in families]
-    cell_offsets = [sum(lengths[:r]) for r in range(len(lengths))]
-    label_offsets = [0] * len(lengths) if model == "merged" else cell_offsets
+    offsets = [sum(lengths[:r]) for r in range(len(lengths))]
     plan = _sample_plan([
-        [off + pos + s for off, (_, ts) in zip(label_offsets, families) for pos in ts.positions]
+        [off + pos + s for off, (_, ts) in zip(offsets, families) for pos in ts.positions]
         for s in range(window)
     ])
 
@@ -261,14 +254,11 @@ def nfsr_window_recover(
         if members is None:
             pruned += 1
             return
-        mask, fixed, fresh, twins = plan[sample]
+        mask, fixed, fresh = plan[sample]
         filtered = _matching(members, mask, fixed, path)
         if not filtered:
             pruned += 1
         for x in filtered:
-            if any((x >> i ^ x >> j) & 1 for i, j in twins):
-                pruned += 1
-                continue
             branch = path
             for i, label in fresh:
                 branch |= ((x >> i) & 1) << label
@@ -277,47 +267,122 @@ def nfsr_window_recover(
     dfs(0, 0)
 
     # Covered labels are the plan's fresh labels; every joint fixes them all.
-    covered = sum(1 << label for *_, fresh, _ in plan for _, label in fresh)
-    recovered_bits = covered.bit_count()
-    remaining = total_bits - recovered_bits
-
-    # A (0, cell bit) choice per cell of an uncovered label. product() steps
-    # its last argument fastest, so the lowest cell goes last.
-    choices = [
-        (0, 1 << (cell_off + pos - 1))
-        for cell_off, label_off, length in zip(cell_offsets, label_offsets, lengths)
-        for pos in range(1, length + 1)
-        if not covered >> (label_off + pos) & 1
-    ]
-
-    verified = 0
-    successes = []
-    for joint in joints:
-        base = 0
-        for cell_off, label_off, length in zip(cell_offsets, label_offsets, lengths):
-            base |= ((joint >> (label_off + 1)) & ((1 << length) - 1)) << cell_off
-        for bits in itertools.product(*reversed(choices)):
-            state = _state(base | sum(bits), lengths)
-            verified += 1
-            if _replays(gen, state, blocks):
-                successes.append(state)
+    # Label j is cell j - 1, so a joint's cell bitset is joint >> 1.
+    covered = sum(1 << label for *_, fresh in plan for _, label in fresh)
+    free_cells = [cell for cell in range(total_bits) if not covered >> (cell + 1) & 1]
+    # A joint reproduces the window's blocks whatever its free cells hold.
+    value = _first_completion(
+        gen, blocks, table, [joint >> 1 for joint in joints], free_cells, window)
 
     wall = time.perf_counter() - started
-    sizes = tuple(1 << max(0, n - m - q) for q in _window_q(families, window, model))
+    sizes = tuple(1 << max(0, n - m - q) for q in _window_q(families, window))
     recovery = WindowRecovery(
         window_length=window,
-        recovered_bit_count=recovered_bits,
-        remaining_guess=remaining,
+        recovered_bit_count=covered.bit_count(),
+        remaining_guess=len(free_cells),
         per_sample_sizes=(1 << (n - m),) + sizes,
     )
-    result = AttackResult(successes[0] if successes else None, verified, pruned, wall)
+    state = None if value is None else _state(value, lengths)
+    result = AttackResult(state, len(joints) << len(free_cells), pruned, wall)
     return recovery, result
 
 
-def _window_q(families, window: int, model: str) -> list[int]:
+def _window_q(families, window: int) -> list[int]:
     if window < 2:
         return []
-    return list(hybrid_window_profile(families, [1] * (window - 1), model=model).q)
+    return list(hybrid_window_profile(families, [1] * (window - 1)).q)
+
+
+# Completions replayed side by side: a lane int holds 2^_LANE_BITS of them.
+_LANE_BITS = 10
+
+
+def _first_completion(
+    gen: GeneratorSpec,
+    blocks: Sequence[int],
+    table: dict[int, tuple[int, ...]],
+    bases: Sequence[int],
+    free_cells: Sequence[int],
+    checked: int,
+) -> int | None:
+    """First state, in enumeration order, that regenerates every block.
+
+    The candidates are each base cell bitset (register after register) with
+    ``free_cells`` completed every way: completion k sets ``free_cells[i]``
+    iff bit i of k is set, so the first free cell varies fastest. Every
+    candidate is known to match the first ``checked`` blocks. Returns the
+    winning state's cell bitset, or None.
+
+    The candidates are replayed bitsliced (Biham, FSE 1997): each cell is one
+    lane int whose bit k is completion k's value of it, 2^_LANE_BITS
+    completions per chunk, chunks in ascending order. Each register keeps a
+    timeline of lane ints, one entry appended per clock, so cell p at time t
+    is ``line[t + p - 1]``. A block keeps the lanes whose tap values form one
+    of its preimages, and a chunk stops once no lane is left.
+    """
+    reg, taps = gen.register, gen.taps
+    hybrid = isinstance(reg, HybridSpec)
+    nfsr = reg.nfsr if hybrid else reg
+    split = reg.lfsr.length if hybrid else 0
+    lfsr_reads = [p - 1 for p in taps.lfsr.positions] if hybrid else []
+    nfsr_reads = [p - 1 for p in (taps.nfsr if hybrid else taps).positions]
+    feedback = [p - 1 for p in reg.lfsr.feedback_positions] if hybrid else []
+    coupled = hybrid and reg.coupling
+    monomials = [[p - 1 for p in mono] for mono in nfsr.monomials]
+
+    lane_bits = min(len(free_cells), _LANE_BITS)
+    full = (1 << (1 << lane_bits)) - 1
+    constant = full if nfsr.constant_term else 0
+    # Lane int of free cell i < lane_bits: bit k set iff bit i of k is.
+    patterns = [
+        (((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1))
+        for i in range(lane_bits)
+    ]
+    high = free_cells[lane_bits:]  # constant within a chunk
+    for base in bases:
+        cells = [full if base >> j & 1 else 0 for j in range(split + nfsr.length)]
+        for j, pattern in zip(free_cells, patterns):
+            cells[j] = pattern
+        for chunk in range(1 << len(high)):
+            for i, j in enumerate(high):
+                cells[j] = full if chunk >> i & 1 else 0
+            lfsr_line, nfsr_line = cells[:split], cells[split:]
+            alive = full
+            for t, z in enumerate(blocks):
+                if t:
+                    s = t - 1
+                    bit = constant ^ lfsr_line[s] if coupled else constant
+                    for mono in monomials:
+                        prod = full
+                        for o in mono:
+                            prod &= nfsr_line[s + o]
+                        bit ^= prod
+                    nfsr_line.append(bit)
+                    if hybrid:
+                        bit = 0
+                        for o in feedback:
+                            bit ^= lfsr_line[s + o]
+                        lfsr_line.append(bit)
+                if t < checked:
+                    continue
+                members = table.get(z)
+                if members is None:  # no state at all yields this block
+                    return None
+                # terms[x]: the live lanes whose tap values spell table index x.
+                terms = [alive]
+                for tap in [lfsr_line[t + o] for o in lfsr_reads] + [
+                        nfsr_line[t + o] for o in nfsr_reads]:
+                    off = tap ^ full
+                    terms = [lanes & off for lanes in terms] + [lanes & tap for lanes in terms]
+                alive = 0
+                for x in members:
+                    alive |= terms[x]
+                if not alive:
+                    break
+            if alive:
+                k = chunk << lane_bits | (alive & -alive).bit_length() - 1
+                return base | sum(1 << j for i, j in enumerate(free_cells) if k >> i & 1)
+    return None
 
 
 # ---------------------------------------------------------------------------

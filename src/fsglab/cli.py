@@ -88,10 +88,8 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
         if analysis.mode != "custom":
             raise ConfigError("hybrid generators support custom schedules only")
         families = [("lfsr", gen.taps.lfsr), ("nfsr", gen.taps.nfsr)]
-        profile = hybrid_window_profile(
-            families, analysis.schedule, model=config.attack.window_model
-        )
-        payload["notes"].append(f"hybrid counting model: {config.attack.window_model}")
+        profile = hybrid_window_profile(families, analysis.schedule)
+        payload["notes"].append("hybrid counting model: per-register")
     else:
         profile = _profile(gen.taps, analysis)
     payload["profile"] = profile.to_dict()
@@ -217,9 +215,7 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
             raise AttackFailure("no consistent state reproduces the keystream")
         payload["recovered_state"] = _state_hex(result.recovered_state)
     else:
-        recovery, result = nfsr_window_recover(
-            gen, blocks, model=config.attack.window_model
-        )
+        recovery, result = nfsr_window_recover(gen, blocks)
         payload["window"] = {
             "window_length": recovery.window_length,
             "recovered_bit_count": recovery.recovered_bit_count,

@@ -77,7 +77,6 @@ class AnalysisConfig:
 @dataclass(frozen=True)
 class AttackConfig:
     keystream: str | None
-    window_model: str
 
 
 @dataclass(frozen=True)
@@ -271,13 +270,12 @@ def parse_config(raw: dict) -> ScenarioConfig:
     gen = _parse_generator(_section(raw, "generator", "config", required=True))
     analysis = _parse_analysis(_section(raw, "analysis", "config"), gen)
     attack_obj = _section(raw, "attack", "config")
-    window_model = attack_obj.get("window_model", "per-register")
-    if window_model not in ("per-register", "merged"):
-        raise ConfigError("attack.window_model must be per-register or merged")
-    attack = AttackConfig(
-        keystream=_str(attack_obj, "keystream", "attack"),
-        window_model=window_model,
-    )
+    if attack_obj.get("window_model", "per-register") != "per-register":
+        raise ConfigError(
+            "attack.window_model must be per-register (the merged model was removed: "
+            "it treats LFSR cell p and NFSR cell p as one bit)"
+        )
+    attack = AttackConfig(keystream=_str(attack_obj, "keystream", "attack"))
     opt_obj = _section(raw, "optimize", "config")
     differences = opt_obj.get("differences")
     optimize = OptimizeConfig(

@@ -106,9 +106,6 @@ class FilterSpec:
         want = 1 << (self.n - self.m)
         return len(counts) == 1 << self.m and all(c == want for c in counts.values())
 
-    def apply_index(self, index: int) -> int:
-        return self.truth_table[index]
-
     def apply(self, bits: tuple[int, ...]) -> int:
         idx = 0
         for i, b in enumerate(bits):

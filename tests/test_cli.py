@@ -390,6 +390,16 @@ def test_hybrid_coupling_string_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_merged_window_model_is_exit_2(tmp_path, capsys):
+    with open(SHIPPED_CONFIGS / "hybrid_window.json") as fh:
+        doc = json.load(fh)
+    doc["attack"]["window_model"] = "merged"
+    cfg = write_config(tmp_path, "merged.json", doc)
+    for command in ("analyze", "attack"):
+        assert main([command, "--config", cfg]) == 2
+        assert "merged model was removed" in capsys.readouterr().err
+
+
 MUTANT_VALUES = (None, True, "false", 0, -1, 1.5, "x", [], {})
 
 

@@ -6,7 +6,8 @@ timing are outside the contract and are not recorded. The ``attack_*`` files
 pin seeded planted recoveries run through the library: the recovered state,
 ``systems_solved``, ``candidates_pruned`` and, for the window attack, every
 ``WindowRecovery`` field. To re-record after an intended change of output, run
-``python tests/test_golden.py`` from the repo root and review the diff.
+``python tests/test_golden.py [name ...]`` from the repo root (no names: every
+file) and review the diff.
 """
 
 import contextlib
@@ -150,7 +151,7 @@ def _window_cost_log2(families, window: int, n: int, m: int) -> int:
     return free + (n - m) + sum(max(0, n - m - x) for x in q)
 
 
-def _window_runs(gen, state, window: int, describe: dict) -> list:
+def _window_run(gen, state, window: int, describe: dict) -> dict:
     if isinstance(state[0], tuple):
         planted = [_bits(half) for half in state]
         length = sum(map(len, state))
@@ -158,19 +159,16 @@ def _window_runs(gen, state, window: int, describe: dict) -> list:
         planted = _bits(state)
         length = len(state)
     blocks = keystream(gen, state, window + 2 * length)
-    runs = []
-    for model in ("per-register", "merged"):
-        recovery, result = nfsr_window_recover(gen, blocks, model=model)
-        got = result.recovered_state
-        if got is not None:
-            got = [_bits(half) for half in got] if isinstance(got[0], tuple) else _bits(got)
-        runs.append({
-            **describe, "model": model, "planted": planted, "recovered": got,
-            "systems_solved": result.systems_solved,
-            "candidates_pruned": result.candidates_pruned,
-            "window": dataclasses.asdict(recovery),
-        })
-    return runs
+    recovery, result = nfsr_window_recover(gen, blocks)
+    got = result.recovered_state
+    if got is not None:
+        got = [_bits(half) for half in got] if isinstance(got[0], tuple) else _bits(got)
+    return {
+        **describe, "model": "per-register", "planted": planted, "recovered": got,
+        "systems_solved": result.systems_solved,
+        "candidates_pruned": result.candidates_pruned,
+        "window": dataclasses.asdict(recovery),
+    }
 
 
 def nfsr_window_pins() -> list:
@@ -192,16 +190,15 @@ def nfsr_window_pins() -> list:
                 state = tuple(rng.getrandbits(1) for _ in range(L))
                 describe = {"L": L, "n": n, "m": m, "taps": list(taps.positions),
                             "filter_seed": fseed}
-                runs += _window_runs(gen, state, window, describe)
+                runs.append(_window_run(gen, state, window, describe))
     return runs
 
 
 def hybrid_window_pins(coupling: bool) -> list:
     """nfsr_window_recover on LFSR/NFSR pairs of length 8 or 10.
 
-    Register tap sets share positions often, so the merged model reads one
-    label twice within a sample. The last instance plants equal register
-    halves, the state the merged model describes, so it recovers it.
+    Register tap sets share positions often. The last instance plants equal
+    register halves.
     """
     rng = random.Random(f"attack-pin:hybrid:{coupling}")
     runs = []
@@ -229,7 +226,7 @@ def hybrid_window_pins(coupling: bool) -> list:
         describe = {"lengths": [L1, L2], "n": n, "m": m,
                     "taps": [list(ts.positions) for ts in sets],
                     "coupling": coupling, "filter_seed": fseed}
-        runs += _window_runs(gen, (lfsr_state, nfsr_state), window, describe)
+        runs.append(_window_run(gen, (lfsr_state, nfsr_state), window, describe))
     return runs
 
 
@@ -265,10 +262,14 @@ def test_attack_pin_matches_golden(name):
 
 
 if __name__ == "__main__":
+    import sys
+
+    names = sys.argv[1:] or [*RUNS, *PINS]
+    unknown = [name for name in names if name not in RUNS and name not in PINS]
+    if unknown:
+        sys.exit(f"unknown golden file: {', '.join(unknown)}")
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, argv in RUNS.items():
-        (GOLDEN_DIR / f"{name}.json").write_text(payload_text(argv))
-        print(f"recorded {name}")
-    for name in PINS:
-        (GOLDEN_DIR / f"{name}.json").write_text(pin_text(name))
+    for name in names:
+        text = payload_text(RUNS[name]) if name in RUNS else pin_text(name)
+        (GOLDEN_DIR / f"{name}.json").write_text(text)
         print(f"recorded {name}")

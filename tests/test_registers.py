@@ -238,7 +238,7 @@ def test_preimage_partition(n, data):
     assert sorted(all_members) == list(range(2**n))
     for z, members in table.items():
         assert list(members) == sorted(members)
-        assert all(filt.apply_index(x) == z for x in members)
+        assert all(filt.truth_table[x] == z for x in members)
 
 
 def test_truth_table_hex_round_trip():
