@@ -66,6 +66,7 @@ from .optimizer import (  # noqa: F401
     scorecard,
     staged_search,
     step_a_candidates,
+    step_ab_best_ordering,
     step_b_best_ordering,
 )
 from .attack import (  # noqa: F401

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 
 from .attack import (
     KeystreamFormatError,
@@ -30,6 +31,7 @@ from .optimizer import (
     scorecard,
     staged_search,
     step_a_candidates,
+    step_ab_best_ordering,
     step_b_best_ordering,
 )
 from .registers import HybridSpec, LfsrSpec
@@ -126,7 +128,7 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
     return Report("analyze", payload, make_provenance(config.sha256(), seed))
 
 
-def cmd_optimize(config: ScenarioConfig, seed: int | None, workers: int) -> Report:
+def cmd_optimize(config: ScenarioConfig, seed: int | None) -> Report:
     gen = config.generator
     opt = config.optimize
     n, m = gen.filter.n, gen.filter.m
@@ -134,21 +136,11 @@ def cmd_optimize(config: ScenarioConfig, seed: int | None, workers: int) -> Repo
     seed = 0 if seed is None else seed
     payload: dict = {"notes": []}
     if opt.differences is not None:
-        ordering, card = step_b_best_ordering(opt.differences, n, m, L, workers=workers)
-        payload["differences"] = sorted(opt.differences)
+        ordering, card = step_b_best_ordering(opt.differences, n, m, L)
         payload["method"] = "step_b"
     elif n - 1 <= 10:
-        best = None
         candidates = step_a_candidates(L, n, opt.budget, seed)
-        for cand in candidates:
-            ordering, card = step_b_best_ordering(cand, n, m, L, workers=workers)
-            key = (-card.constant_cost.log2_total, -card.optimal_sigma, ordering)
-            if best is None or key < best[0]:
-                best = (key, ordering, card, cand)
-        if best is None:
-            raise NoOverdefinedSystemError("no feasible candidate difference set")
-        _, ordering, card, cand = best
-        payload["differences"] = list(cand.differences)
+        ordering, card = step_ab_best_ordering([c.differences for c in candidates], n, m, L)
         payload["method"] = "step_a+step_b"
         payload["candidates_tried"] = len(candidates)
     else:
@@ -159,20 +151,12 @@ def cmd_optimize(config: ScenarioConfig, seed: int | None, workers: int) -> Repo
             seed=seed,
         )
         ordering, card, trace = staged_search(L, n, m, params)
-        payload["differences"] = sorted(ordering)
         payload["method"] = "staged"
         payload["trace"] = [
-            {
-                "stage": t.stage,
-                "chunk": list(t.chunk),
-                "ordering": list(t.ordering),
-                "optimal_sigma": t.optimal_sigma,
-                "cost_log2": t.cost_log2,
-                "candidates_tried": t.candidates_tried,
-                "rejections": t.rejections,
-            }
+            {**asdict(t), "chunk": list(t.chunk), "ordering": list(t.ordering)}
             for t in trace
         ]
+    payload["differences"] = sorted(ordering)
     payload["ordering"] = list(ordering)
     payload["optimal_sigma"] = card.optimal_sigma
     payload["scorecard"] = card.to_dict()
@@ -257,9 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "structured"), default=None)
     common.add_argument("--out", default=None, help="write the report to this path")
     sub.add_parser("analyze", parents=[common], help="profile and cost a sampling mode")
-    opt = sub.add_parser("optimize", parents=[common], help="search for resistant tap placements")
-    opt.add_argument("--workers", type=int, default=1,
-                     help="processes scoring step-B orderings")
+    sub.add_parser("optimize", parents=[common], help="search for resistant tap placements")
     sub.add_parser("attack", parents=[common], help="run a state-recovery attack")
     rep = sub.add_parser("report", parents=[common], help="recompute a reference table")
     rep.add_argument("fixture", help="fixture id (e.g. table3, example1)")
@@ -281,7 +263,7 @@ def main(argv=None) -> int:
             if args.command == "analyze":
                 report = cmd_analyze(config, args.seed)
             elif args.command == "optimize":
-                report = cmd_optimize(config, args.seed, args.workers)
+                report = cmd_optimize(config, args.seed)
             else:
                 report = cmd_attack(config, args.seed)
         emit(report, fmt, args.out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .sampling import (
     NoOverdefinedSystemError,
@@ -159,14 +159,14 @@ def gfsga_variable_cost(
     return _profile_cost(profile, n, m, L, solver_exponent, profile.mode)
 
 
-def optimal_constant_sigma(
+def _constant_sweep(
     taps: TapSet,
     n: int,
     m: int,
     L: int,
-    solver_exponent: float = DEFAULT_SOLVER_EXPONENT,
-) -> tuple[int, ComplexityEstimate]:
-    """Sweep sigma over 1..L and return the cheapest constant-mode attack.
+    cut: Callable[[int, int], bool] | None = None,
+) -> tuple[int, int] | None:
+    """Cost-only sweep of sigma over 1..L: the smallest optimal sigma and its E.
 
     Each sigma is priced without building its profile. The sweep runs the
     recursion of :func:`constant_profile` (r_i = |I_1 u .. u I_i| with
@@ -178,10 +178,9 @@ def optimal_constant_sigma(
     abandoned as soon as E reaches the best E so far: it can at most tie,
     and exact ties resolve to the smallest sigma. The lowest tap never
     repeats (r_i <= n-1), so every sample adds an equation and c <= L-n+2.
-    Only the winner's profile and estimate are built, through
-    :func:`constant_profile` (the direct sampling loop) and
-    :func:`gfsga_constant_cost`; the tests hold this recursion to a sweep
-    that builds both for every sigma with that loop.
+
+    ``cut(sigma, E)`` is asked each time a sigma completes with a new
+    minimum E; once it answers True the sweep stops and returns None.
     """
     if n != taps.n:
         raise ValueError("n must equal the tap count")
@@ -208,10 +207,31 @@ def optimal_constant_sigma(
             c += 1
         if e < best_e:
             best_sigma, best_e = sigma, e
+            if cut is not None and cut(sigma, e):
+                return None
     if best_sigma is None:
         raise NoOverdefinedSystemError("no sigma in 1..L yields an overdefined system")
-    profile = constant_profile(taps, best_sigma)
-    return best_sigma, gfsga_constant_cost(profile, n, m, L, solver_exponent)
+    return best_sigma, best_e
+
+
+def optimal_constant_sigma(
+    taps: TapSet,
+    n: int,
+    m: int,
+    L: int,
+    solver_exponent: float = DEFAULT_SOLVER_EXPONENT,
+) -> tuple[int, ComplexityEstimate]:
+    """Sweep sigma over 1..L and return the cheapest constant-mode attack.
+
+    :func:`_constant_sweep` finds sigma without building profiles; only the
+    winner's profile and estimate are built, and the tests hold this to a
+    sweep that builds both for every sigma. The ordering search runs the same
+    sweep with a cut: the running minimum E never rises as sigma grows, so it
+    stops at the first sigma that prices the taps below the best set so far.
+    """
+    sigma, _ = _constant_sweep(taps, n, m, L)
+    profile = constant_profile(taps, sigma)
+    return sigma, gfsga_constant_cost(profile, n, m, L, solver_exponent)
 
 
 def nfsr_gfsga_cost(

@@ -5,8 +5,7 @@ difference multiset (feasible up to ten differences), and a staged search
 that grows the difference set chunk by chunk for larger inputs. Quality of an
 ordering is its constant-mode cost at the optimal sampling distance; exact
 cost ties prefer the ordering with the larger optimal distance, then the
-lexicographically smallest ordering, so parallel evaluation reduces
-deterministically.
+lexicographically smallest ordering.
 """
 
 from __future__ import annotations
@@ -18,7 +17,9 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from .complexity import (
+    DEFAULT_SOLVER_EXPONENT,
     ComplexityEstimate,
+    _constant_sweep,
     gfsga_variable_cost,
     optimal_constant_sigma,
 )
@@ -60,10 +61,6 @@ class CandidateDifferenceSet:
             raise ValueError("differences overflow the register")
         object.__setattr__(self, "differences", d)
 
-    @property
-    def total(self) -> int:
-        return sum(self.differences)
-
 
 @dataclass(frozen=True)
 class Scorecard:
@@ -92,8 +89,6 @@ class Scorecard:
 
 def scorecard(taps: TapSet, n: int, m: int, L: int) -> Scorecard:
     """Evaluate lambda, the FPDS flag and all three attack-mode costs."""
-    if n != taps.n:
-        raise ValueError("n must equal the tap count")
     sigma, const_est = optimal_constant_sigma(taps, n, m, L)
     _, gprof = greedy_schedule(taps, RankStop())
     greedy_est = gfsga_variable_cost(gprof, n, m, L)
@@ -205,16 +200,51 @@ def _ordering_key(cost: float, sigma: int, ordering: tuple[int, ...]):
     return (-cost, -sigma, ordering)
 
 
-def _evaluate_orderings(orderings, n, m, L):
-    rows = []
-    for order in orderings:
-        taps = TapSet.from_differences(order, L)
-        try:
-            sigma, est = optimal_constant_sigma(taps, n, m, L)
-        except NoOverdefinedSystemError:
-            continue
-        rows.append((order, sigma, est))
-    return rows
+def _bounded_search(orderings, n: int, m: int, L: int, best=None):
+    """Branch and bound over orderings: the best (key, ordering, sigma).
+
+    ``best`` is the incumbent or None. An ordering's sweep stops at the first
+    sigma whose running minimum cost keys it no better than the incumbent;
+    from there its key can only grow, so the result is the exact minimum by
+    :func:`_ordering_key`. Sigma 1 always reaches its rank stop, so every
+    ordering has a cost.
+    """
+    solver = DEFAULT_SOLVER_EXPONENT * math.log2(L)  # the solver term of log2_total
+    for ordering in orderings:
+        cut = None
+        if best is not None:
+            bound = best[0]
+
+            def cut(sigma, e):
+                return _ordering_key(e + solver, sigma, ordering) >= bound
+
+        found = _constant_sweep(TapSet.from_differences(ordering, L), n, m, L, cut)
+        if found is not None:
+            sigma, e = found
+            best = (_ordering_key(e + solver, sigma, ordering), ordering, sigma)
+    return best
+
+
+def _best_ordering(multisets, n: int, m: int, L: int) -> tuple[int, ...]:
+    """The best ordering of any of the multisets, one incumbent across them.
+
+    A reversed ordering mirrors the taps and keeps every repetition count
+    (each counts the gaps of at most c*sigma between taps of one residue
+    class mod sigma), so it ties in full with the lexicographically smaller
+    of the pair, which alone is swept.
+    """
+    best = None
+    for values in multisets:
+        if len(values) > 10:
+            raise FeasibilityError(
+                "more than 10 differences: exhaustive ordering search is infeasible, "
+                "use staged_search"
+            )
+        orderings = [o for o in sorted(set(permutations(values))) if o <= o[::-1]]
+        best = _bounded_search(orderings, n, m, L, best)
+    if best is None:
+        raise NoOverdefinedSystemError("no feasible candidate difference set")
+    return best[1]
 
 
 def step_b_best_ordering(
@@ -222,39 +252,24 @@ def step_b_best_ordering(
     n: int,
     m: int,
     L: int,
-    workers: int = 1,
 ) -> tuple[tuple[int, ...], Scorecard]:
-    """Exhaustive search over all distinct orderings of the difference multiset."""
+    """Exhaustive search over all distinct orderings of the difference multiset,
+    pruned by the branch-and-bound cut of :func:`_bounded_search`: an ordering
+    is dropped at the first sigma that prices it below the best one so far.
+    Only the winner gets a scorecard."""
     values = tuple(
         diffs.differences if isinstance(diffs, CandidateDifferenceSet) else diffs
     )
-    if len(values) > 10:
-        raise FeasibilityError(
-            "more than 10 differences: exhaustive ordering search is infeasible, "
-            "use staged_search"
-        )
-    if n != len(values) + 1:
-        raise ValueError("n must equal len(differences) + 1")
-    orderings = sorted(set(permutations(values)))
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    return step_ab_best_ordering([values], n, m, L)
 
-        chunks = [orderings[i::workers] for i in range(workers)]
-        rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_evaluate_orderings, chunk, n, m, L) for chunk in chunks
-            ]
-            for fut in futs:
-                rows.extend(fut.result())
-    else:
-        rows = _evaluate_orderings(orderings, n, m, L)
-    if not rows:
-        raise NoOverdefinedSystemError("no ordering yields an overdefined system")
-    best = min(rows, key=lambda r: _ordering_key(r[2].log2_total, r[1], r[0]))
-    ordering = best[0]
-    card = scorecard(TapSet.from_differences(ordering, L), n, m, L)
-    return ordering, card
+
+def step_ab_best_ordering(
+    multisets: Sequence[Sequence[int]], n: int, m: int, L: int
+) -> tuple[tuple[int, ...], Scorecard]:
+    """Step B over several multisets, such as the step-A candidates, with one
+    incumbent carried across them: the best ordering and its scorecard."""
+    ordering = _best_ordering(multisets, n, m, L)
+    return ordering, scorecard(TapSet.from_differences(ordering, L), n, m, L)
 
 
 @dataclass(frozen=True)
@@ -305,24 +320,14 @@ def staged_search(
     candidates = step_a_candidates(stage_span + 1, first + 1, params.stage_budget, rng.getrandbits(32))
     if not candidates:
         raise SearchExhaustedError("no feasible seed chunk")
-    ordering, _ = step_b_best_ordering(
-        candidates[0], first + 1, _stage_m(m, first, n), stage_span + 1
+    m_first = _stage_m(m, first, n)
+    current = _best_ordering([candidates[0].differences], first + 1, m_first, stage_span + 1)
+    # The trace prices the seed chunk on its own sub-register.
+    (neg_cost, _, _), _, sigma = _bounded_search(
+        [current], first + 1, m_first, 1 + sum(current)
     )
-    current = ordering
-    sub_l = 1 + sum(current)
-    sigma0, est0 = optimal_constant_sigma(
-        TapSet.from_differences(current, sub_l),
-        first + 1,
-        _stage_m(m, first, n),
-        sub_l,
-    )
-    trace.append(
-        StageTrace(1, tuple(candidates[0].differences), current, sigma0,
-                   est0.log2_total, 1, 0)
-    )
+    trace.append(StageTrace(1, candidates[0].differences, current, sigma, -neg_cost, 1, 0))
 
-    stage = 2
-    best_so_far = current
     while len(current) < target:
         size = min(params.chunk_size, target - len(current))
         used = sum(current)
@@ -332,11 +337,10 @@ def staged_search(
         chunk_span = min(span_budget - used - (remaining_slots - size), max(size, want))
         if chunk_span < size:
             raise SearchExhaustedError(
-                "no room left for further differences", best=best_so_far
+                "no room left for further differences", best=current
             )
         joined_size = len(current) + size
         m_join = _stage_m(m, joined_size, n)
-        n_join = joined_size + 1
         best = None
         tried = 0
         rejections = 0
@@ -350,31 +354,22 @@ def staged_search(
                 if join_l > L:
                     rejections += 1
                     continue
-                for perm in sorted(set(permutations(cand.differences))):
-                    join = perm + current
-                    taps = TapSet.from_differences(join, join_l)
-                    try:
-                        sigma, est = optimal_constant_sigma(taps, n_join, m_join, join_l)
-                    except NoOverdefinedSystemError:
-                        rejections += 1
-                        continue
-                    key = _ordering_key(est.log2_total, sigma, join)
-                    if best is None or key < best[0]:
-                        best = (key, join, sigma, est, cand)
+                # join_l sets the solver term, so the incumbent carried across
+                # candidates compares full log2 costs.
+                joins = [p + current for p in sorted(set(permutations(cand.differences)))]
+                best = _bounded_search(joins, joined_size + 1, m_join, join_l, best)
             if best is not None:
                 break
         if best is None:
             raise SearchExhaustedError(
-                f"stage {stage}: no acceptable chunk after {tried} candidates",
-                best=best_so_far,
+                f"stage {len(trace) + 1}: no acceptable chunk after {tried} candidates",
+                best=current,
             )
-        _, current, sigma, est, cand = best
-        best_so_far = current
+        (neg_cost, _, _), current, sigma = best
+        chunk = tuple(sorted(current[:size]))  # the winning candidate's differences
         trace.append(
-            StageTrace(stage, tuple(cand.differences), current, sigma,
-                       est.log2_total, tried, rejections)
+            StageTrace(len(trace) + 1, chunk, current, sigma, -neg_cost, tried, rejections)
         )
-        stage += 1
 
     card = scorecard(TapSet.from_differences(current, L), n, m, L)
     return current, card, trace

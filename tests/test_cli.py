@@ -214,6 +214,18 @@ def test_optimize_step_b_reference_row(tmp_path, capsys):
     assert sorted(doc["payload"]["ordering"]) == [5, 7, 11, 13, 17, 26]
 
 
+def test_optimize_rejects_workers_option(tmp_path, capsys):
+    # The ordering search is serial; --workers is no longer an option.
+    gen, _, _ = lfsr_generator_section(24, (1, 4, 9, 13, 20), 5, 2)
+    cfg = write_config(
+        tmp_path, "c.json", {"generator": gen, "optimize": {"differences": [3, 5, 4, 7]}}
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--config", cfg, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_optimize_two_taps_trivial(tmp_path, capsys):
     gen, _, _ = lfsr_generator_section(16, (2, 9), 2, 1, seed=3)
     cfg = write_config(

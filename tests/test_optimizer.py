@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -12,9 +13,12 @@ from fsglab import (
     scorecard,
     staged_search,
     step_a_candidates,
+    step_ab_best_ordering,
     step_b_best_ordering,
 )
 from fsglab.fixtures import GRAIN_LFSR_TAPS, GRAIN_NFSR_TAPS
+from fsglab.optimizer import StageTrace, _ordering_key, _stage_m
+from fsglab.sampling import NoOverdefinedSystemError
 
 
 def test_step_a_candidate_invariants():
@@ -38,10 +42,15 @@ def test_step_a_two_taps():
 
 
 def test_step_a_deterministic():
-    a = step_a_candidates(64, 6, budget=30, seed=9)
-    b = step_a_candidates(64, 6, budget=30, seed=9)
-    assert [c.differences for c in a] == [c.differences for c in b]
-    assert step_a_candidates(64, 6, budget=30, seed=10) != a or True
+    def diffs(budget, seed):
+        return [c.differences for c in step_a_candidates(64, 6, budget=budget, seed=seed)]
+
+    assert diffs(30, 9) == diffs(30, 9)
+    # At budget 30 the prime subsets fill the whole budget before any seeded
+    # draw; at budget 80 the seeded draws are reached and the seeds differ.
+    assert diffs(30, 9) == diffs(30, 10)
+    assert diffs(80, 9) == diffs(80, 9)
+    assert diffs(80, 9) != diffs(80, 10)
 
 
 def test_step_a_infeasible():
@@ -78,10 +87,138 @@ def test_step_b_beats_every_ordering(diffs, n, m, L):
         assert best >= est.log2_total - 1e-9
 
 
-def test_step_b_workers_match_serial():
-    serial = step_b_best_ordering((3, 5, 4, 7), 5, 2, 24, workers=1)
-    parallel = step_b_best_ordering((3, 5, 4, 7), 5, 2, 24, workers=2)
-    assert serial[0] == parallel[0]
+def _unbounded_best(orderings, n, m, L):
+    """Full sigma sweep of every ordering, min by _ordering_key: (key, ordering, sigma)."""
+    rows = []
+    for ordering in orderings:
+        try:
+            sigma, est = optimal_constant_sigma(TapSet.from_differences(ordering, L), n, m, L)
+        except NoOverdefinedSystemError:
+            continue
+        rows.append((_ordering_key(est.log2_total, sigma, ordering), ordering, sigma))
+    return min(rows, default=None), len(orderings) - len(rows)
+
+
+def test_step_b_equals_unbounded_search():
+    rng = random.Random(0xB0B)
+    cost_ties = sigma_ties = 0
+    for i in range(240):
+        k = rng.randint(1, 5)
+        if i % 3 == 0:  # small, repeated differences: many orderings share a cost
+            values = tuple(rng.randint(1, 3) for _ in range(k))
+        else:
+            values = tuple(rng.randint(1, 14) for _ in range(k))
+        n = k + 1
+        m = rng.randint(1, n - 1)
+        L = sum(values) + 1 + rng.randint(0, 12)
+        orderings = sorted(set(permutations(values)))
+        (key, want, _), _ = _unbounded_best(orderings, n, m, L)
+        ordering, card = step_b_best_ordering(values, n, m, L)
+        assert ordering == want, (values, m, L)
+        ref = scorecard(TapSet.from_differences(want, L), n, m, L)
+        assert card.to_dict() == ref.to_dict()
+        top = []  # every ordering at the best cost, with its optimal sigma
+        for o in orderings:
+            sigma, est = optimal_constant_sigma(TapSet.from_differences(o, L), n, m, L)
+            if est.log2_total == -key[0]:
+                top.append((sigma, o))
+        # A mirrored ordering always ties in full; count ties beyond mirrors.
+        cost_ties += len({min(o, o[::-1]) for _, o in top}) > 1
+        sigma_ties += len({sigma for sigma, _ in top}) > 1
+    assert cost_ties > 100
+    assert sigma_ties > 0
+
+
+def test_mirrored_ordering_has_same_sweep():
+    # Step B sweeps only the smaller of each ordering and its reverse.
+    rng = random.Random(0x4E7)
+    for _ in range(200):
+        ordering = tuple(rng.randint(1, 12) for _ in range(rng.randint(2, 7)))
+        n = len(ordering) + 1
+        m = rng.randint(1, n - 1)
+        L = sum(ordering) + 1 + rng.randint(0, 15)
+        assert optimal_constant_sigma(
+            TapSet.from_differences(ordering, L), n, m, L
+        ) == optimal_constant_sigma(TapSet.from_differences(ordering[::-1], L), n, m, L)
+
+
+@pytest.mark.parametrize("L,n,m,seed", [(40, 5, 2, 1), (64, 6, 3, 9), (90, 6, 1, 4)])
+def test_step_ab_equals_unbounded_search(L, n, m, seed):
+    cands = [c.differences for c in step_a_candidates(L, n, budget=6, seed=seed)]
+    every = sorted({o for c in cands for o in permutations(c)})
+    (_, want, _), _ = _unbounded_best(every, n, m, L)
+    ordering, card = step_ab_best_ordering(cands, n, m, L)
+    assert ordering == want
+    assert card.to_dict() == scorecard(TapSet.from_differences(want, L), n, m, L).to_dict()
+
+
+def _unbounded_staged(L, n, m, params):
+    """staged_search with a full sigma sweep for every join and no cut."""
+    target = n - 1
+    rng = random.Random(params.seed)
+    first = min(params.chunk_size, target)
+    span_budget = L - 1
+    stage_span = max(first, round(span_budget * first / target))
+    cand0 = step_a_candidates(
+        stage_span + 1, first + 1, params.stage_budget, rng.getrandbits(32)
+    )[0]
+    m_first = _stage_m(m, first, n)
+    (_, current, _), _ = _unbounded_best(
+        sorted(set(permutations(cand0.differences))), first + 1, m_first, stage_span + 1
+    )
+    sub_l = 1 + sum(current)
+    sigma0, est0 = optimal_constant_sigma(
+        TapSet.from_differences(current, sub_l), first + 1, m_first, sub_l
+    )
+    trace = [StageTrace(1, cand0.differences, current, sigma0, est0.log2_total, 1, 0)]
+    while len(current) < target:
+        size = min(params.chunk_size, target - len(current))
+        used = sum(current)
+        remaining_slots = target - len(current)
+        want = round((span_budget - used) * size / remaining_slots)
+        chunk_span = min(span_budget - used - (remaining_slots - size), max(size, want))
+        joined_size = len(current) + size
+        m_join = _stage_m(m, joined_size, n)
+        best = None
+        tried = rejections = 0
+        for _ in range(params.retries):
+            cands = step_a_candidates(
+                chunk_span + 1, size + 1, params.stage_budget, rng.getrandbits(32)
+            )
+            for cand in cands:
+                tried += 1
+                join_l = 1 + sum(cand.differences) + sum(current)
+                if join_l > L:
+                    rejections += 1
+                    continue
+                joins = [p + current for p in sorted(set(permutations(cand.differences)))]
+                row, infeasible = _unbounded_best(joins, joined_size + 1, m_join, join_l)
+                rejections += infeasible
+                if row is not None and (best is None or row[0] < best[0][0]):
+                    best = (row, cand)
+            if best is not None:
+                break
+        (key, current, sigma), cand = best
+        trace.append(StageTrace(len(trace) + 1, cand.differences, current, sigma,
+                                -key[0], tried, rejections))
+    return current, scorecard(TapSet.from_differences(current, L), n, m, L), trace
+
+
+@pytest.mark.parametrize(
+    "L,n,m,params",
+    [
+        (40, 7, 2, StagedSearchParams(chunk_size=3, stage_budget=8, retries=4, seed=5)),
+        (64, 11, 3, StagedSearchParams(chunk_size=4, stage_budget=8, retries=4, seed=7)),
+        (100, 13, 4, StagedSearchParams(chunk_size=4, stage_budget=4, retries=3, seed=1)),
+        (72, 12, 3, StagedSearchParams(chunk_size=3, stage_budget=6, retries=3, seed=2)),
+    ],
+)
+def test_staged_search_equals_unbounded_search(L, n, m, params):
+    d, card, trace = staged_search(L, n, m, params)
+    want_d, want_card, want_trace = _unbounded_staged(L, n, m, params)
+    assert d == want_d
+    assert card.to_dict() == want_card.to_dict()
+    assert trace == want_trace
 
 
 def test_ordering_sum_invariance():
