@@ -2,9 +2,13 @@
 
 Both recovery engines walk the samples depth first. Which filter inputs reread
 a timeline label fixed by an earlier sample depends only on the taps and the
-schedule, so ``_sample_plan`` works it out once. A path is a label bitset of
-its guessed bits. Samples are processed in schedule order and preimages in
-truth-table index order, which makes every run deterministic.
+schedule, so ``_sample_plan`` works it out once, and a path picks its
+preimages with one lookup in the sample's ``_buckets``. A path is a label
+bitset of its guessed bits. The LFSR attack also compiles its GF(2)
+elimination once per schedule (``_compile``): parity checks prune, and a
+state is an XOR of label contributions. Samples are processed in schedule
+order and preimages in truth-table index order, which makes every run
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import gf2
 from .registers import (
     GeneratorSpec,
     HybridSpec,
@@ -23,8 +26,6 @@ from .registers import (
     NfsrSpec,
     label_expressions,
     preimage_table,
-    read_taps,
-    step_register,
 )
 from .sampling import (
     NoOverdefinedSystemError,
@@ -59,8 +60,9 @@ def _sample_plan(reads: Sequence[Sequence[int]]) -> list[tuple]:
     """Per sample ``(mask, fixed, fresh)``, given the label ``reads[s][i]``
     that filter input i reads at sample s (no sample reads a label twice).
 
-    ``mask`` has bit i set iff an earlier sample read input i's label, and
-    ``fixed`` lists those (input, label) pairs; ``fresh`` lists the others.
+    ``fixed`` lists the (input, label) pairs whose label an earlier sample
+    read, and ``mask`` is the bitset of those labels; ``fresh`` lists the
+    other pairs.
     """
     seen = 0
     plan = []
@@ -69,7 +71,7 @@ def _sample_plan(reads: Sequence[Sequence[int]]) -> list[tuple]:
         fixed, fresh = [], []
         for i, label in enumerate(labels):
             if seen >> label & 1:
-                mask |= 1 << i
+                mask |= 1 << label
                 fixed.append((i, label))
             else:
                 fresh.append((i, label))
@@ -79,12 +81,19 @@ def _sample_plan(reads: Sequence[Sequence[int]]) -> list[tuple]:
     return plan
 
 
-def _matching(members: Sequence[int], mask: int, fixed, path: int) -> list[int]:
-    """Preimages x with ``x & mask == want``: the path's bits at the fixed inputs."""
-    want = 0
-    for i, label in fixed:
-        want |= (path >> label & 1) << i
-    return [x for x in members if x & mask == want]
+def _spread(x: int, inputs) -> int:
+    """The label bitset that preimage x sets at the (input, label) pairs."""
+    return sum((x >> i & 1) << label for i, label in inputs)
+
+
+def _buckets(members: Sequence[int], fixed, fresh) -> dict[int, list[int]]:
+    """A sample's preimages as the label bitsets their fresh inputs set,
+    grouped by the label bitset their fixed inputs set, so that a path picks
+    its group as ``path & mask``. Truth-table order is kept inside a group."""
+    groups: dict[int, list[int]] = {}
+    for x in members:
+        groups.setdefault(_spread(x, fixed), []).append(_spread(x, fresh))
+    return groups
 
 
 def _state(value: int, lengths: Sequence[int]) -> tuple:
@@ -96,13 +105,85 @@ def _state(value: int, lengths: Sequence[int]) -> tuple:
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-def _replays(gen: GeneratorSpec, state, observed: Sequence[int]) -> bool:
-    """True when the state regenerates every observed block (early abort)."""
-    for z in observed:
-        if gen.filter.apply(read_taps(state, gen.taps)) != z:
+def _regenerates(value: int, exprs: Sequence[int], positions: Sequence[int],
+                 truth_table: Sequence[int], blocks: Sequence[int]) -> bool:
+    """True when the LFSR state ``value`` (bit j - 1: cell j) regenerates every
+    block. Block t's input i is label ``t + positions[i]``, the parity of
+    ``exprs[t + positions[i] - 1] & value``; the first mismatch aborts."""
+    for t, z in enumerate(blocks):
+        idx = 0
+        for i, pos in enumerate(positions):
+            idx |= ((exprs[t + pos - 1] & value).bit_count() & 1) << i
+        if truth_table[idx] != z:
             return False
-        state = step_register(state, gen.register)
     return True
+
+
+def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled) -> tuple:
+    """The guess-independent part of ``gfsga_recover``: (rank, steps,
+    contributions, offsets), given each sample's preimages ``sampled[s]``.
+
+    Fresh label rows are reduced once, in plan order, each tracking the
+    labels whose expressions it combines, up to the sample that reaches rank
+    L. A row that reduces to zero is a parity check c: a consistent path has
+    even ``parity(path & c)``. ``steps[s]`` is None if no preimage yields the
+    block, else ``(mask, checks, groups, sizes)``: ``groups`` appends one
+    syndrome bit per check to the ``_buckets`` keys, and ``sizes`` counts
+    each bucket before that split, so the preimages a check prunes are
+    counted unvisited. After Gauss-Jordan, the particular solution (free
+    columns zero) XORs ``contributions[j]`` over the path's set labels j, and
+    ``offsets[a]`` XORs the null vectors of the free columns at the bits of
+    a, in an incremental eliminator's sweep order.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> [row, label combo]
+    steps = []
+    for (mask, fixed, fresh), members in zip(plan, sampled):
+        checks = []
+        for _, label in fresh:
+            row, combo = exprs[label - 1], 1 << label
+            while row:
+                p = row.bit_length() - 1
+                if p not in basis:
+                    basis[p] = [row, combo]
+                    break
+                row ^= basis[p][0]
+                combo ^= basis[p][1]
+            else:
+                checks.append(combo)
+        if members is None:
+            steps.append(None)
+        else:
+            groups: dict[int, list[int]] = {}
+            sizes = {}
+            for want, spreads in _buckets(members, fixed, fresh).items():
+                sizes[want] = len(spreads)
+                for spread in spreads:
+                    key = want
+                    for check in checks:
+                        key = key << 1 | (spread & check).bit_count() & 1
+                    groups.setdefault(key, []).append(spread)
+            steps.append((mask, tuple(checks), groups, sizes))
+        if len(basis) == L:
+            break
+    pivots = sorted(basis)
+    for k, p in enumerate(pivots):
+        for q in pivots[:k]:
+            if basis[p][0] >> q & 1:
+                basis[p][0] ^= basis[q][0]
+                basis[p][1] ^= basis[q][1]
+    top = max(label for *_, fresh in plan[:len(steps)] for _, label in fresh)
+    contributions = [0] * (top + 1)
+    for p, (_, combo) in basis.items():
+        while combo:
+            low = combo & -combo
+            contributions[low.bit_length() - 1] |= 1 << p
+            combo ^= low
+    offsets = [0]
+    for j in range(L):
+        if j not in basis:
+            null = sum((row >> j & 1) << p for p, (row, _) in basis.items()) | 1 << j
+            offsets += [offset ^ null for offset in offsets]
+    return len(basis), steps, contributions, offsets
 
 
 def gfsga_recover(
@@ -113,15 +194,17 @@ def gfsga_recover(
 ) -> AttackResult:
     """Recover an LFSR filter generator's initial state from sampled blocks.
 
-    Depth-first over per-sample filtered preimages; every new label adds one
-    linear equation, and as soon as the accumulated system reaches full rank
-    it is solved and the candidate state checked against the whole observed
-    keystream. The overdefined-count condition does not guarantee full rank
-    (distinct equations can be linearly dependent), so a path that survives
-    the schedule short of full rank is completed by sweeping its undetermined
-    dimensions: L minus the rank of every label the schedule reads, refused
-    before enumerating above ``completion_cap_bits``. Returns the first
-    verified state in enumeration order or a failure marker.
+    Depth-first over per-sample filtered preimages. Every new label adds one
+    linear equation; which equations are independent depends only on the
+    schedule, so ``_compile`` reduces them once and turns each dependent one
+    into a parity check on the path. At the sample that reaches full rank, a
+    surviving path's state is an XOR of precomputed label contributions,
+    checked against the whole observed keystream. The overdefined-count
+    condition does not guarantee full rank, so a path that survives the
+    schedule short of it sweeps the missing dimensions: L minus the rank of
+    every label the schedule reads, refused before enumerating above
+    ``completion_cap_bits``. Returns the first verified state in enumeration
+    order or a failure marker.
     """
     if not isinstance(gen.register, LfsrSpec):
         raise ValueError("gfsga_recover handles LFSR generators")
@@ -135,54 +218,53 @@ def gfsga_recover(
         shifts.append(shifts[-1] + s)
     if shifts[-1] >= len(blocks):
         raise KeystreamFormatError("keystream does not cover the sampling schedule")
-    exprs = label_expressions(gen.register, taps.positions[-1] + shifts[-1])
-    plan = _sample_plan([[pos + shift for pos in taps.positions] for shift in shifts])
-    rank = gf2.rank_of([exprs[label - 1] for *_, fresh in plan for _, label in fresh], L)
+    positions = taps.positions
+    exprs = label_expressions(gen.register, positions[-1] + len(blocks) - 1)
+    plan = _sample_plan([[pos + shift for pos in positions] for shift in shifts])
+    table = preimage_table(gen.filter)
+    rank, steps, contributions, offsets = _compile(
+        plan, exprs, L, [table.get(blocks[shift]) for shift in shifts])
     if L - rank > completion_cap_bits:
         raise NoOverdefinedSystemError(
             f"labels read have rank {rank} of {L}: {L - rank} free bits exceed "
             f"the completion cap of {completion_cap_bits}")
-    table = preimage_table(gen.filter)
+    depth = len(steps) - 1
+    truth_table = gen.filter.truth_table
 
     started = time.perf_counter()
     solved = 0
     pruned = 0
     successes: list[tuple] = []
 
-    def dfs(sample: int, path: int, elim: gf2.Eliminator) -> None:
+    def dfs(sample: int, path: int) -> None:
         nonlocal solved, pruned
-        if sample == len(plan):
-            # Consistent but rank-deficient path: sweep the missing dimensions.
-            solved += 1
-            for value in elim.solutions():
-                state = _state(value, (L,))
-                if _replays(gen, state, blocks):
-                    successes.append(state)
-            return
-        members = table.get(blocks[shifts[sample]])
-        if members is None:
+        if steps[sample] is None:
             pruned += 1
             return
-        mask, fixed, fresh = plan[sample]
-        for x in _matching(members, mask, fixed, path):
-            branch = path
-            branch_elim = elim.copy()
-            for i, label in fresh:
-                bit = (x >> i) & 1
-                if branch_elim.add_row(exprs[label - 1], bit) == gf2.INCONSISTENT:
-                    pruned += 1
-                    break
-                branch |= bit << label
-            else:
-                if branch_elim.rank < L:
-                    dfs(sample + 1, branch, branch_elim)
-                else:
-                    solved += 1
-                    state = _state(branch_elim.solve(), (L,))
-                    if _replays(gen, state, blocks):
-                        successes.append(state)
+        mask, checks, groups, sizes = steps[sample]
+        key = want = path & mask
+        for check in checks:
+            key = key << 1 | (path & check).bit_count() & 1
+        branches = groups.get(key, ())
+        if checks:
+            pruned += sizes.get(want, 0) - len(branches)
+        if sample < depth:
+            for spread in branches:
+                dfs(sample + 1, path | spread)
+            return
+        solved += len(branches)
+        for spread in branches:
+            branch = path | spread
+            base = 0
+            while branch:
+                low = branch & -branch
+                base ^= contributions[low.bit_length() - 1]
+                branch ^= low
+            for offset in offsets:
+                if _regenerates(base ^ offset, exprs, positions, truth_table, blocks):
+                    successes.append(_state(base ^ offset, (L,)))
 
-    dfs(0, 0, gf2.Eliminator(L))
+    dfs(0, 0)
     wall = time.perf_counter() - started
     state = successes[0] if successes else None
     return AttackResult(state, solved, pruned, wall)
@@ -240,6 +322,10 @@ def nfsr_window_recover(
         [off + pos + s for off, (_, ts) in zip(offsets, families) for pos in ts.positions]
         for s in range(window)
     ])
+    groups = []
+    for sample, (_, fixed, fresh) in enumerate(plan):
+        members = table.get(blocks[sample])
+        groups.append(None if members is None else _buckets(members, fixed, fresh))
 
     started = time.perf_counter()
     pruned = 0
@@ -250,19 +336,14 @@ def nfsr_window_recover(
         if sample == window:
             joints.append(path)
             return
-        members = table.get(blocks[sample])
-        if members is None:
+        if groups[sample] is None:
             pruned += 1
             return
-        mask, fixed, fresh = plan[sample]
-        filtered = _matching(members, mask, fixed, path)
+        filtered = groups[sample].get(path & plan[sample][0], ())
         if not filtered:
             pruned += 1
-        for x in filtered:
-            branch = path
-            for i, label in fresh:
-                branch |= ((x >> i) & 1) << label
-            dfs(sample + 1, branch)
+        for spread in filtered:
+            dfs(sample + 1, path | spread)
 
     dfs(0, 0)
 

@@ -28,7 +28,7 @@ from .fixtures import run_fixture
 from .optimizer import (
     SearchExhaustedError,
     StagedSearchParams,
-    scorecard,
+    _scorecards,
     staged_search,
     step_a_candidates,
     step_ab_best_ordering,
@@ -120,11 +120,10 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
                 f"distinct equations for {L} unknowns"
             )
     if analysis.m_calibration and not isinstance(gen.register, HybridSpec):
-        sweep = []
-        for m_try in range(1, min(5, n)):
-            card = scorecard(gen.taps, n, m_try, gen.register.length)
-            sweep.append(card.to_dict() | {"m": m_try})
-        payload["calibration_sweep"] = sweep
+        ms = range(1, min(5, n))
+        cards = _scorecards(gen.taps, n, ms, gen.register.length)
+        payload["calibration_sweep"] = [
+            card.to_dict() | {"m": m_try} for m_try, card in zip(ms, cards)]
     return Report("analyze", payload, make_provenance(config.sha256(), seed))
 
 

@@ -89,22 +89,29 @@ class Scorecard:
 
 def scorecard(taps: TapSet, n: int, m: int, L: int) -> Scorecard:
     """Evaluate lambda, the FPDS flag and all three attack-mode costs."""
-    sigma, const_est = optimal_constant_sigma(taps, n, m, L)
+    return _scorecards(taps, n, (m,), L)[0]
+
+
+def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int) -> list[Scorecard]:
+    """One scorecard per filter width in ``ms``. The greedy and cyclic
+    schedules do not depend on m, so they are built once and priced per m."""
+    if not ms:
+        return []
     _, gprof = greedy_schedule(taps, RankStop())
-    greedy_est = gfsga_variable_cost(gprof, n, m, L)
-    cyclic_est = None
-    if n >= 2:
-        _, cprof = cyclic_schedule(taps, RankStop())
-        cyclic_est = gfsga_variable_cost(cprof, n, m, L)
-    return Scorecard(
-        taps=taps,
-        lam=lambda_order(taps),
-        fpds=is_fpds(taps),
-        optimal_sigma=sigma,
-        constant_cost=const_est,
-        greedy_cost=greedy_est,
-        cyclic_cost=cyclic_est,
-    )
+    cprof = cyclic_schedule(taps, RankStop())[1] if n >= 2 else None
+    cards = []
+    for m in ms:
+        sigma, const_est = optimal_constant_sigma(taps, n, m, L)
+        cards.append(Scorecard(
+            taps=taps,
+            lam=lambda_order(taps),
+            fpds=is_fpds(taps),
+            optimal_sigma=sigma,
+            constant_cost=const_est,
+            greedy_cost=gfsga_variable_cost(gprof, n, m, L),
+            cyclic_cost=None if cprof is None else gfsga_variable_cost(cprof, n, m, L),
+        ))
+    return cards
 
 
 _SMALL_PRIMES = (
@@ -423,11 +430,9 @@ def calibrate_filter_width(
     (constant, greedy, cyclic) log2 costs, their deltas to the targets, and
     the best-fitting m by total absolute delta.
     """
+    ms = [m for m in m_range if 1 <= m < taps.n]
     rows = []
-    for m in m_range:
-        if not 1 <= m < taps.n:
-            continue
-        card = scorecard(taps, taps.n, m, L)
+    for m, card in zip(ms, _scorecards(taps, taps.n, ms, L)):
         trio = (
             card.constant_cost.log2_total,
             card.greedy_cost.log2_total,

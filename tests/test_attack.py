@@ -14,7 +14,10 @@ from fsglab import (
     NfsrSpec,
     NoOverdefinedSystemError,
     RankStop,
+    SamplingSchedule,
     TapSet,
+    constant_profile,
+    cyclic_schedule,
     gfsga_recover,
     gfsga_variable_cost,
     greedy_schedule,
@@ -27,7 +30,10 @@ from fsglab import (
     write_keystream_file,
 )
 from fsglab import attack
-from fsglab.attack import WindowRecovery, _matching, _sample_plan
+from fsglab.attack import WindowRecovery, _buckets, _regenerates, _sample_plan
+from fsglab.gf2 import rank_of
+from fsglab.registers import label_expressions
+from gfsga_reference import reference_gfsga_recover
 
 
 def planted_lfsr_instance(rng, L, n, m, filter_seed=None):
@@ -68,7 +74,7 @@ def test_sample_plan_against_brute_force():
         for s, (labels, (mask, fixed, fresh)) in enumerate(zip(reads, plan)):
             assert len(set(labels)) == len(labels)
             earlier = {label for row in reads[:s] for label in row}
-            assert mask == sum(1 << i for i, label in enumerate(labels) if label in earlier)
+            assert mask == sum(1 << label for label in labels if label in earlier)
             assert fixed == tuple((i, label) for i, label in enumerate(labels)
                                   if label in earlier)
             assert fresh == tuple((i, label) for i, label in enumerate(labels)
@@ -76,8 +82,8 @@ def test_sample_plan_against_brute_force():
             n = len(labels)
             path = rng.getrandbits(max(max(row) for row in reads) + 1)
             members = sorted(rng.sample(range(1 << n), rng.randint(0, 1 << n)))
-            assert _matching(members, mask, fixed, path) == [
-                x for x in members
+            assert _buckets(members, fixed, fresh).get(path & mask, []) == [
+                sum((x >> i & 1) << label for i, label in fresh) for x in members
                 if all((x >> i) & 1 == (path >> label) & 1 for i, label in fixed)
             ]
 
@@ -135,8 +141,6 @@ def test_recover_refuses_schedule_beyond_the_completion_cap():
 def test_recover_rejects_underdefined_schedule():
     rng = random.Random(23)
     gen, state = planted_lfsr_instance(rng, 20, 5, 2)
-    from fsglab import SamplingSchedule
-
     with pytest.raises(ValueError):
         gfsga_recover(gen, [0] * 10, SamplingSchedule((5, 2), "custom"))
 
@@ -154,6 +158,97 @@ def test_systems_solved_tracks_formula_count():
         assert result.recovered_state == state
         assert result.systems_solved >= 1
         assert abs(math.log2(result.systems_solved) - est.candidate_log2) <= 1.0
+
+
+def _lfsr_reference_instance(rng, n, m, mode):
+    """Planted LFSR instance at L 16-32 under a greedy, cyclic or constant
+    schedule, small enough for the per-branch reference: candidate_log2 plus
+    the label rank deficit at most 7. Returns (generator, state, schedule,
+    blocks, deficit). Two keystreams in three end at the last sample or one
+    block after it, which often leaves several states that regenerate them. One
+    instance in five observes a flipped block, and one in five of those with
+    a missing output value observes it at the first or second sample.
+    """
+    while True:
+        L = rng.randint(16, 32)
+        taps = TapSet(tuple(sorted(rng.sample(range(1, L + 1), n))), L)
+        if mode == "greedy":
+            schedule, prof = greedy_schedule(taps, RankStop())
+        elif mode == "cyclic":
+            schedule, prof = cyclic_schedule(taps, RankStop())
+        else:
+            prof = constant_profile(taps, rng.randint(1, L))
+            schedule = SamplingSchedule(prof.steps, "constant")
+        estimate = gfsga_variable_cost(prof, n, m, L).candidate_log2
+        if estimate > 7:
+            continue
+        shifts = list(itertools.accumulate(schedule.steps, initial=0))
+        exprs = label_expressions(primitive_lfsr(L), taps.positions[-1] + shifts[-1])
+        deficit = L - rank_of([exprs[pos + s - 1] for s in shifts for pos in taps.positions], L)
+        if estimate + deficit <= 7:
+            break
+    style = rng.choice(("uniform", "skewed", "missing") if m > 1 else ("uniform", "skewed"))
+    gen = GeneratorSpec(primitive_lfsr(L), taps, _window_filter(rng, n, m, style))
+    state = tuple(rng.getrandbits(1) for _ in range(L))
+    blocks = keystream(gen, state, shifts[-1] + rng.choice((1, 2, rng.randint(1, 2 * L))))
+    missing = [z for z in range(1 << m) if z not in gen.filter.truth_table]
+    corrupt = rng.random()
+    if corrupt < 0.2:
+        blocks[rng.randrange(len(blocks))] ^= rng.randrange(1, 1 << m)
+    elif corrupt < 0.4 and missing:
+        blocks[shifts[rng.randrange(2)]] = missing[0]
+    return gen, state, schedule, blocks, deficit
+
+
+def test_compiled_recover_matches_per_branch_reference():
+    # Every (n, m) pair meets every schedule mode: 14 pairs and 3 modes are coprime.
+    rng = random.Random(26)
+    pairs = [(n, m) for n in range(3, 7) for m in range(1, n)]
+    seen = dict.fromkeys(("greedy", "cyclic", "constant", "deficient", "inconsistent",
+                          "no-preimage", "ambiguous-sweep", "recovered", "failed"), 0)
+    for index in range(154):
+        n, m = pairs[index % len(pairs)]
+        mode = ("greedy", "cyclic", "constant")[index % 3]
+        gen, state, schedule, blocks, deficit = _lfsr_reference_instance(rng, n, m, mode)
+        expected = reference_gfsga_recover(gen, blocks, schedule, deficit)
+        result = gfsga_recover(gen, blocks, schedule, deficit)
+        assert (result.recovered_state, result.systems_solved,
+                result.candidates_pruned) == expected[:3], index
+        if deficit:  # one bit over the cap: both refuse before enumerating
+            with pytest.raises(NoOverdefinedSystemError):
+                reference_gfsga_recover(gen, blocks, schedule, deficit - 1)
+            with pytest.raises(NoOverdefinedSystemError):
+                gfsga_recover(gen, blocks, schedule, deficit - 1)
+        seen[mode] += 1
+        seen["deficient"] += deficit > 0
+        seen["inconsistent"] += expected[3] > 0
+        seen["ambiguous-sweep"] += deficit > 0 and expected[4] > 1  # sweep order decides
+        seen["no-preimage"] += any(z not in gen.filter.truth_table for z in blocks)
+        seen["recovered" if expected[0] == state else "failed"] += 1
+    assert all(seen.values()), seen
+
+
+def test_label_expression_replay_matches_keystream():
+    # Keystreams run up to 3L blocks, past the span of any schedule's labels.
+    rng = random.Random(27)
+    for _ in range(60):
+        L = rng.randint(16, 32)
+        n = rng.randint(3, 6)
+        taps = TapSet(tuple(sorted(rng.sample(range(1, L + 1), n))), L)
+        gen = GeneratorSpec(primitive_lfsr(L), taps,
+                            FilterSpec.uniform_random(n, rng.randint(1, n), rng.getrandbits(30)))
+        count = rng.randint(1, 3 * L)
+        exprs = label_expressions(gen.register, taps.positions[-1] + count - 1)
+        planted = tuple(rng.getrandbits(1) for _ in range(L))
+        blocks = keystream(gen, planted, count)
+        for _ in range(8):
+            state = planted if rng.random() < 0.25 else tuple(
+                b ^ (rng.random() < 0.1) for b in planted)
+            value = sum(b << j for j, b in enumerate(state))
+            replayed = keystream(gen, state, count)
+            for k in {count, rng.randint(0, count)}:
+                assert _regenerates(value, exprs, taps.positions, gen.filter.truth_table,
+                                    blocks[:k]) == (replayed[:k] == blocks[:k])
 
 
 TOY_NFSR = NfsrSpec(
