@@ -474,17 +474,14 @@ _HEADER = struct.Struct("<4I")
 
 
 def write_keystream_file(path, n: int, m: int, L: int, blocks: Sequence[int]) -> None:
-    nbits = len(blocks) * m
-    buf = bytearray(_HEADER.size + (nbits + 7) // 8)
-    _HEADER.pack_into(buf, 0, n, m, L, len(blocks))
-    bit = 0
-    for block in blocks:
-        for j in range(m):
-            if (block >> j) & 1:
-                buf[_HEADER.size + (bit >> 3)] |= 1 << (bit & 7)
-            bit += 1
+    # Block t's bit j is payload bit t*m + j, least significant bit first.
+    mask = (1 << m) - 1
+    acc = 0
+    for t, block in enumerate(blocks):
+        acc |= (block & mask) << (t * m)
+    body = acc.to_bytes((len(blocks) * m + 7) // 8, "little")
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+        fh.write(_HEADER.pack(n, m, L, len(blocks)) + body)
 
 
 def read_keystream_file(path) -> tuple[tuple[int, int, int, int], list[int]]:
@@ -501,13 +498,7 @@ def read_keystream_file(path) -> tuple[tuple[int, int, int, int], list[int]]:
         raise KeystreamFormatError(
             f"expected {expected} payload bytes for {count} blocks, found {len(body)}"
         )
-    blocks = []
-    bit = 0
-    for _ in range(count):
-        block = 0
-        for j in range(m):
-            if body[bit >> 3] >> (bit & 7) & 1:
-                block |= 1 << j
-            bit += 1
-        blocks.append(block)
+    acc = int.from_bytes(body, "little")
+    mask = (1 << m) - 1
+    blocks = [(acc >> (t * m)) & mask for t in range(count)]
     return (n, m, L, count), blocks

@@ -1,12 +1,14 @@
 """Command-line surface: analyze, optimize, attack, report.
 
-Exit codes: 0 success, 2 configuration error, 3 no overdefined system,
-4 attack failure (corrupt keystream or unrecovered state).
+Exit codes: 0 success, 2 configuration error (an unreadable config or an
+unwritable ``--out`` included), 3 no overdefined system, 4 attack failure
+(missing, unreadable or corrupt keystream, or unrecovered state).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict
@@ -177,6 +179,9 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
         header, blocks = read_keystream_file(config.attack.keystream)
     except FileNotFoundError:
         raise AttackFailure(f"keystream file not found: {config.attack.keystream}")
+    except OSError as exc:
+        raise AttackFailure(
+            f"cannot read keystream file {config.attack.keystream}: {exc.strerror}")
     n, m, L, _count = header
     if (n, m, L) != (gen.filter.n, gen.filter.m, gen_cfg.total_length):
         raise AttackFailure(
@@ -228,7 +233,13 @@ def cmd_report_tables(fixture_id: str, seed: int | None) -> Report:
     return Report("report", payload, make_provenance(None, seed))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Nothing in it depends on the input, and ``parse_args`` returns a fresh
+    namespace each time, so repeated in-process ``main`` calls reuse it.
+    """
     parser = argparse.ArgumentParser(
         prog="fsglab",
         description="Guess-and-determine workbench for shift-register filter generators",
@@ -265,7 +276,12 @@ def main(argv=None) -> int:
                 report = cmd_optimize(config, args.seed)
             else:
                 report = cmd_attack(config, args.seed)
-        emit(report, fmt, args.out)
+        try:
+            emit(report, fmt, args.out)
+        except OSError as exc:
+            if not args.out:
+                raise
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
         return EXIT_OK
     except (AttackFailure, KeystreamFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 
 import pytest
 
@@ -517,6 +518,40 @@ def test_keystream_file_round_trip(tmp_path):
     header, back = read_keystream_file(path)
     assert header == (5, 2, 20, 9)
     assert back == blocks
+
+
+def _per_bit_keystream_file(n, m, L, blocks):
+    """The file bytes as the original bit-by-bit writer packed them."""
+    header = struct.Struct("<4I")
+    buf = bytearray(header.size + (len(blocks) * m + 7) // 8)
+    header.pack_into(buf, 0, n, m, L, len(blocks))
+    bit = 0
+    for block in blocks:
+        for j in range(m):
+            if (block >> j) & 1:
+                buf[header.size + (bit >> 3)] |= 1 << (bit & 7)
+            bit += 1
+    return bytes(buf)
+
+
+def test_keystream_codec_matches_per_bit_reference(tmp_path):
+    rng = random.Random(8)
+    path = tmp_path / "stream.ks"
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            for count in range(101):
+                # One bit above m, which both writers drop.
+                blocks = [rng.getrandbits(m + 1) for _ in range(count)]
+                raw = _per_bit_keystream_file(n, m, 4 * n, blocks)
+                write_keystream_file(path, n, m, 4 * n, blocks)
+                assert path.read_bytes() == raw
+                expected = ((n, m, 4 * n, count), [b & ((1 << m) - 1) for b in blocks])
+                assert read_keystream_file(path) == expected
+                if count < 8 and count * m % 8:
+                    # Padding bits of the last byte are ignored; counts up to
+                    # 7 leave every remainder that m can leave.
+                    path.write_bytes(raw[:-1] + bytes([raw[-1] | (0xFF << count * m % 8) & 0xFF]))
+                    assert read_keystream_file(path) == expected
 
 
 def test_keystream_file_truncation_detected(tmp_path):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 from pathlib import Path
@@ -16,6 +17,7 @@ from fsglab import (
     primitive_lfsr,
     write_keystream_file,
 )
+from fsglab import cli
 from fsglab.cli import main
 from fsglab.config import load_config
 from fsglab.registers import NfsrSpec
@@ -114,6 +116,20 @@ def test_config_errors_are_exit_2(tmp_path):
     cfg = write_config(tmp_path, "bad.json", {"generator": gen})
     assert main(["analyze", "--config", cfg]) == 2
     assert main(["analyze"]) == 2  # --config required
+
+
+def test_config_directory_is_exit_2(tmp_path, capsys):
+    assert main(["analyze", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config ")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_is_exit_2(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    assert main(["report", "table1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -472,6 +488,21 @@ def test_attack_header_mismatch_is_exit_4(tmp_path):
     assert main(["attack", "--config", cfg]) == 4
 
 
+def test_attack_keystream_directory_is_exit_4(tmp_path, capsys):
+    gen_section, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "generator": gen_section,
+            "analysis": {"mode": "greedy"},
+            "attack": {"keystream": str(tmp_path)},
+        },
+    )
+    assert main(["attack", "--config", cfg]) == 4
+    assert capsys.readouterr().err.startswith("error: cannot read keystream file ")
+
+
 def test_attack_nfsr_window_via_cli(tmp_path, capsys):
     rng = random.Random(8)
     nfsr = NfsrSpec(16, 1, (frozenset({1}), frozenset({3, 5}), frozenset({2, 9})))
@@ -541,3 +572,47 @@ def test_report_table_format_renders(capsys):
     assert main(["report", "table1"]) == 0
     text = capsys.readouterr().out
     assert "scheme row 1" in text and "reference" in text
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    assert main(["report", "example1"]) == 0
+    assert built  # the first call builds the parser tree
+    built.clear()
+    assert main(["report", "example1"]) == 0
+    assert main(["analyze"]) == 2
+    assert built == []
+
+
+def _structured(argv, capsys):
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc.pop("timing")
+    return doc
+
+
+def test_shared_parser_leaks_no_state_between_calls(capsys):
+    first = _structured(["report", "table1", "--seed", "5", "--format", "structured"], capsys)
+    assert first["provenance"]["seed"] == 5
+    second = _structured(["report", "table1", "--format", "structured"], capsys)
+    assert second["provenance"]["seed"] is None
+
+
+def test_usage_error_leaves_the_shared_parser_intact(capsys):
+    argv = ["report", "example1", "--format", "structured"]
+    cli._build_parser.cache_clear()
+    fresh = _structured(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    after = _structured(argv, capsys)
+    assert json.dumps(after, sort_keys=True) == json.dumps(fresh, sort_keys=True)
