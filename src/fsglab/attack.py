@@ -30,7 +30,6 @@ from .registers import (
 from .sampling import (
     NoOverdefinedSystemError,
     SamplingSchedule,
-    hybrid_window_profile,
     repetition_profile,
 )
 
@@ -204,7 +203,9 @@ def gfsga_recover(
     schedule short of it sweeps the missing dimensions: L minus the rank of
     every label the schedule reads, refused before enumerating above
     ``completion_cap_bits``. Returns the first verified state in enumeration
-    order or a failure marker.
+    order or a failure marker. The search still visits every path, since
+    ``systems_solved`` and ``candidates_pruned`` count them all, but replays
+    no candidate once a state is verified.
     """
     if not isinstance(gen.register, LfsrSpec):
         raise ValueError("gfsga_recover handles LFSR generators")
@@ -234,10 +235,10 @@ def gfsga_recover(
     started = time.perf_counter()
     solved = 0
     pruned = 0
-    successes: list[tuple] = []
+    found = None  # the first verified state; later leaves are only counted
 
     def dfs(sample: int, path: int) -> None:
-        nonlocal solved, pruned
+        nonlocal solved, pruned, found
         if steps[sample] is None:
             pruned += 1
             return
@@ -253,6 +254,8 @@ def gfsga_recover(
                 dfs(sample + 1, path | spread)
             return
         solved += len(branches)
+        if found is not None:
+            return
         for spread in branches:
             branch = path | spread
             base = 0
@@ -262,11 +265,12 @@ def gfsga_recover(
                 branch ^= low
             for offset in offsets:
                 if _regenerates(base ^ offset, exprs, positions, truth_table, blocks):
-                    successes.append(_state(base ^ offset, (L,)))
+                    found = base ^ offset
+                    return
 
     dfs(0, 0)
     wall = time.perf_counter() - started
-    state = successes[0] if successes else None
+    state = None if found is None else _state(found, (L,))
     return AttackResult(state, solved, pruned, wall)
 
 
@@ -299,11 +303,14 @@ def nfsr_window_recover(
     All tap reads inside the window land on original state cells, so joint
     candidates for the covered bits are enumerated directly from the filtered
     preimage spaces. Cell ``pos`` of register r carries label
-    ``offset_r + pos``, the registers laid end to end. The 2^free completions
-    of a joint's uncovered cells are replayed bitsliced against the keystream
-    past the window (``_first_completion``); the first surviving completion
-    of the first joint that has one is the recovered state, as if every
-    completion were replayed one at a time in enumeration order.
+    ``offset_r + pos``, the registers laid end to end. The joints and the
+    2^free completions of their uncovered cells are replayed bitsliced
+    against the keystream past the window (``_first_completion``): a lane
+    int holds the completions of as many consecutive joints as fit in its
+    2^_LANE_BITS lanes, lane (joint << free) | completion. The first
+    surviving completion of the first joint that has one is the recovered
+    state, as if every completion were replayed one at a time in enumeration
+    order.
     ``systems_solved`` counts every completion of every joint.
     """
     families, total_bits, window = _window_geometry(gen)
@@ -356,25 +363,19 @@ def nfsr_window_recover(
         gen, blocks, table, [joint >> 1 for joint in joints], free_cells, window)
 
     wall = time.perf_counter() - started
-    sizes = tuple(1 << max(0, n - m - q) for q in _window_q(families, window))
+    # A sample's q, its taps that reread a cell of the window, is len(fixed).
     recovery = WindowRecovery(
         window_length=window,
         recovered_bit_count=covered.bit_count(),
         remaining_guess=len(free_cells),
-        per_sample_sizes=(1 << (n - m),) + sizes,
+        per_sample_sizes=tuple(1 << max(0, n - m - len(fixed)) for _, fixed, _ in plan),
     )
     state = None if value is None else _state(value, lengths)
     result = AttackResult(state, len(joints) << len(free_cells), pruned, wall)
     return recovery, result
 
 
-def _window_q(families, window: int) -> list[int]:
-    if window < 2:
-        return []
-    return list(hybrid_window_profile(families, [1] * (window - 1)).q)
-
-
-# Completions replayed side by side: a lane int holds 2^_LANE_BITS of them.
+# Candidates replayed side by side: a lane int holds 2^_LANE_BITS of them.
 _LANE_BITS = 10
 
 
@@ -395,35 +396,46 @@ def _first_completion(
     winning state's cell bitset, or None.
 
     The candidates are replayed bitsliced (Biham, FSE 1997): each cell is one
-    lane int whose bit k is completion k's value of it, 2^_LANE_BITS
-    completions per chunk, chunks in ascending order. Each register keeps a
+    lane int with one bit per candidate, at most 2^_LANE_BITS lanes per
+    chunk, chunks in ascending order. The first f = min(free, _LANE_BITS)
+    free cells vary inside a chunk: lane (i << f) | k is the chunk's base i
+    with those cells set as in k. A chunk holds 2^(_LANE_BITS - f)
+    consecutive bases when free <= _LANE_BITS; otherwise it holds one base,
+    with the other free cells fixed per chunk. Each register keeps a
     timeline of lane ints, one entry appended per clock, so cell p at time t
     is ``line[t + p - 1]``. A block keeps the lanes whose tap values form one
-    of its preimages, and a chunk stops once no lane is left.
+    of its preimages, and a chunk stops once no lane is left. The lowest
+    surviving lane of the first chunk that has one is the first candidate in
+    enumeration order.
     """
     reg, taps = gen.register, gen.taps
     hybrid = isinstance(reg, HybridSpec)
     nfsr = reg.nfsr if hybrid else reg
     split = reg.lfsr.length if hybrid else 0
+    width = split + nfsr.length
     lfsr_reads = [p - 1 for p in taps.lfsr.positions] if hybrid else []
     nfsr_reads = [p - 1 for p in (taps.nfsr if hybrid else taps).positions]
     feedback = [p - 1 for p in reg.lfsr.feedback_positions] if hybrid else []
     coupled = hybrid and reg.coupling
     monomials = [[p - 1 for p in mono] for mono in nfsr.monomials]
 
-    lane_bits = min(len(free_cells), _LANE_BITS)
-    full = (1 << (1 << lane_bits)) - 1
-    constant = full if nfsr.constant_term else 0
-    # Lane int of free cell i < lane_bits: bit k set iff bit i of k is.
-    patterns = [
-        (((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1))
-        for i in range(lane_bits)
-    ]
-    high = free_cells[lane_bits:]  # constant within a chunk
-    for base in bases:
-        cells = [full if base >> j & 1 else 0 for j in range(split + nfsr.length)]
-        for j, pattern in zip(free_cells, patterns):
-            cells[j] = pattern
+    f = min(len(free_cells), _LANE_BITS)
+    per_chunk = 1 << (_LANE_BITS - f)  # 1 when free > _LANE_BITS
+    block = (1 << (1 << f)) - 1  # the 2^f lanes of one joint
+    gap = "0" * ((1 << f) - 1)
+    high = free_cells[f:]  # constant within a chunk
+    for start in range(0, len(bases), per_chunk):
+        joints = bases[start:start + per_chunk]
+        full = (1 << (len(joints) << f)) - 1
+        constant = full if nfsr.constant_term else 0
+        # Transpose: one binary string per joint, last joint first, so
+        # column c holds cell width - 1 - c of every joint; spaced 2^f apart
+        # and times ``block``, joint i's bit fills lanes i << f onwards.
+        rows = [format(base, f"0{width}b") for base in reversed(joints)]
+        cells = [int(gap.join(column), 2) * block for column in zip(*rows)][::-1]
+        # Free cell i < f: lane (joint << f) | k set iff bit i of k is.
+        for i, j in enumerate(free_cells[:f]):
+            cells[j] = (((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1))
         for chunk in range(1 << len(high)):
             for i, j in enumerate(high):
                 cells[j] = full if chunk >> i & 1 else 0
@@ -461,8 +473,10 @@ def _first_completion(
                 if not alive:
                     break
             if alive:
-                k = chunk << lane_bits | (alive & -alive).bit_length() - 1
-                return base | sum(1 << j for i, j in enumerate(free_cells) if k >> i & 1)
+                lane = (alive & -alive).bit_length() - 1
+                k = chunk << f | lane & (1 << f) - 1
+                return joints[lane >> f] | sum(
+                    1 << j for i, j in enumerate(free_cells) if k >> i & 1)
     return None
 
 

@@ -229,6 +229,36 @@ def test_compiled_recover_matches_per_branch_reference():
     assert all(seen.values()), seen
 
 
+def test_recover_stops_replaying_after_the_first_verified_state(monkeypatch):
+    # Short keystreams on rank-deficient greedy schedules: several states
+    # regenerate the blocks. The search still visits and counts every leaf,
+    # but replays no candidate once one is verified.
+    rng = random.Random(60)
+    checked = 0
+    while checked < 5:
+        n = rng.randint(3, 6)
+        gen, state, schedule, blocks, deficit = _lfsr_reference_instance(
+            rng, n, rng.randint(1, n - 1), "greedy")
+        if not deficit:
+            continue
+        expected = reference_gfsga_recover(gen, blocks, schedule, deficit)
+        if expected[4] < 2 or expected[1] < 2:
+            continue
+        verdicts = []
+
+        def counting(*args, replay=attack._regenerates):
+            verdicts.append(replay(*args))
+            return verdicts[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(attack, "_regenerates", counting)
+            result = gfsga_recover(gen, blocks, schedule, deficit)
+        assert (result.recovered_state, result.systems_solved,
+                result.candidates_pruned) == expected[:3]
+        assert verdicts.index(True) == len(verdicts) - 1
+        checked += 1
+
+
 def test_label_expression_replay_matches_keystream():
     # Keystreams run up to 3L blocks, past the span of any schedule's labels.
     rng = random.Random(27)
@@ -433,22 +463,17 @@ def _cells(state) -> int:
 
 
 def test_bitsliced_sweep_matches_scalar_reference(monkeypatch):
-    # A window leaves at least two cells of each register free, so one-bit
-    # lanes also sweep every instance across several chunks.
+    # A window leaves at least two cells of each register free. One-bit
+    # lanes sweep every instance one joint at a time across several chunks;
+    # with three, joints share a chunk when free <= 3 and a joint spans
+    # several chunks when free > 3.
     rng = random.Random(61)
     seen = dict.fromkeys(("unequal", "constant-0", "constant-1", "no-preimage",
-                          "recovered", "failed"), 0)
+                          "recovered", "failed", "shared", "split"), 0)
     for index in range(210):
         kind = ("nfsr", "coupled", "uncoupled")[index % 3]
         gen, state, blocks, missing = _window_instance(rng, kind)
         expected = _scalar_window_recover(gen, blocks)
-        for lane_bits in (attack._LANE_BITS, 1):
-            with monkeypatch.context() as patch:
-                patch.setattr(attack, "_LANE_BITS", lane_bits)
-                recovery, result = nfsr_window_recover(gen, blocks)
-            got = (recovery, result.recovered_state, result.systems_solved,
-                   result.candidates_pruned)
-            assert got == expected, (index, lane_bits)
         # free = 0: whole candidate states, nothing to complete.
         lengths = [len(state)] if kind == "nfsr" else [len(part) for part in state]
         bases = [rng.getrandbits(sum(lengths)) for _ in range(3)]
@@ -456,13 +481,23 @@ def test_bitsliced_sweep_matches_scalar_reference(monkeypatch):
         replays = [b for b in bases
                    if keystream(gen, attack._state(b, lengths), len(blocks)) == blocks]
         table = preimage_table(gen.filter)
-        assert attack._first_completion(gen, blocks, table, bases, [], 0) == (
-            replays[0] if replays else None)
+        for lane_bits in (attack._LANE_BITS, 1, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(attack, "_LANE_BITS", lane_bits)
+                recovery, result = nfsr_window_recover(gen, blocks)
+                first = attack._first_completion(gen, blocks, table, bases, [], 0)
+            got = (recovery, result.recovered_state, result.systems_solved,
+                   result.candidates_pruned)
+            assert got == expected, (index, lane_bits)
+            assert first == (replays[0] if replays else None), (index, lane_bits)
         nfsr = gen.register if kind == "nfsr" else gen.register.nfsr
         seen["unequal"] += len(set(lengths)) > 1
         seen[f"constant-{nfsr.constant_term}"] += 1
         seen["no-preimage"] += any(z in missing for z in blocks[expected[0].window_length:])
         seen["recovered" if expected[1] is not None else "failed"] += 1
+        free = expected[0].remaining_guess
+        seen["shared"] += free < 3 and expected[2] > 1 << free
+        seen["split"] += free > 3
     assert all(seen.values()), seen
 
 
@@ -509,6 +544,49 @@ def test_bitsliced_sweep_first_equivalent_state_wins(monkeypatch):
             recovery, result = nfsr_window_recover(gen, blocks)
         assert (recovery, result.recovered_state, result.systems_solved,
                 result.candidates_pruned) == expected
+
+
+def _scalar_first_completion(gen, blocks, bases, free_cells, lengths):
+    """The first base | completion, bases in order and completion k setting
+    ``free_cells[i]`` iff bit i of k is, that regenerates every block."""
+    for base in bases:
+        for k in range(1 << len(free_cells)):
+            value = base | sum(1 << j for i, j in enumerate(free_cells) if k >> i & 1)
+            if keystream(gen, attack._state(value, lengths), len(blocks)) == blocks:
+                return value
+    return None
+
+
+def test_bitsliced_sweep_earlier_joint_in_a_chunk_wins(monkeypatch):
+    # The equivalent states of the test above, with cells 6 and 11 left
+    # free, are joints that all regenerate the keystream. Two winners share
+    # a chunk and the earlier one wins, whatever its cell values; with two
+    # joints per chunk, a chunk of losers comes before the winners' chunk.
+    L = 12
+    nfsr = NfsrSpec(L, 0, (frozenset({4}), frozenset({6, 9}), frozenset({5, 11})))
+    gen = GeneratorSpec(nfsr, TapSet((4, 5, 6), L), FilterSpec.uniform_random(3, 1, seed=11))
+    state = (1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0)
+    blocks = keystream(gen, state, 5 + 2 * L)
+    table = preimage_table(gen.filter)
+    free = [5, 10]
+    cleared = _cells(state) & ~sum(1 << j for j in free)
+    equivalent = [cleared & ~7 | low for low in (3, 2, 6, 0)]
+    losers = [cleared ^ 1 << 3, cleared ^ 1 << 4]  # cells 4 and 5: tap reads
+    assert _scalar_first_completion(gen, blocks, losers, free, [L]) is None
+    winner = equivalent[0] | 1 << 10
+    cases = [
+        ([losers[0], equivalent[0], equivalent[1], losers[1]], winner),
+        (losers + equivalent[:2], winner),
+        (losers + losers + [equivalent[0]], winner),
+        (equivalent[2:] + equivalent[:2], equivalent[2] | 1 << 10),
+    ]
+    for bases, expected in cases:
+        assert _scalar_first_completion(gen, blocks, bases, free, [L]) == expected
+        for lane_bits in (attack._LANE_BITS, 1, 2, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(attack, "_LANE_BITS", lane_bits)
+                got = attack._first_completion(gen, blocks, table, bases, free, 0)
+            assert got == expected, (bases, lane_bits)
 
 
 def test_keystream_file_round_trip(tmp_path):
