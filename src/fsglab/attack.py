@@ -27,11 +27,7 @@ from .registers import (
     label_expressions,
     preimage_table,
 )
-from .sampling import (
-    NoOverdefinedSystemError,
-    SamplingSchedule,
-    repetition_profile,
-)
+from .sampling import NoOverdefinedSystemError, SamplingSchedule
 
 
 class KeystreamFormatError(ValueError):
@@ -211,17 +207,18 @@ def gfsga_recover(
         raise ValueError("gfsga_recover handles LFSR generators")
     taps = gen.taps
     L = gen.register.length
-    profile = repetition_profile(taps, schedule.steps, materialize_sets=False)
-    if not profile.is_overdefined():
-        raise ValueError("schedule does not produce an overdefined system")
+    positions = taps.positions
     shifts = [0]
     for s in schedule.steps:
+        if not 1 <= s <= L:
+            raise ValueError("sampling distances must lie in 1..L")
         shifts.append(shifts[-1] + s)
+    plan = _sample_plan([[pos + shift for pos in positions] for shift in shifts])
+    if sum(len(fresh) for _, _, fresh in plan) <= L:  # n*c - R distinct labels
+        raise ValueError("schedule does not produce an overdefined system")
     if shifts[-1] >= len(blocks):
         raise KeystreamFormatError("keystream does not cover the sampling schedule")
-    positions = taps.positions
     exprs = label_expressions(gen.register, positions[-1] + len(blocks) - 1)
-    plan = _sample_plan([[pos + shift for pos in positions] for shift in shifts])
     table = preimage_table(gen.filter)
     rank, steps, contributions, offsets = _compile(
         plan, exprs, L, [table.get(blocks[shift]) for shift in shifts])

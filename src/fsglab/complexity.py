@@ -41,13 +41,6 @@ class ComplexityEstimate:
         """log2 of the number of candidate systems (total minus solver term)."""
         return self.log2_total - self.solver_log2
 
-    def exact_candidate_count(self) -> int:
-        """Exact integer candidate count; requires integral exponents."""
-        exps = (self.first_sample_exponent, *self.per_sample_exponents)
-        if any(e != int(e) for e in exps):
-            raise ValueError("candidate count is only exact for integer exponents")
-        return 1 << int(sum(int(e) for e in exps))
-
     def to_dict(self) -> dict:
         return {
             "log2_total": self.log2_total,
@@ -179,6 +172,12 @@ def _constant_sweep(
     and exact ties resolve to the smallest sigma. The lowest tap never
     repeats (r_i <= n-1), so every sample adds an equation and c <= L-n+2.
 
+    Only the samples inside the horizon are looped over. Past it r is
+    steady, so the samples left before the rank stop number
+    (L_reg - n*c + R) // (n - r) + 1 (L_reg the register length) and add
+    n-m-r each, in one step. Every sigma above the span repeats nothing and
+    prices as sigma = span + 1 does, so the sweep ends there.
+
     ``cut(sigma, E)`` is asked each time a sigma completes with a new
     minimum E; once it answers True the sweep stops and returns None.
     """
@@ -192,19 +191,21 @@ def _constant_sweep(
     nm = n - m
     best_sigma = None
     best_e = math.inf
-    for sigma in range(1, L + 1):
+    for sigma in range(1, min(L, span + 1) + 1):
         k = span // sigma
         acc = r = total = 0
         c = 1
         e = nm
-        while n * c - total <= rank_bound and e < best_e:
-            if c <= k:
-                acc |= taps_mask & (taps_mask << (c * sigma))
-                r = acc.bit_count()
+        while c <= k and n * c - total <= rank_bound and e < best_e:
+            acc |= taps_mask & (taps_mask << (c * sigma))
+            r = acc.bit_count()
             total += r
             if r < nm:
                 e += nm - r
             c += 1
+        slack = rank_bound - n * c + total
+        if c > k and slack >= 0 and r < nm:
+            e += (nm - r) * (slack // (n - r) + 1)
         if e < best_e:
             best_sigma, best_e = sigma, e
             if cut is not None and cut(sigma, e):
@@ -223,11 +224,14 @@ def optimal_constant_sigma(
 ) -> tuple[int, ComplexityEstimate]:
     """Sweep sigma over 1..L and return the cheapest constant-mode attack.
 
-    :func:`_constant_sweep` finds sigma without building profiles; only the
-    winner's profile and estimate are built, and the tests hold this to a
-    sweep that builds both for every sigma. The ordering search runs the same
-    sweep with a cut: the running minimum E never rises as sigma grows, so it
-    stops at the first sigma that prices the taps below the best set so far.
+    :func:`_constant_sweep` finds sigma without building profiles, looping
+    only inside each sigma's horizon and over sigma <= min(L, span + 1):
+    a larger sigma repeats nothing and ties span + 1, and ties go to the
+    smallest sigma. Only the winner's profile and estimate are built, and
+    the tests hold this to a sweep that builds both for every sigma. The
+    ordering search runs the same sweep with a cut: the running minimum E
+    never rises as sigma grows, so it stops at the first sigma that prices
+    the taps below the best set so far.
     """
     sigma, _ = _constant_sweep(taps, n, m, L)
     profile = constant_profile(taps, sigma)

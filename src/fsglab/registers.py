@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from .sampling import TapSet
 
@@ -96,15 +95,6 @@ class FilterSpec:
         if any(not 0 <= v < (1 << self.m) for v in self.truth_table):
             raise ValueError("truth table entry out of range")
         object.__setattr__(self, "truth_table", tuple(self.truth_table))
-
-    @cached_property
-    def is_uniform(self) -> bool:
-        """True iff every output value has exactly 2^(n-m) preimages."""
-        counts: dict[int, int] = {}
-        for v in self.truth_table:
-            counts[v] = counts.get(v, 0) + 1
-        want = 1 << (self.n - self.m)
-        return len(counts) == 1 << self.m and all(c == want for c in counts.values())
 
     def apply(self, bits: tuple[int, ...]) -> int:
         idx = 0

@@ -15,6 +15,7 @@ independent counting routes are provided and kept in agreement by tests:
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -381,15 +382,38 @@ def greedy_schedule(
     run keeps ``overshoot`` additional samples after the system first becomes
     overdefined (the reference runs of this mode include one such sample);
     pass overshoot=0 for the minimal schedule.
+
+    All L overlap counts come from one big-int product (Kronecker
+    substitution): ``seen`` spread to one lane per label, times the taps
+    reversed, one lane each, holds |seen ^ (taps << s)| in lane top + s,
+    where top = l_n - 1 is the highest bit ``seen`` can hold. A lane is a
+    byte while n <= 255, so no count carries into its neighbour; wider tap
+    sets get 2-, 4- or 8-byte lanes. Shifts past l_n - l_1 meet nothing and
+    count 0.
     """
     if stop is None:
         raise ValueError("greedy_schedule needs a RankStop or SampleStop")
-    taps_mask = _label_mask(taps.positions)
-    shifted = [taps_mask << s for s in range(1, taps.register_length + 1)]
+    n = taps.n
+    top = taps.positions[-1] - 1
+    lane = next(b for b in (1, 2, 4, 8) if n < 1 << 8 * b)
+    # a label bit 0/1 as one big-endian lane
+    spread = str.maketrans({"0": "\0" * lane, "1": "\0" * (lane - 1) + "\1"})
+    reversed_taps = sum(1 << 8 * lane * (top - p + 1) for p in taps.positions)
+    counts_at = 8 * lane * (top + 1)  # lane top + 1 holds shift 1
+    code = "BHIQ"[lane.bit_length() - 1]
 
     def most_overlap(seen: int) -> int:
-        counts = [(seen & mask).bit_count() for mask in shifted]
-        return counts.index(max(counts)) + 1  # the smallest sigma on ties
+        lanes = format(seen, "b").translate(spread).encode("latin-1")
+        product = int.from_bytes(lanes, "big") * reversed_taps
+        counts = (product >> counts_at).to_bytes(lane * top, sys.byteorder)
+        if lane > 1:
+            counts = memoryview(counts).cast(code).tolist()
+            return counts.index(max(counts)) + 1  # the smallest sigma on ties
+        for v in range(n - 1, 0, -1):  # the top tap never meets seen
+            s = counts.find(v)
+            if s >= 0:
+                return s + 1  # the smallest sigma on ties
+        return 1
 
     profile = _run_steps(taps, most_overlap, stop, "greedy", overshoot=overshoot)
     return SamplingSchedule(profile.steps, "greedy"), profile

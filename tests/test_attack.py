@@ -124,6 +124,23 @@ def test_recover_fails_on_corrupt_keystream():
     assert result.recovered_state is None
 
 
+def test_recover_rejects_a_schedule_that_is_not_overdefined():
+    rng = random.Random(26)
+    gen, state = planted_lfsr_instance(rng, 20, 5, 2, filter_seed=9)
+    schedule, prof = greedy_schedule(gen.taps, RankStop(), overshoot=0)
+    assert prof.is_overdefined()
+    short = SamplingSchedule(schedule.steps[:-1], "greedy")
+    blocks = keystream(gen, state, sum(schedule.steps) + 16)
+    with pytest.raises(ValueError, match="not produce an overdefined") as info:
+        gfsga_recover(gen, blocks[:1], short)  # reported before the coverage
+    assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match="not produce an overdefined"):
+        gfsga_recover(gen, blocks, short)
+    with pytest.raises(KeystreamFormatError, match="does not cover"):
+        gfsga_recover(gen, blocks[:1], schedule)
+    assert gfsga_recover(gen, blocks, schedule).recovered_state == state
+
+
 def test_recover_refuses_schedule_beyond_the_completion_cap():
     # The greedy schedule is count-overdefined, but the labels it reads span
     # only rank 12 of 28: every path would end 16 bits short of a state.

@@ -20,6 +20,7 @@ from fsglab import (
     repetition_profile,
     restricted_annihilator_cost,
 )
+from fsglab.complexity import _constant_sweep
 from fsglab.fixtures import (
     EXAMPLE1_TAPS,
     EXAMPLE3_Q,
@@ -116,7 +117,9 @@ def test_constant_variable_consistency():
 def test_count_exactness_as_integers():
     prof = constant_profile(EX1, 13, stop=RankStop())
     est = gfsga_constant_cost(prof, 7, 2, 80)
-    count = est.exact_candidate_count()
+    exponents = (est.first_sample_exponent, *est.per_sample_exponents)
+    assert all(e == int(e) for e in exponents)
+    count = 1 << int(sum(exponents))
     expected = 1 << (5 + sum(max(0, 5 - q) for q in prof.q))
     assert count == expected
     assert est.candidate_log2 == pytest.approx(math.log2(count), abs=1e-9)
@@ -186,6 +189,65 @@ def test_optimal_sigma_equals_full_sweep():
         _reference_sweep(taps, 3, 1, 0)
     with pytest.raises(NoOverdefinedSystemError):
         optimal_constant_sigma(taps, 3, 1, 0)
+
+
+def _per_sample_sweep(taps, n, m, L, cut=None):
+    """Every sigma in 1..L priced sample by sample on the label timeline,
+    with no horizon, tail formula or early abandonment."""
+    best = None
+    for sigma in range(1, L + 1):
+        seen = set(taps.positions)
+        c, total, e = 1, 0, n - m
+        while n * c - total <= taps.register_length:
+            sample = {p + c * sigma for p in taps.positions}
+            q = len(sample & seen)
+            seen |= sample
+            total += q
+            e += max(0, n - m - q)
+            c += 1
+        if best is None or e < best[1]:
+            best = (sigma, e)
+            if cut is not None and cut(sigma, e):
+                return None
+    if best is None:
+        raise NoOverdefinedSystemError("empty sweep")
+    return best
+
+
+def test_constant_sweep_equals_per_sample_recurrence():
+    rng = random.Random(0x5EE)
+    seen_cases = dict.fromkeys(
+        ("sigma > span", "L <= span", "n = 1", "even", "cut", "uncut"), 0)
+    for i in range(400):
+        R = rng.randint(1, 90)
+        n = 1 if i % 7 == 0 else rng.randint(1, min(R, 12))
+        if i % 4 == 0:  # evenly spaced taps: every multiple of the spacing ties
+            gap = rng.randint(1, max(1, (R - 1) // max(1, n - 1)))
+            positions = tuple(1 + j * gap for j in range(n))
+            R = max(R, positions[-1])
+            seen_cases["even"] += n > 2
+        else:
+            positions = tuple(sorted(rng.sample(range(1, R + 1), n)))
+        taps = TapSet(positions, R)
+        m = rng.randint(1, n)
+        L = rng.randint(1, R)
+        threshold = rng.randint(0, 2 * R) if i % 2 else -1  # -1: never cut
+        logs = ([], [])
+
+        def recording(log):
+            return lambda sigma, e: log.append((sigma, e)) or e <= threshold
+
+        for cut in (None, recording):
+            got = _constant_sweep(taps, n, m, L, cut and recording(logs[0]))
+            want = _per_sample_sweep(taps, n, m, L, cut and recording(logs[1]))
+            assert got == want, (positions, R, n, m, L)
+        assert logs[0] == logs[1], (positions, R, n, m, L)
+        seen_cases["sigma > span"] += L > taps.span + 1
+        seen_cases["L <= span"] += L <= taps.span
+        seen_cases["n = 1"] += n == 1
+        seen_cases["cut"] += logs[0][-1][1] <= threshold
+        seen_cases["uncut"] += len(logs[0]) > 1 and threshold < 0
+    assert min(seen_cases.values()) >= 20, seen_cases
 
 
 def test_optimal_sigma_builds_one_profile(monkeypatch):

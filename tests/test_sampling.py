@@ -233,27 +233,53 @@ def test_greedy_minimal_stop_is_one_sample_short():
     assert longer.steps[:20] == prof.steps
 
 
+def _assert_greedy_steps_maximal(taps, prof):
+    """Each step is the smallest shift with the most labels already seen,
+    counted shift by shift on the label timeline."""
+    taps_mask = sum(1 << p for p in taps.positions)
+    seen = taps_mask
+    shift = 0
+    for sigma, q in zip(prof.steps, prof.q):
+        counts = [
+            (seen & taps_mask << (shift + cand)).bit_count()
+            for cand in range(1, taps.register_length + 1)
+        ]
+        assert q == max(counts)
+        assert sigma == counts.index(q) + 1
+        shift += sigma
+        seen |= taps_mask << shift
+
+
 def test_greedy_each_step_is_maximal():
     rng = random.Random(5)
     for _ in range(10):
         taps = random_taps(rng, max_l=40, max_n=6)
-        L = taps.register_length
         _, prof = greedy_schedule(taps, SampleStop(8))
-        seen = set(taps.positions)
-        shift = 0
-        for sigma, q in zip(prof.steps, prof.q):
-            best = 0
-            first_best = None
-            for cand in range(1, L + 1):
-                count = len(seen & {p + shift + cand for p in taps.positions})
-                if count > best:
-                    best = count
-                    first_best = cand
-            assert q == best
-            if best > 0:
-                assert sigma == first_best
-            shift += sigma
-            seen |= {p + shift for p in taps.positions}
+        _assert_greedy_steps_maximal(taps, prof)
+    for _ in range(12):
+        taps = random_taps(rng, max_l=300, max_n=40)
+        n, L = taps.n, taps.register_length
+        for overshoot in (0, 1, 3):
+            _, prof = greedy_schedule(taps, RankStop(), overshoot=overshoot)
+            _assert_greedy_steps_maximal(taps, prof)
+            distinct = [n * (c + 1) - sum(prof.q[:c]) for c in range(prof.samples)]
+            first = next(c for c, d in enumerate(distinct) if d > L)
+            assert prof.samples == first + 1 + overshoot
+
+
+def test_greedy_counts_past_a_byte():
+    # 300 contiguous taps overlap in 299 labels at shift 1, more than a byte
+    # lane holds; the random set has 260 taps.
+    rng = random.Random(6)
+    wide = [
+        TapSet(tuple(range(1, 301)), 400),
+        TapSet(tuple(sorted(rng.sample(range(1, 521), 260))), 520),
+    ]
+    for taps in wide:
+        _, prof = greedy_schedule(taps, RankStop(), overshoot=1)
+        _assert_greedy_steps_maximal(taps, prof)
+    _, prof = greedy_schedule(wide[0], SampleStop(4))
+    assert prof.q == (299, 299, 299)
 
 
 def test_greedy_single_tap_ties_to_sigma_one():
