@@ -7,7 +7,10 @@ pin seeded planted recoveries run through the library: the recovered state,
 ``systems_solved``, ``candidates_pruned`` and, for the window attack, every
 ``WindowRecovery`` field. To re-record after an intended change of output, run
 ``python tests/test_golden.py [name ...]`` from the repo root (no names: every
-file) and review the diff.
+file) and review the diff. The ``analyze_calibration_*`` configs live under
+``tests/artifacts/configs/`` so that the benchmark's job list, which reads
+``configs/``, does not change with them. ``test_structured_stdout_is_canonical``
+pins the raw text of the structured output, not only its parsed payload.
 """
 
 import contextlib
@@ -37,6 +40,7 @@ from fsglab import (
     nfsr_window_recover,
     primitive_lfsr,
     repetition_profile,
+    write_keystream_file,
 )
 from fsglab.cli import main
 from fsglab.fixtures import FIXTURES
@@ -46,6 +50,7 @@ from fsglab.registers import label_expressions
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "artifacts" / "golden"
 CONFIGS = ROOT / "configs"
+TEST_CONFIGS = ROOT / "tests" / "artifacts" / "configs"
 
 RUNS = {
     **{f"report_{fid}": ["report", fid] for fid in sorted(FIXTURES)},
@@ -56,15 +61,31 @@ RUNS = {
     "optimize_optimize_step_b": [
         "optimize", "--config", str(CONFIGS / "optimize_step_b.json"), "--seed", "0"
     ],
+    **{
+        f"analyze_calibration_{mode}": [
+            "analyze", "--config", str(TEST_CONFIGS / f"analyze_calibration_{mode}.json"),
+            "--seed", "0",
+        ]
+        for mode in ("greedy", "cyclic")
+    },
 }
 
 
-def payload_text(argv) -> str:
+def structured_stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main([*argv, "--format", "structured"]) == 0
-    doc = json.loads(out.getvalue())
+    return out.getvalue()
+
+
+def payload_text(argv) -> str:
+    doc = json.loads(structured_stdout(argv))
     return json.dumps(doc["payload"], sort_keys=True, indent=2) + "\n"
+
+
+def canonical(text: str) -> str:
+    """The stdlib's sorted, two-space indented encoding of ``text``'s document."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def _bits(state) -> str:
@@ -244,7 +265,7 @@ def pin_text(name: str) -> str:
 
 
 def test_golden_set_is_complete():
-    assert len(RUNS) == 16
+    assert len(RUNS) == 18
     assert len(PINS) == 6
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted([*RUNS, *PINS])
 
@@ -253,6 +274,38 @@ def test_golden_set_is_complete():
 def test_payload_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.json").read_text()
     assert payload_text(RUNS[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_structured_stdout_is_canonical(name):
+    out = structured_stdout(RUNS[name])
+    assert out == canonical(out)
+
+
+def test_attack_structured_stdout_is_canonical(tmp_path):
+    rng = random.Random("raw-text:attack")
+    L, n, m = 20, 5, 2
+    reg = primitive_lfsr(L)
+    taps = TapSet((3, 5, 10, 14, 16), L)
+    filt = FilterSpec.uniform_random(n, m, seed=29)
+    state = tuple(rng.getrandbits(1) for _ in range(L))
+    blocks = keystream(GeneratorSpec(reg, taps, filt), state, 6 * L)
+    ks = tmp_path / "stream.ks"
+    write_keystream_file(ks, n, m, L, blocks)
+    cfg = tmp_path / "attack.json"
+    cfg.write_text(json.dumps({
+        "generator": {
+            "kind": "lfsr", "length": L, "feedback": sorted(reg.feedback_positions),
+            "taps": list(taps.positions),
+            "filter": {"n": n, "m": m, "source": "hex", "hex": filt.to_hex()},
+        },
+        "analysis": {"mode": "greedy"},
+        "attack": {"keystream": str(ks)},
+    }))
+    out = structured_stdout(["attack", "--config", str(cfg)])
+    doc = json.loads(out)
+    assert type(doc["timing"]["wall_clock"]) is float
+    assert out == canonical(out)
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
