@@ -29,8 +29,6 @@ from .sampling import (
     cyclic_schedule,
     greedy_schedule,
     hybrid_window_profile,
-    is_fpds,
-    lambda_order,
     repetition_profile,
     difference_scheme,
 )
@@ -264,13 +262,13 @@ def fixture_table4() -> FixtureReport:
         taps = TapSet(taps_pos, L)
         card = scorecard(taps, n, m, L)
         label = f"fpds L={L} (n,m)=({n},{m})"
-        rows.append(_delta_row(f"{label} is_fpds", True, is_fpds(taps)))
+        rows.append(_delta_row(f"{label} is_fpds", True, card.fpds))
         rows.extend(_scorecard_rows(label, card, ref_c, ref_g, ref_y))
     for L, n, m, diffs, ref_lam, ref_c, ref_g, ref_y in TABLE4_ALGO_ROWS:
         taps = TapSet.from_differences(diffs, L)
         card = scorecard(taps, n, m, L)
         label = f"algo L={L} (n,m)=({n},{m})"
-        rows.append(_delta_row(f"{label} lambda", ref_lam, lambda_order(taps)))
+        rows.append(_delta_row(f"{label} lambda", ref_lam, card.lam))
         rows.extend(_scorecard_rows(label, card, ref_c, ref_g, ref_y))
     return FixtureReport(
         "table4",

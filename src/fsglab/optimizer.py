@@ -25,10 +25,8 @@ from .complexity import (
 )
 from .sampling import (
     NoOverdefinedSystemError,
-    RankStop,
     TapSet,
-    cyclic_schedule,
-    greedy_schedule,
+    _pricing_profile,
     is_fpds,
     lambda_order,
 )
@@ -93,19 +91,27 @@ def scorecard(taps: TapSet, n: int, m: int, L: int) -> Scorecard:
 
 
 def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int) -> list[Scorecard]:
-    """One scorecard per filter width in ``ms``. The greedy and cyclic
-    schedules do not depend on m, so they are built once and priced per m."""
+    """One scorecard per filter width in ``ms``.
+
+    Lambda, the FPDS flag and the greedy and cyclic profiles do not depend
+    on m, so they are computed once per tap set; only the sigma sweep and
+    the pricing run per m. The profiles are pricing-only (no repeated label
+    sets): the greedy and cyclic RankStop profiles of
+    :func:`~fsglab.sampling.greedy_schedule` and
+    :func:`~fsglab.sampling.cyclic_schedule` in every field but those sets.
+    """
     if not ms:
         return []
-    _, gprof = greedy_schedule(taps, RankStop())
-    cprof = cyclic_schedule(taps, RankStop())[1] if n >= 2 else None
+    lam, fpds = lambda_order(taps), is_fpds(taps)
+    gprof = _pricing_profile(taps, "greedy")
+    cprof = _pricing_profile(taps, "cyclic") if n >= 2 else None
     cards = []
     for m in ms:
         sigma, const_est = optimal_constant_sigma(taps, n, m, L)
         cards.append(Scorecard(
             taps=taps,
-            lam=lambda_order(taps),
-            fpds=is_fpds(taps),
+            lam=lam,
+            fpds=fpds,
             optimal_sigma=sigma,
             constant_cost=const_est,
             greedy_cost=gfsga_variable_cost(gprof, n, m, L),

@@ -8,10 +8,10 @@ form carries full precision.
 
 from __future__ import annotations
 
-import json
 import platform
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 
@@ -32,7 +32,74 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """The text of ``json.dumps(self.to_dict(), sort_keys=True, indent=2)``.
+
+        Any ``indent`` sends the stdlib to its pure-Python encoder, so this
+        writes the same text directly (see :func:`_encode`).
+        """
+        return _encode(self.to_dict(), "\n")
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_CONSTANT = {None: "null", True: "true", False: "false"}.__getitem__
+# Exact scalar type -> its text. A type missing here (a subclass too) is
+# either a container or refused.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: _CONSTANT,
+    type(None): _CONSTANT,
+}
+
+
+def _encode(value, newline: str) -> str:
+    """Sorted, two-space indented JSON text of ``value``, as the stdlib writes it.
+
+    ``newline`` is the line break before an item at this depth, followed by
+    two spaces per level. Only exact dict (str keys), list, tuple, str, int,
+    float, bool and None are written; any other type, subclasses included,
+    raises TypeError, so the text never differs from the stdlib's. Scalar
+    items are written in place, and a list or tuple of ints only is joined
+    in one pass.
+    """
+    kind = type(value)
+    write = _SCALARS.get(kind)
+    if write is not None:
+        return write(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        parts = []
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a str")
+            item = value[key]
+            write = _SCALARS.get(type(item))
+            parts.append(_quote(key) + ": " + (write(item) if write else _encode(item, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
 def make_provenance(config_sha256: str | None, seed: int | None) -> dict:

@@ -378,10 +378,20 @@ def greedy_schedule(
     """Adaptive schedule maximizing each sample's repeated-bit count.
 
     Every step picks the smallest sigma in 1..L whose shifted tap set meets
-    the union of all earlier samples in the most labels. Under a RankStop the
-    run keeps ``overshoot`` additional samples after the system first becomes
-    overdefined (the reference runs of this mode include one such sample);
-    pass overshoot=0 for the minimal schedule.
+    the union of all earlier samples in the most labels (see
+    :func:`_greedy_chooser`). Under a RankStop the run keeps ``overshoot``
+    additional samples after the system first becomes overdefined (the
+    reference runs of this mode include one such sample); pass overshoot=0
+    for the minimal schedule.
+    """
+    if stop is None:
+        raise ValueError("greedy_schedule needs a RankStop or SampleStop")
+    profile = _run_steps(taps, _greedy_chooser(taps), stop, "greedy", overshoot=overshoot)
+    return SamplingSchedule(profile.steps, "greedy"), profile
+
+
+def _greedy_chooser(taps: TapSet) -> Callable[[int], int]:
+    """The greedy step: the smallest sigma whose shifted taps meet ``seen`` most.
 
     All L overlap counts come from one big-int product (Kronecker
     substitution): ``seen`` spread to one lane per label, times the taps
@@ -391,8 +401,6 @@ def greedy_schedule(
     sets get 2-, 4- or 8-byte lanes. Shifts past l_n - l_1 meet nothing and
     count 0.
     """
-    if stop is None:
-        raise ValueError("greedy_schedule needs a RankStop or SampleStop")
     n = taps.n
     top = taps.positions[-1] - 1
     lane = next(b for b in (1, 2, 4, 8) if n < 1 << 8 * b)
@@ -415,8 +423,7 @@ def greedy_schedule(
                 return s + 1  # the smallest sigma on ties
         return 1
 
-    profile = _run_steps(taps, most_overlap, stop, "greedy", overshoot=overshoot)
-    return SamplingSchedule(profile.steps, "greedy"), profile
+    return most_overlap
 
 
 def cyclic_schedule(
@@ -431,9 +438,31 @@ def cyclic_schedule(
         raise ValueError("cyclic schedule needs at least two taps")
     if stop is None:
         raise ValueError("cyclic_schedule needs a RankStop or SampleStop")
-    d = consecutive_differences(taps)
-    profile = _run_steps(taps, _replay(itertools.cycle(d)), stop, "cyclic")
+    profile = _run_steps(taps, _cyclic_chooser(taps), stop, "cyclic")
     return SamplingSchedule(profile.steps, "cyclic"), profile
+
+
+def _cyclic_chooser(taps: TapSet) -> Callable[[int], int | None]:
+    return _replay(itertools.cycle(consecutive_differences(taps)))
+
+
+def _pricing_profile(taps: TapSet, mode: str) -> RepetitionProfile:
+    """``greedy_schedule(taps)[1]`` or ``cyclic_schedule(taps)[1]`` (both
+    under a RankStop), with ``repeated_sets`` left as None.
+
+    For callers that only price the profile: the cost formulas read q, never
+    the label sets. The run is the public builder's run (same chooser, stop,
+    overshoot and mode), minus the sets.
+    """
+    if mode == "greedy":
+        choose, overshoot = _greedy_chooser(taps), 1
+    elif mode == "cyclic":
+        choose, overshoot = _cyclic_chooser(taps), 0
+    else:
+        raise ValueError(f"no pricing profile for mode {mode!r}")
+    return _run_steps(
+        taps, choose, RankStop(), mode, overshoot=overshoot, materialize_sets=False
+    )
 
 
 def lambda_order(taps: TapSet) -> int:

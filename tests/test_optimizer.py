@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -8,7 +9,13 @@ from fsglab import (
     FeasibilityError,
     StagedSearchParams,
     TapSet,
+    RankStop,
     calibrate_filter_width,
+    cyclic_schedule,
+    gfsga_variable_cost,
+    greedy_schedule,
+    is_fpds,
+    lambda_order,
     optimal_constant_sigma,
     scorecard,
     staged_search,
@@ -17,7 +24,8 @@ from fsglab import (
     step_b_best_ordering,
 )
 from fsglab.fixtures import GRAIN_LFSR_TAPS, GRAIN_NFSR_TAPS
-from fsglab.optimizer import StageTrace, _ordering_key, _stage_m
+from fsglab import optimizer, sampling
+from fsglab.optimizer import StageTrace, _ordering_key, _scorecards, _stage_m
 from fsglab.sampling import NoOverdefinedSystemError
 
 
@@ -239,6 +247,39 @@ def test_scorecard_reference_rows():
     assert round(fpds_card.greedy_cost.log2_total, 2) == 37.97
     assert round(fpds_card.cyclic_cost.log2_total, 2) == 57.97
     assert fpds_card.fpds
+
+
+def test_scorecards_compute_m_invariants_once(monkeypatch):
+    # One lambda/FPDS evaluation per tap set, no repeated label sets built,
+    # and every card priced from the public builders' profiles.
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sampling, "_labels")
+    counted(optimizer, "lambda_order")
+    counted(optimizer, "is_fpds")
+    rng = random.Random(31)
+    for _ in range(12):
+        L = rng.randint(20, 120)
+        n = rng.randint(2, 9)
+        taps = TapSet(tuple(sorted(rng.sample(range(1, L + 1), n))), L)
+        ms = range(1, min(5, n))
+        calls.clear()
+        cards = _scorecards(taps, n, ms, L)
+        assert calls == {"lambda_order": 1, "is_fpds": 1}
+        _, gprof = greedy_schedule(taps, RankStop())
+        _, cprof = cyclic_schedule(taps, RankStop())
+        for m, card in zip(ms, cards):
+            assert (card.lam, card.fpds) == (lambda_order(taps), is_fpds(taps))
+            assert card.greedy_cost == gfsga_variable_cost(gprof, n, m, L)
+            assert card.cyclic_cost == gfsga_variable_cost(cprof, n, m, L)
 
 
 def test_staged_search_small_case_deterministic():

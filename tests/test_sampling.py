@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from fsglab import (
     repetition_profile,
     scheme_q_sequence,
 )
+from fsglab.sampling import _pricing_profile
 from fsglab.fixtures import (
     EXAMPLE1_GREEDY_ROWS,
     EXAMPLE1_TAPS,
@@ -321,6 +323,32 @@ def test_cyclic_lower_bound_property():
 def test_cyclic_single_tap_rejected():
     with pytest.raises(ValueError):
         cyclic_schedule(TapSet((3,), 8), RankStop())
+
+
+def test_pricing_profiles_equal_the_public_builders():
+    # The pricing-only profiles are the RankStop runs of the public builders
+    # in every field but repeated_sets, which they leave as None.
+    rng = random.Random(12)
+    cases = [TapSet((1, 2), 4), TapSet((5, 60), 64), TapSet((1, 200), 200),
+             TapSet((1, 2, 150), 150)]
+    while len(cases) < 220:
+        L = rng.randint(4, 200)
+        n = rng.randint(2, min(12, L))
+        if len(cases) % 3 == 0:  # long span: the end taps at 1 and L
+            positions = {1, L, *rng.sample(range(2, L), n - 2)}
+        else:
+            positions = rng.sample(range(1, L + 1), n)
+        cases.append(TapSet(tuple(sorted(positions)), L))
+    assert sum(t.n == 2 for t in cases) >= 10
+    assert sum(t.span == t.register_length - 1 for t in cases) >= 70
+    for taps in cases:
+        for build in (greedy_schedule, cyclic_schedule):
+            _, full = build(taps, RankStop())
+            priced = _pricing_profile(taps, full.mode)
+            assert priced.repeated_sets is None
+            assert priced == dataclasses.replace(full, repeated_sets=None)
+    with pytest.raises(ValueError):
+        _pricing_profile(WORKED_TAPS, "constant")
 
 
 def test_custom_schedule_exhaustion_raises():
