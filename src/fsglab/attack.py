@@ -1,14 +1,15 @@
 """Attack execution: state recovery along a per-sample plan.
 
-Both recovery engines walk the samples depth first. Which filter inputs reread
-a timeline label fixed by an earlier sample depends only on the taps and the
-schedule, so ``_sample_plan`` works it out once, and a path picks its
-preimages with one lookup in the sample's ``_buckets``. A path is a label
-bitset of its guessed bits. The LFSR attack also compiles its GF(2)
-elimination once per schedule (``_compile``): parity checks prune, and a
-state is an XOR of label contributions. Samples are processed in schedule
-order and preimages in truth-table index order, which makes every run
-deterministic.
+Which filter inputs reread a timeline label fixed by an earlier sample
+depends only on the taps and the schedule, so ``_sample_plan`` works it out
+once, and a path picks its preimages with one lookup in the sample's
+``_buckets``. A path is a label bitset of its guessed bits. The window attack
+walks the samples depth first. The LFSR attack compiles its GF(2) elimination
+once per schedule (``_compile``): parity checks prune, and a state is an XOR
+of label contributions. It expands the samples a level at a time, in slices
+of at most ``_FRONTIER_CAP`` paths, which yields its leaves in the same
+order as a depth-first walk. Samples are processed in schedule order and
+preimages in truth-table index order, which makes every run deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .registers import (
@@ -101,17 +103,36 @@ def _state(value: int, lengths: Sequence[int]) -> tuple:
 
 
 def _regenerates(value: int, exprs: Sequence[int], positions: Sequence[int],
-                 truth_table: Sequence[int], blocks: Sequence[int]) -> bool:
+                 truth_table: Sequence[int], blocks: Sequence[int],
+                 order: Sequence[int] | None = None) -> bool:
     """True when the LFSR state ``value`` (bit j - 1: cell j) regenerates every
     block. Block t's input i is label ``t + positions[i]``, the parity of
-    ``exprs[t + positions[i] - 1] & value``; the first mismatch aborts."""
-    for t, z in enumerate(blocks):
+    ``exprs[t + positions[i] - 1] & value``, and bit i of the truth-table
+    index. Blocks are tested in ``order``, a permutation of their indices
+    (keystream order if None); the first mismatch aborts."""
+    last_first = positions[::-1]
+    for t in range(len(blocks)) if order is None else order:
         idx = 0
-        for i, pos in enumerate(positions):
-            idx |= ((exprs[t + pos - 1] & value).bit_count() & 1) << i
-        if truth_table[idx] != z:
+        for pos in last_first:
+            idx = idx << 1 | (exprs[t + pos - 1] & value).bit_count() & 1
+        if truth_table[idx] != blocks[t]:
             return False
     return True
+
+
+def _least_covered_order(shifts: Sequence[int], positions: Sequence[int],
+                         count: int) -> list[int]:
+    """Block indices 0..count-1 ranked by how few of their labels
+    ``t + positions[i]`` the blocks at ``shifts`` read, ties by t. A
+    candidate is built to reproduce the blocks at ``shifts``; a block that
+    shares few labels with them is the least constrained by that, so it is
+    the likeliest to refute a wrong candidate."""
+    taps = sum(1 << pos for pos in positions)
+    read = 0
+    for shift in shifts:
+        read |= taps << shift
+    covered = [(read >> t & taps).bit_count() for t in range(count)]
+    return sorted(range(count), key=covered.__getitem__)  # stable: ties by t
 
 
 def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled) -> tuple:
@@ -181,6 +202,12 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled) -> tu
     return len(basis), steps, contributions, offsets
 
 
+# Live paths expanded together: a larger frontier is split into slices of this
+# many, which recurse in order, so memory stays bounded and leaves stay in
+# depth-first order.
+_FRONTIER_CAP = 1024
+
+
 def gfsga_recover(
     gen: GeneratorSpec,
     blocks: Sequence[int],
@@ -189,10 +216,15 @@ def gfsga_recover(
 ) -> AttackResult:
     """Recover an LFSR filter generator's initial state from sampled blocks.
 
-    Depth-first over per-sample filtered preimages. Every new label adds one
-    linear equation; which equations are independent depends only on the
-    schedule, so ``_compile`` reduces them once and turns each dependent one
-    into a parity check on the path. At the sample that reaches full rank, a
+    Expands per-sample filtered preimages a level at a time. Every new label
+    adds one linear equation; which equations are independent depends only
+    on the schedule, so ``_compile`` reduces them once and turns each
+    dependent one into a parity check on the path. Each compiled step maps
+    the ordered list of live paths to the next one: a path's bucket key is
+    its fixed labels plus one syndrome bit per check. A list longer than
+    ``_FRONTIER_CAP`` is cut into slices that are expanded one after the
+    other, each down to its leaves, so memory stays bounded and the leaves
+    come in depth-first order. At the sample that reaches full rank, a
     surviving path's state is an XOR of precomputed label contributions,
     checked against the whole observed keystream. The overdefined-count
     condition does not guarantee full rank, so a path that survives the
@@ -201,7 +233,9 @@ def gfsga_recover(
     ``completion_cap_bits``. Returns the first verified state in enumeration
     order or a failure marker. The search still visits every path, since
     ``systems_solved`` and ``candidates_pruned`` count them all, but replays
-    no candidate once a state is verified.
+    no candidate once a state is verified. The first candidate is replayed
+    in keystream order; once one fails, the rest test the blocks whose
+    labels the compiled steps read least first (``_least_covered_order``).
     """
     if not isinstance(gen.register, LfsrSpec):
         raise ValueError("gfsga_recover handles LFSR generators")
@@ -233,39 +267,49 @@ def gfsga_recover(
     solved = 0
     pruned = 0
     found = None  # the first verified state; later leaves are only counted
+    order = None  # replay block order, ranked once a first candidate fails
 
-    def dfs(sample: int, path: int) -> None:
-        nonlocal solved, pruned, found
-        if steps[sample] is None:
-            pruned += 1
-            return
-        mask, checks, groups, sizes = steps[sample]
-        key = want = path & mask
-        for check in checks:
-            key = key << 1 | (path & check).bit_count() & 1
-        branches = groups.get(key, ())
-        if checks:
-            pruned += sizes.get(want, 0) - len(branches)
-        if sample < depth:
-            for spread in branches:
-                dfs(sample + 1, path | spread)
-            return
-        solved += len(branches)
+    def expand(first: int, paths: list[int]) -> None:
+        """Grow ``paths`` from sample ``first`` to the leaves and replay them."""
+        nonlocal solved, pruned, found, order
+        for sample in range(first, depth + 1):
+            if steps[sample] is None:
+                pruned += len(paths)
+                return
+            mask, checks, groups, sizes = steps[sample]
+            if checks:
+                # ``_compile``'s key: the fixed labels, then one syndrome bit
+                # per check. A preimage a check rules out is counted pruned.
+                keys = wants = [path & mask for path in paths]
+                for check in checks:
+                    keys = [key << 1 | (path & check).bit_count() & 1
+                            for key, path in zip(keys, paths)]
+                paths = [path | spread for path, key in zip(paths, keys)
+                         for spread in groups.get(key, ())]
+                pruned += sum(map(sizes.get, wants, repeat(0))) - len(paths)
+            else:
+                paths = [path | spread for path in paths for spread in groups.get(path & mask, ())]
+            if sample < depth and len(paths) > _FRONTIER_CAP:
+                for cut in range(0, len(paths), _FRONTIER_CAP):
+                    expand(sample + 1, paths[cut:cut + _FRONTIER_CAP])
+                return
+        solved += len(paths)
         if found is not None:
             return
-        for spread in branches:
-            branch = path | spread
+        for branch in paths:
             base = 0
             while branch:
                 low = branch & -branch
                 base ^= contributions[low.bit_length() - 1]
                 branch ^= low
             for offset in offsets:
-                if _regenerates(base ^ offset, exprs, positions, truth_table, blocks):
+                if _regenerates(base ^ offset, exprs, positions, truth_table, blocks, order):
                     found = base ^ offset
                     return
+                if order is None:
+                    order = _least_covered_order(shifts[:len(steps)], positions, len(blocks))
 
-    dfs(0, 0)
+    expand(0, [0])
     wall = time.perf_counter() - started
     state = None if found is None else _state(found, (L,))
     return AttackResult(state, solved, pruned, wall)

@@ -40,6 +40,7 @@ from .registers import HybridSpec, LfsrSpec
 from .report import Report, emit, make_provenance
 from .sampling import (
     NoOverdefinedSystemError,
+    RankStop,
     RepetitionProfile,
     SamplingSchedule,
     TapSet,
@@ -123,7 +124,10 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
             )
     if analysis.m_calibration and not isinstance(gen.register, HybridSpec):
         ms = range(1, min(5, n))
-        cards = _scorecards(gen.taps, n, ms, gen.register.length)
+        # The scorecards price the RankStop greedy and cyclic schedules: a
+        # profile of either, built above under a RankStop, is reused.
+        built = profile if isinstance(analysis.stop, RankStop) else None
+        cards = _scorecards(gen.taps, n, ms, gen.register.length, built)
         payload["calibration_sweep"] = [
             card.to_dict() | {"m": m_try} for m_try, card in zip(ms, cards)]
     return Report("analyze", payload, make_provenance(config.sha256(), seed))

@@ -25,6 +25,7 @@ from .complexity import (
 )
 from .sampling import (
     NoOverdefinedSystemError,
+    RepetitionProfile,
     TapSet,
     _pricing_profile,
     is_fpds,
@@ -90,21 +91,30 @@ def scorecard(taps: TapSet, n: int, m: int, L: int) -> Scorecard:
     return _scorecards(taps, n, (m,), L)[0]
 
 
-def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int) -> list[Scorecard]:
+def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
+                built: RepetitionProfile | None = None) -> list[Scorecard]:
     """One scorecard per filter width in ``ms``.
 
     Lambda, the FPDS flag and the greedy and cyclic profiles do not depend
     on m, so they are computed once per tap set; only the sigma sweep and
-    the pricing run per m. The profiles are pricing-only (no repeated label
-    sets): the greedy and cyclic RankStop profiles of
-    :func:`~fsglab.sampling.greedy_schedule` and
-    :func:`~fsglab.sampling.cyclic_schedule` in every field but those sets.
+    the pricing run per m. The profiles are the greedy and cyclic RankStop
+    profiles of :func:`~fsglab.sampling.greedy_schedule` and
+    :func:`~fsglab.sampling.cyclic_schedule`. ``built``, when given, is one
+    of them that the caller already has, and its mode is not run again; the
+    others are run pricing-only (no repeated label sets), since the cost
+    formulas read only q.
     """
     if not ms:
         return []
     lam, fpds = lambda_order(taps), is_fpds(taps)
-    gprof = _pricing_profile(taps, "greedy")
-    cprof = _pricing_profile(taps, "cyclic") if n >= 2 else None
+
+    def profile(mode: str) -> RepetitionProfile:
+        if built is not None and built.mode == mode:
+            return built
+        return _pricing_profile(taps, mode)
+
+    gprof = profile("greedy")
+    cprof = profile("cyclic") if n >= 2 else None
     cards = []
     for m in ms:
         sigma, const_est = optimal_constant_sigma(taps, n, m, L)

@@ -31,7 +31,13 @@ from fsglab import (
     write_keystream_file,
 )
 from fsglab import attack
-from fsglab.attack import WindowRecovery, _buckets, _regenerates, _sample_plan
+from fsglab.attack import (
+    WindowRecovery,
+    _buckets,
+    _least_covered_order,
+    _regenerates,
+    _sample_plan,
+)
 from fsglab.gf2 import rank_of
 from fsglab.registers import label_expressions
 from gfsga_reference import reference_gfsga_recover
@@ -246,6 +252,27 @@ def test_compiled_recover_matches_per_branch_reference():
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("cap", [1, 3])
+def test_frontier_slices_keep_depth_first_order(monkeypatch, cap):
+    # A frontier cap of 1 or 3 cuts the level-by-level expansion into slices
+    # between sibling paths and between levels; leaves, counters and the
+    # first verified state must stay those of the per-branch search.
+    monkeypatch.setattr(attack, "_FRONTIER_CAP", cap)
+    rng = random.Random(26)
+    pairs = [(n, m) for n in range(3, 7) for m in range(1, n)]
+    split = 0
+    for index in range(42):
+        n, m = pairs[index % len(pairs)]
+        mode = ("greedy", "cyclic", "constant")[index % 3]
+        gen, state, schedule, blocks, deficit = _lfsr_reference_instance(rng, n, m, mode)
+        expected = reference_gfsga_recover(gen, blocks, schedule, deficit)
+        result = gfsga_recover(gen, blocks, schedule, deficit)
+        assert (result.recovered_state, result.systems_solved,
+                result.candidates_pruned) == expected[:3], index
+        split += expected[1] > cap
+    assert split
+
+
 def test_recover_stops_replaying_after_the_first_verified_state(monkeypatch):
     # Short keystreams on rank-deficient greedy schedules: several states
     # regenerate the blocks. The search still visits and counts every leaf,
@@ -289,14 +316,21 @@ def test_label_expression_replay_matches_keystream():
         exprs = label_expressions(gen.register, taps.positions[-1] + count - 1)
         planted = tuple(rng.getrandbits(1) for _ in range(L))
         blocks = keystream(gen, planted, count)
+        sampled = sorted(rng.sample(range(count), rng.randint(1, count)))
+        read = {t + pos for t in sampled for pos in taps.positions}
         for _ in range(8):
             state = planted if rng.random() < 0.25 else tuple(
                 b ^ (rng.random() < 0.1) for b in planted)
             value = sum(b << j for j, b in enumerate(state))
             replayed = keystream(gen, state, count)
             for k in {count, rng.randint(0, count)}:
-                assert _regenerates(value, exprs, taps.positions, gen.filter.truth_table,
-                                    blocks[:k]) == (replayed[:k] == blocks[:k])
+                ranked = _least_covered_order(sampled, taps.positions, k)
+                covered = [len(read.intersection(t + pos for pos in taps.positions))
+                           for t in range(k)]
+                assert ranked == sorted(range(k), key=lambda t: (covered[t], t))
+                for order in (None, ranked, rng.sample(range(k), k)):
+                    assert _regenerates(value, exprs, taps.positions, gen.filter.truth_table,
+                                        blocks[:k], order) == (replayed[:k] == blocks[:k])
 
 
 TOY_NFSR = NfsrSpec(

@@ -17,7 +17,7 @@ from fsglab import (
     primitive_lfsr,
     write_keystream_file,
 )
-from fsglab import cli
+from fsglab import cli, optimizer
 from fsglab.cli import main
 from fsglab.config import load_config
 from fsglab.registers import NfsrSpec
@@ -535,7 +535,7 @@ def test_attack_nfsr_window_via_cli(tmp_path, capsys):
     assert doc["payload"]["window"]["window_length"] == 5
 
 
-def test_analyze_m_calibration_sweep(tmp_path, capsys):
+def test_analyze_m_calibration_sweep(tmp_path, capsys, monkeypatch):
     gen, _, _ = lfsr_generator_section(80, (1, 6, 19, 26, 52, 63, 80), 7, 2)
     cfg = write_config(
         tmp_path,
@@ -546,7 +546,14 @@ def test_analyze_m_calibration_sweep(tmp_path, capsys):
             "report": {"format": "structured"},
         },
     )
+    priced = []
+
+    def pricing(taps, mode, original=optimizer._pricing_profile):
+        priced.append(mode)
+        return original(taps, mode)
+    monkeypatch.setattr(optimizer, "_pricing_profile", pricing)
     assert main(["analyze", "--config", cfg]) == 0
+    assert priced == ["cyclic"]  # the analyzed greedy profile is reused
     doc = json.loads(capsys.readouterr().out)
     sweep = doc["payload"]["calibration_sweep"]
     assert [row["m"] for row in sweep] == [1, 2, 3, 4]
