@@ -46,13 +46,11 @@ from .registers import (  # noqa: F401
 )
 from .complexity import (  # noqa: F401
     ComplexityEstimate,
-    NfsrCostParams,
     WindowCostEstimate,
     fsga_cost,
     gfsga_constant_cost,
     gfsga_variable_cost,
     internal_state_recovery_cost,
-    nfsr_gfsga_cost,
     optimal_constant_sigma,
     restricted_annihilator_cost,
 )

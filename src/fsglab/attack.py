@@ -15,7 +15,6 @@ preimages in truth-table index order, which makes every run deterministic.
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -42,7 +41,6 @@ class AttackResult:
     recovered_state: tuple | None
     systems_solved: int
     candidates_pruned: int
-    wall_clock: float
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,8 @@ def _least_covered_order(shifts: Sequence[int], positions: Sequence[int],
 
 
 def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled) -> tuple:
-    """The guess-independent part of ``gfsga_recover``: (rank, steps,
-    contributions, offsets), given each sample's preimages ``sampled[s]``.
+    """The guess-independent part of ``gfsga_recover``: (steps,
+    contributions, nulls), given each sample's preimages ``sampled[s]``.
 
     Fresh label rows are reduced once, in plan order, each tracking the
     labels whose expressions it combines, up to the sample that reaches rank
@@ -148,8 +146,8 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled) -> tu
     each bucket before that split, so the preimages a check prunes are
     counted unvisited. After Gauss-Jordan, the particular solution (free
     columns zero) XORs ``contributions[j]`` over the path's set labels j, and
-    ``offsets[a]`` XORs the null vectors of the free columns at the bits of
-    a, in an incremental eliminator's sweep order.
+    ``nulls`` lists the null vector of each free column, lowest column first:
+    L minus the rank of the labels read.
     """
     basis: dict[int, list[int]] = {}  # pivot column -> [row, label combo]
     steps = []
@@ -194,12 +192,9 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled) -> tu
             low = combo & -combo
             contributions[low.bit_length() - 1] |= 1 << p
             combo ^= low
-    offsets = [0]
-    for j in range(L):
-        if j not in basis:
-            null = sum((row >> j & 1) << p for p, (row, _) in basis.items()) | 1 << j
-            offsets += [offset ^ null for offset in offsets]
-    return len(basis), steps, contributions, offsets
+    nulls = [sum((row >> j & 1) << p for p, (row, _) in basis.items()) | 1 << j
+             for j in range(L) if j not in basis]
+    return steps, contributions, nulls
 
 
 # Live paths expanded together: a larger frontier is split into slices of this
@@ -254,16 +249,20 @@ def gfsga_recover(
         raise KeystreamFormatError("keystream does not cover the sampling schedule")
     exprs = label_expressions(gen.register, positions[-1] + len(blocks) - 1)
     table = preimage_table(gen.filter)
-    rank, steps, contributions, offsets = _compile(
+    steps, contributions, nulls = _compile(
         plan, exprs, L, [table.get(blocks[shift]) for shift in shifts])
-    if L - rank > completion_cap_bits:
+    if len(nulls) > completion_cap_bits:
         raise NoOverdefinedSystemError(
-            f"labels read have rank {rank} of {L}: {L - rank} free bits exceed "
-            f"the completion cap of {completion_cap_bits}")
+            f"labels read have rank {L - len(nulls)} of {L}: {len(nulls)} free bits "
+            f"exceed the completion cap of {completion_cap_bits}")
+    # Offset a XORs the null vectors at the bits of a, in an incremental
+    # eliminator's sweep order.
+    offsets = [0]
+    for null in nulls:
+        offsets += [offset ^ null for offset in offsets]
     depth = len(steps) - 1
     truth_table = gen.filter.truth_table
 
-    started = time.perf_counter()
     solved = 0
     pruned = 0
     found = None  # the first verified state; later leaves are only counted
@@ -310,9 +309,8 @@ def gfsga_recover(
                     order = _least_covered_order(shifts[:len(steps)], positions, len(blocks))
 
     expand(0, [0])
-    wall = time.perf_counter() - started
     state = None if found is None else _state(found, (L,))
-    return AttackResult(state, solved, pruned, wall)
+    return AttackResult(state, solved, pruned)
 
 
 def _window_geometry(gen: GeneratorSpec):
@@ -375,7 +373,6 @@ def nfsr_window_recover(
         members = table.get(blocks[sample])
         groups.append(None if members is None else _buckets(members, fixed, fresh))
 
-    started = time.perf_counter()
     pruned = 0
     joints: list[int] = []
 
@@ -403,7 +400,6 @@ def nfsr_window_recover(
     value = _first_completion(
         gen, blocks, table, [joint >> 1 for joint in joints], free_cells, window)
 
-    wall = time.perf_counter() - started
     # A sample's q, its taps that reread a cell of the window, is len(fixed).
     recovery = WindowRecovery(
         window_length=window,
@@ -412,7 +408,7 @@ def nfsr_window_recover(
         per_sample_sizes=tuple(1 << max(0, n - m - len(fixed)) for _, fixed, _ in plan),
     )
     state = None if value is None else _state(value, lengths)
-    result = AttackResult(state, len(joints) << len(free_cells), pruned, wall)
+    result = AttackResult(state, len(joints) << len(free_cells), pruned)
     return recovery, result
 
 

@@ -23,7 +23,6 @@ from .complexity import (
     gfsga_constant_cost,
     gfsga_variable_cost,
     internal_state_recovery_cost,
-    window_recovered_bits,
 )
 from .config import AnalysisConfig, ConfigError, ScenarioConfig, load_config
 from .fixtures import run_fixture
@@ -101,11 +100,10 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
     L = gen.total_length
     overdefined = n * profile.samples - profile.total > L
     if hybrid and set(profile.steps) == {1}:
-        recovered = window_recovered_bits(profile)
-        cost = internal_state_recovery_cost(profile, n, m, L, recovered)
+        cost = internal_state_recovery_cost(profile, n, m, L)
         payload["estimate"] = cost.estimate.to_dict()
         payload["window_cost"] = {
-            "recovered_bits": recovered,
+            "recovered_bits": cost.recovered_bits,
             "memory_bits": cost.memory_bits,
             "data_bits": cost.data_bits,
         }
@@ -127,7 +125,8 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
         # The scorecards price the RankStop greedy and cyclic schedules: a
         # profile of either, built above under a RankStop, is reused.
         built = profile if isinstance(analysis.stop, RankStop) else None
-        cards = _scorecards(gen.taps, n, ms, gen.register.length, built)
+        cards = _scorecards(gen.taps, n, ms, gen.register.length, built,
+                            analysis.solver_exponent)
         payload["calibration_sweep"] = [
             card.to_dict() | {"m": m_try} for m_try, card in zip(ms, cards)]
     return Report("analyze", payload, make_provenance(config.sha256(), seed))

@@ -54,25 +54,12 @@ class ComplexityEstimate:
 
 
 @dataclass(frozen=True)
-class NfsrCostParams:
-    """Parameters of the low-degree-system solve for nonlinear registers."""
-
-    r: int
-    e: int
-    omega: float = GAUSS_OMEGA
-
-    def __post_init__(self):
-        if self.r < 1 or self.e < 1:
-            raise ValueError("degrees r and e must be >= 1")
-        if not 2 < self.omega <= 3:
-            raise ValueError("omega must lie in (2, 3]")
-
-
-@dataclass(frozen=True)
 class WindowCostEstimate:
-    """Window-attack cost plus its memory and data budgets (in bits)."""
+    """Window-attack cost, the state bits R_p the window reads, and the
+    memory and data budgets (in bits)."""
 
     estimate: ComplexityEstimate
+    recovered_bits: int
     memory_bits: int
     data_bits: int
 
@@ -238,53 +225,20 @@ def optimal_constant_sigma(
     return sigma, gfsga_constant_cost(profile, n, m, L, solver_exponent)
 
 
-def nfsr_gfsga_cost(
-    profile: RepetitionProfile,
-    n: int,
-    m: int,
-    L: int,
-    params: NfsrCostParams,
-) -> ComplexityEstimate:
-    """Attack cost against a nonlinear register: the solver term grows to
-    omega * log2(sum_{i<=e*r} C(L, i)) because the system is low-degree, not
-    linear."""
-    if params.e * params.r > L:
-        raise ValueError("e*r must not exceed L")
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    per_sample = _clamped(n, m, profile.q)
-    dim = sum(math.comb(L, i) for i in range(params.e * params.r + 1))
-    solver = params.omega * math.log2(dim)
-    return ComplexityEstimate(
-        log2_total=(n - m) + sum(per_sample) + solver,
-        first_sample_exponent=n - m,
-        per_sample_exponents=per_sample,
-        solver_log2=solver,
-        samples_used=profile.samples,
-        R_used=profile.total,
-        sigma_or_schedule=f"nfsr:{profile.mode}",
-    )
-
-
-def window_recovered_bits(profile: RepetitionProfile) -> int:
-    """R_p = n + sum(n - q_j): the distinct state bits read inside a window."""
-    return profile.n + sum(profile.n - q for q in profile.q)
-
-
 def internal_state_recovery_cost(
     profile: RepetitionProfile,
     n: int,
     m: int,
     L: int,
-    recovered_bits: int,
 ) -> WindowCostEstimate:
     """Cost of the sampling-window internal-state recovery.
 
-    ``profile`` must cover the distance-1 window (p-1 samples, p-2 steps);
-    ``recovered_bits`` is R_p, the count of distinct state bits read inside
+    ``profile`` must cover the distance-1 window (p-1 samples, p-2 steps).
+    R_p = n + sum(n - q_j) is the count of distinct state bits read inside
     the window. The final term is the residual guess of L - R_p bits, and the
     memory/data budgets follow the preimage-space bookkeeping.
     """
+    recovered_bits = n + sum(n - q for q in profile.q)
     if recovered_bits > L:
         raise ValueError("cannot recover more bits than the register holds")
     window = profile.samples  # p - 1
@@ -303,7 +257,7 @@ def internal_state_recovery_cost(
     )
     memory_bits = window * n * (1 << (n - 1)) + L
     data_bits = window + L
-    return WindowCostEstimate(est, memory_bits, data_bits)
+    return WindowCostEstimate(est, recovered_bits, memory_bits, data_bits)
 
 
 def restricted_annihilator_cost(

@@ -43,7 +43,6 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    kind: str  # lfsr | nfsr | hybrid
     register: LfsrSpec | NfsrSpec | HybridSpec
     taps: TapSet | HybridTaps
     filter: FilterConfig
@@ -215,7 +214,7 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
         else:
             raise ConfigError(f"unknown generator kind {kind!r}")
         taps = TapSet(_positions(_require(obj, "taps", "generator"), "taps"), length)
-    cfg = GeneratorConfig(kind, register, taps, fcfg)
+    cfg = GeneratorConfig(register, taps, fcfg)
     if fcfg.n != cfg.tap_count:
         raise ConfigError(
             f"filter.n={fcfg.n} must equal the tap count {cfg.tap_count}"

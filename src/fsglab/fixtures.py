@@ -17,7 +17,6 @@ from .complexity import (
     internal_state_recovery_cost,
     optimal_constant_sigma,
     restricted_annihilator_cost,
-    window_recovered_bits,
 )
 from .optimizer import calibrate_filter_width, scorecard
 from .sampling import (
@@ -383,8 +382,7 @@ def example3_window_profile() -> RepetitionProfile:
 def fixture_example3() -> FixtureReport:
     n, m, L = EXAMPLE3_PARAMS
     prof = example3_window_profile()
-    recovered = window_recovered_bits(prof)
-    cost = internal_state_recovery_cost(prof, n, m, L, recovered)
+    cost = internal_state_recovery_cost(prof, n, m, L)
     rows = [
         _delta_row("window q table", list(EXAMPLE3_Q), list(prof.q)),
         _delta_row(
@@ -397,7 +395,7 @@ def fixture_example3() -> FixtureReport:
             [n - m] + [n - m - q for q in EXAMPLE3_Q],
             [n - m] + [n - m - q for q in prof.q],
         ),
-        _delta_row("recovered bits R_p", EXAMPLE3_RECOVERED, recovered),
+        _delta_row("recovered bits R_p", EXAMPLE3_RECOVERED, cost.recovered_bits),
         _delta_row("attack log2 cost", EXAMPLE3_LOG2, cost.estimate.log2_total),
         _delta_row("data bits", EXAMPLE3_DATA_BITS, cost.data_bits),
         _delta_row("memory bits < 2^15", True, cost.memory_bits < (1 << 15)),
@@ -433,8 +431,7 @@ def example4_fixture_profile() -> RepetitionProfile:
 def fixture_example4() -> FixtureReport:
     n, m, L = EXAMPLE4_PARAMS
     fixture_prof = example4_fixture_profile()
-    recovered = window_recovered_bits(fixture_prof)
-    cost = internal_state_recovery_cost(fixture_prof, n, m, L, recovered)
+    cost = internal_state_recovery_cost(fixture_prof, n, m, L)
     first, middle, tail = EXAMPLE4_EXPONENT_PARTS
     steps = [1] * len(EXAMPLE4_Q)
     families = example4_families()
@@ -443,11 +440,11 @@ def fixture_example4() -> FixtureReport:
     dev_reg = [i + 1 for i, (a, b) in enumerate(zip(per_reg.q, EXAMPLE4_Q)) if a != b]
     dev_merge = [i + 1 for i, (a, b) in enumerate(zip(merged.q, EXAMPLE4_Q)) if a != b]
     rows = [
-        _delta_row("fixture recovered bits", EXAMPLE4_RECOVERED, recovered),
+        _delta_row("fixture recovered bits", EXAMPLE4_RECOVERED, cost.recovered_bits),
         _delta_row(
             "fixture exponent parts",
             list(EXAMPLE4_EXPONENT_PARTS),
-            [n - m, sum(n - m - q for q in fixture_prof.q), L - recovered],
+            [n - m, sum(n - m - q for q in fixture_prof.q), L - cost.recovered_bits],
         ),
         _delta_row("fixture log2 cost", EXAMPLE4_LOG2, cost.estimate.log2_total),
         _delta_row("per-register q", list(EXAMPLE4_Q), list(per_reg.q)),

@@ -38,11 +38,7 @@ class FeasibilityError(ValueError):
 
 
 class SearchExhaustedError(RuntimeError):
-    """Retry budget ran out; carries the best result found so far."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """Retry budget ran out."""
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,10 @@ def scorecard(taps: TapSet, n: int, m: int, L: int) -> Scorecard:
 
 
 def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
-                built: RepetitionProfile | None = None) -> list[Scorecard]:
-    """One scorecard per filter width in ``ms``.
+                built: RepetitionProfile | None = None,
+                solver_exponent: float = DEFAULT_SOLVER_EXPONENT) -> list[Scorecard]:
+    """One scorecard per filter width in ``ms``, every cost priced with the
+    solver term ``solver_exponent * log2(L)``.
 
     Lambda, the FPDS flag and the greedy and cyclic profiles do not depend
     on m, so they are computed once per tap set; only the sigma sweep and
@@ -117,15 +115,16 @@ def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
     cprof = profile("cyclic") if n >= 2 else None
     cards = []
     for m in ms:
-        sigma, const_est = optimal_constant_sigma(taps, n, m, L)
+        sigma, const_est = optimal_constant_sigma(taps, n, m, L, solver_exponent)
         cards.append(Scorecard(
             taps=taps,
             lam=lam,
             fpds=fpds,
             optimal_sigma=sigma,
             constant_cost=const_est,
-            greedy_cost=gfsga_variable_cost(gprof, n, m, L),
-            cyclic_cost=None if cprof is None else gfsga_variable_cost(cprof, n, m, L),
+            greedy_cost=gfsga_variable_cost(gprof, n, m, L, solver_exponent),
+            cyclic_cost=None if cprof is None
+            else gfsga_variable_cost(cprof, n, m, L, solver_exponent),
         ))
     return cards
 
@@ -359,9 +358,7 @@ def staged_search(
         want = round((span_budget - used) * size / remaining_slots)
         chunk_span = min(span_budget - used - (remaining_slots - size), max(size, want))
         if chunk_span < size:
-            raise SearchExhaustedError(
-                "no room left for further differences", best=current
-            )
+            raise SearchExhaustedError("no room left for further differences")
         joined_size = len(current) + size
         m_join = _stage_m(m, joined_size, n)
         best = None
@@ -385,8 +382,7 @@ def staged_search(
                 break
         if best is None:
             raise SearchExhaustedError(
-                f"stage {len(trace) + 1}: no acceptable chunk after {tried} candidates",
-                best=current,
+                f"stage {len(trace) + 1}: no acceptable chunk after {tried} candidates"
             )
         (neg_cost, _, _), current, sigma = best
         chunk = tuple(sorted(current[:size]))  # the winning candidate's differences
@@ -438,15 +434,14 @@ def calibrate_filter_width(
     taps: TapSet,
     L: int,
     targets: tuple[float, float, float],
-    m_range: Sequence[int] = (1, 2, 3, 4),
 ) -> CalibrationResult:
     """Sweep the filter output width and rank by fit to target mode costs.
 
-    Used when a reference cost table leaves m unstated: reports each m's
-    (constant, greedy, cyclic) log2 costs, their deltas to the targets, and
-    the best-fitting m by total absolute delta.
+    Used when a reference cost table leaves m unstated: reports each m in
+    1..4 below n with its (constant, greedy, cyclic) log2 costs, their deltas
+    to the targets, and the best-fitting m by total absolute delta.
     """
-    ms = [m for m in m_range if 1 <= m < taps.n]
+    ms = range(1, min(5, taps.n))
     rows = []
     for m, card in zip(ms, _scorecards(taps, taps.n, ms, L)):
         trio = (

@@ -53,11 +53,9 @@ class TapSet:
         return self.positions[-1] - self.positions[0]
 
     @classmethod
-    def from_differences(
-        cls, diffs: Sequence[int], register_length: int, start: int = 1
-    ) -> "TapSet":
-        """Taps at cumulative sums of ``diffs`` beginning at ``start``."""
-        positions = [start]
+    def from_differences(cls, diffs: Sequence[int], register_length: int) -> "TapSet":
+        """Taps at cumulative sums of ``diffs`` beginning at position 1."""
+        positions = [1]
         for d in diffs:
             positions.append(positions[-1] + d)
         return cls(tuple(positions), register_length)
@@ -71,7 +69,6 @@ class DifferenceScheme:
     consecutive differences D.
     """
 
-    consecutive: tuple[int, ...]
     table: tuple[tuple[int, ...], ...]
 
     @classmethod
@@ -80,7 +77,7 @@ class DifferenceScheme:
         rows = []
         for k in range(1, len(d) + 1):
             rows.append(tuple(sum(d[j:j + k]) for j in range(len(d) - k + 1)))
-        return cls(d, tuple(rows))
+        return cls(tuple(rows))
 
     def entries(self) -> tuple[int, ...]:
         return tuple(v for row in self.table for v in row)
@@ -275,7 +272,6 @@ def repetition_profile(
     taps: TapSet,
     schedule: SamplingSchedule | Sequence[int],
     stop: Stop = None,
-    materialize_sets: bool = True,
 ) -> RepetitionProfile:
     """Ground-truth profile by direct set intersections on the label timeline.
 
@@ -289,10 +285,7 @@ def repetition_profile(
         steps, mode = tuple(schedule), "custom"
     sigma = steps[0] if mode == "constant" and steps else None
     k = taps.span // sigma if sigma else None
-    return _run_steps(
-        taps, _replay(steps), stop, mode, sigma=sigma, k=k,
-        materialize_sets=materialize_sets,
-    )
+    return _run_steps(taps, _replay(steps), stop, mode, sigma=sigma, k=k)
 
 
 def constant_profile(

@@ -89,7 +89,7 @@ def reference_gfsga_recover(gen, blocks, schedule, completion_cap_bits=14):
     raises."""
     taps = gen.taps
     L = gen.register.length
-    profile = repetition_profile(taps, schedule.steps, materialize_sets=False)
+    profile = repetition_profile(taps, schedule.steps)
     if not profile.is_overdefined():
         raise ValueError("schedule does not produce an overdefined system")
     shifts = [0]

@@ -154,11 +154,11 @@ def test_criterion_06_window_analysis():
     taps = TapSet(EXAMPLE3_TAPS, 128)
     with criterion(6, "128-bit window analysis", 1.0):
         prof = repetition_profile(taps, [1] * 21)
-        recovered = 8 + sum(8 - q for q in prof.q)
-        cost = internal_state_recovery_cost(prof, 8, 1, 128, recovered)
+        cost = internal_state_recovery_cost(prof, 8, 1, 128)
+    recovered = 8 + sum(8 - q for q in prof.q)
     assert prof.samples == 22
     assert prof.q == EXAMPLE3_Q
-    assert recovered == 122
+    assert recovered == cost.recovered_bits == 122
     exponent = (8 - 1) + sum(8 - 1 - q for q in prof.q) + (128 - recovered)
     assert exponent == 106
     assert cost.estimate.log2_total == 106
@@ -169,11 +169,12 @@ def test_criterion_06_window_analysis():
 def test_criterion_07_hybrid_fixture_and_models():
     with criterion(7, "256-bit hybrid fixture, both counting models", 5.0):
         prof = example4_fixture_profile()
-        recovered = 17 + sum(17 - q for q in prof.q)
-        cost = internal_state_recovery_cost(prof, 17, 1, 256, recovered)
+        cost = internal_state_recovery_cost(prof, 17, 1, 256)
         steps = [1] * len(EXAMPLE4_Q)
         per_reg = hybrid_window_profile(example4_families(), steps, "per-register")
         merged = hybrid_window_profile(example4_families(), steps, "merged")
+    recovered = 17 + sum(17 - q for q in prof.q)
+    assert recovered == cost.recovered_bits
     parts = (17 - 1, sum(17 - 1 - q for q in prof.q), 256 - recovered)
     assert parts == (16, 196, 12)
     assert cost.estimate.log2_total == 224
@@ -216,7 +217,7 @@ def test_criterion_09_oracle_equivalence_sweeps():
             n = rng.randint(2, min(8, L))
             taps = TapSet(tuple(sorted(rng.sample(range(1, L + 1), n))), L)
             steps = tuple(rng.randint(1, L) for _ in range(rng.randint(1, 30)))
-            direct = repetition_profile(taps, steps, materialize_sets=False)
+            direct = repetition_profile(taps, steps)
             d = consecutive_differences(taps)
             assert list(direct.q) == scheme_q_sequence(d, steps)
             assert direct.total == repeated_count_variable(d, steps)

@@ -1,6 +1,11 @@
 import argparse
 import json
+import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from fsglab import (
     FilterSpec,
     GeneratorSpec,
+    LfsrSpec,
     TapSet,
     greedy_schedule,
     RankStop,
@@ -32,7 +38,6 @@ def write_config(tmp_path, name, data):
 
 
 def lfsr_generator_section(L, taps, n, m, seed=11):
-    from fsglab import LfsrSpec
     from fsglab.registers import primitive_lengths
 
     # Analysis commands never clock the register, so any feedback works for
@@ -389,6 +394,44 @@ def test_attack_not_overdefined_custom_schedule_is_exit_3(tmp_path, capsys):
     assert "not overdefined" in capsys.readouterr().err
 
 
+def test_attack_completion_cap_refuses_before_building_offsets(tmp_path):
+    # A rotation register reads cell ((j - 1) mod 32) + 1 at label j, so the
+    # 34 labels of sixteen 32-steps span rank 2: 2^30 completion offsets.
+    # The cap must refuse before they exist; a 1 GiB address space cannot
+    # hold them.
+    L = 32
+    spec = LfsrSpec(L, frozenset({1}))
+    filt = FilterSpec.uniform_random(2, 1, seed=1)
+    gen = GeneratorSpec(spec, TapSet((1, 2), L), filt)
+    state = tuple(random.Random(0).getrandbits(1) for _ in range(L))
+    ks = tmp_path / "rotation.ks"
+    write_keystream_file(ks, 2, 1, L, keystream(gen, state, 600))
+    cfg = write_config(tmp_path, "rotation.json", {
+        "generator": {
+            "kind": "lfsr", "length": L, "feedback": [1], "taps": [1, 2],
+            "filter": {"n": 2, "m": 1, "source": "hex", "hex": filt.to_hex()},
+        },
+        "analysis": {"mode": "custom", "schedule": [32] * 16},
+        "attack": {"keystream": str(ks)},
+    })
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "fsglab.cli", "attack", "--config", cfg],
+        env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == (
+        "error: labels read have rank 2 of 32: 30 free bits exceed the "
+        "completion cap of 14\n")
+
+
 # Fields that only ``attack`` reads; the numbers cannot be live descriptors.
 @pytest.mark.parametrize(
     "mutate",
@@ -416,6 +459,15 @@ def test_hybrid_coupling_string_is_exit_2(tmp_path, capsys):
     doc["generator"]["coupling"] = "false"
     assert main(["analyze", "--config", write_config(tmp_path, "bad.json", doc)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hybrid_non_custom_mode_is_exit_2(tmp_path, capsys):
+    with open(SHIPPED_CONFIGS / "hybrid_window.json") as fh:
+        doc = json.load(fh)
+    doc["analysis"]["mode"] = "greedy"
+    assert main(["analyze", "--config", write_config(tmp_path, "greedy.json", doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: hybrid generators support custom schedules only\n")
 
 
 def test_merged_window_model_is_exit_2(tmp_path, capsys):
@@ -562,6 +614,25 @@ def test_analyze_m_calibration_sweep(tmp_path, capsys, monkeypatch):
     text = capsys.readouterr().out
     assert "calibration m=2: sigma*=1 constant=69.97 greedy=63.97 cyclic=59.97" in text
     assert text.count("calibration m=") == 4
+
+
+def test_analyze_m_calibration_sweep_uses_the_solver_exponent(tmp_path, capsys):
+    doc = json.loads((SHIPPED_CONFIGS / "example1_greedy.json").read_text())
+    doc["analysis"]["m_calibration"] = True
+    doc["report"]["format"] = "structured"
+    runs = {}
+    for exponent in (3.0, 2.0):
+        doc["analysis"]["solver_exponent"] = exponent
+        assert main(["analyze", "--config", write_config(tmp_path, "c.json", doc)]) == 0
+        runs[exponent] = json.loads(capsys.readouterr().out)["payload"]
+    estimate = runs[2.0]["estimate"]["log2_total"]
+    assert round(estimate, 2) == 57.64
+    row = next(r for r in runs[2.0]["calibration_sweep"] if r["m"] == 2)
+    assert row["greedy_log2"] == estimate
+    # One less log2(L) in every cost of every row.
+    for low, high in zip(runs[2.0]["calibration_sweep"], runs[3.0]["calibration_sweep"]):
+        for key in ("constant_log2", "greedy_log2", "cyclic_log2"):
+            assert high[key] - low[key] == pytest.approx(math.log2(80), abs=1e-9)
 
 
 def test_report_fixture_and_unknown_id(capsys):

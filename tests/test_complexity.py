@@ -4,9 +4,9 @@ import random
 import pytest
 
 from fsglab import (
-    NfsrCostParams,
     NoOverdefinedSystemError,
     RankStop,
+    RepetitionProfile,
     TapSet,
     constant_profile,
     cyclic_schedule,
@@ -15,7 +15,6 @@ from fsglab import (
     gfsga_variable_cost,
     greedy_schedule,
     internal_state_recovery_cost,
-    nfsr_gfsga_cost,
     optimal_constant_sigma,
     repetition_profile,
     restricted_annihilator_cost,
@@ -281,41 +280,20 @@ def test_optimal_sigma_single_tap():
     assert sigma == 1
 
 
-def test_nfsr_cost_solver_term():
-    prof = constant_profile(EX1, 13, stop=RankStop())
-    linear = nfsr_gfsga_cost(prof, 7, 2, 128, NfsrCostParams(r=1, e=1, omega=2.807))
-    assert linear.solver_log2 == pytest.approx(2.807 * math.log2(129), abs=1e-9)
-    deg4 = nfsr_gfsga_cost(prof, 7, 2, 128, NfsrCostParams(r=2, e=2, omega=2.807))
-    dim = sum(math.comb(128, i) for i in range(5))
-    assert deg4.solver_log2 == pytest.approx(2.807 * math.log2(dim), abs=1e-9)
-    omega3 = nfsr_gfsga_cost(prof, 7, 2, 128, NfsrCostParams(r=2, e=2, omega=3.0))
-    assert omega3.log2_total - deg4.log2_total == pytest.approx(
-        (3.0 - 2.807) * math.log2(dim), abs=1e-9
-    )
-
-
-def test_nfsr_cost_rejects_excess_degree():
-    prof = constant_profile(EX1, 13, stop=RankStop())
-    with pytest.raises(ValueError):
-        nfsr_gfsga_cost(prof, 7, 2, 8, NfsrCostParams(r=3, e=3))
-
-
 def test_window_cost_reference_values():
     taps = TapSet(EXAMPLE3_TAPS, 128)
     prof = repetition_profile(taps, [1] * 21)
     assert prof.q == EXAMPLE3_Q
-    recovered = 8 + sum(8 - q for q in prof.q)
-    assert recovered == 122
-    cost = internal_state_recovery_cost(prof, 8, 1, 128, recovered)
+    cost = internal_state_recovery_cost(prof, 8, 1, 128)
+    assert cost.recovered_bits == 8 + sum(8 - q for q in prof.q) == 122
     assert cost.estimate.log2_total == 106
     assert cost.memory_bits == 22 * 8 * 128 + 128
     assert cost.memory_bits < 1 << 15
     assert cost.data_bits == 150
 
     fixture = example4_fixture_profile()
-    rec4 = 17 + sum(17 - q for q in EXAMPLE4_Q)
-    assert rec4 == 244
-    cost4 = internal_state_recovery_cost(fixture, 17, 1, 256, rec4)
+    cost4 = internal_state_recovery_cost(fixture, 17, 1, 256)
+    assert cost4.recovered_bits == 17 + sum(17 - q for q in EXAMPLE4_Q) == 244
     assert cost4.estimate.log2_total == 16 + 196 + 12 == 224
     # false-accept bound: candidate count times 2^-L stays below one
     assert cost.estimate.log2_total - 128 < 0
@@ -323,12 +301,17 @@ def test_window_cost_reference_values():
 
 
 def test_window_cost_full_coverage_drops_tail():
-    taps = TapSet(EXAMPLE3_TAPS, 128)
-    prof = repetition_profile(taps, [1] * 21)
-    cost = internal_state_recovery_cost(prof, 8, 1, 128, 128)
+    # R_p = 4 + 3 * (4 - 1) = 13 over a 4-sample window of 4 taps.
+    def window(L):
+        return RepetitionProfile(q=(1, 1, 1), samples=4, total=3, n=4,
+                                 register_length=L, mode="custom", steps=(1, 1, 1))
+
+    cost = internal_state_recovery_cost(window(13), 4, 1, 13)
+    assert cost.recovered_bits == 13
     assert cost.estimate.solver_log2 == 0
-    with pytest.raises(ValueError):
-        internal_state_recovery_cost(prof, 8, 1, 128, 129)
+    assert cost.estimate.log2_total == 3 + 3 * 2
+    with pytest.raises(ValueError, match="more bits than the register holds"):
+        internal_state_recovery_cost(window(12), 4, 1, 12)
 
 
 def test_annihilator_arithmetic():

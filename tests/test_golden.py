@@ -111,7 +111,7 @@ def _lfsr_schedule(taps: TapSet, mode: str, rng):
     steps = []
     while True:  # consecutive tap differences in random order until overdefined
         steps.append(rng.choice(diffs))
-        prof = repetition_profile(taps, steps, materialize_sets=False)
+        prof = repetition_profile(taps, steps)
         if prof.is_overdefined():
             return SamplingSchedule(tuple(steps), "custom"), prof
 
