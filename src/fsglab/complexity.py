@@ -139,8 +139,53 @@ def gfsga_variable_cost(
     return _profile_cost(profile, n, m, L, solver_exponent, profile.mode)
 
 
+def _sigma_exponent(
+    taps_mask: int,
+    span: int,
+    rank_bound: int,
+    n: int,
+    m: int,
+    sigma: int,
+    limit: float = math.inf,
+) -> int:
+    """The clamped exponent E of one constant sampling distance, stopped at
+    ``limit``: the exact E when it is below ``limit``, else some value at
+    least ``limit``.
+
+    ``taps_mask`` has bit p-1 set for each tap position p, ``span`` is
+    l_n - l_1 and ``rank_bound`` the register length. The recursion is the
+    one of :func:`constant_profile`: r_i = |I_1 u .. u I_i| with
+    I_i = I_0 ^ (I_0 + i*sigma), steady at r_k past the horizon
+    k = floor(span/sigma), run under its rank stop, and
+    E = (n-m) + sum_i max(0, n-m-r_i). E never decreases as samples are
+    added, so the loop stops once E reaches ``limit``. Only the samples
+    inside the horizon are looped over. Past it r is steady, so the samples
+    left before the rank stop number (rank_bound - n*c + R) // (n - r) + 1
+    and add n-m-r each, in one step. The lowest tap never repeats
+    (r_i <= n-1), so every sample adds an equation and c <= L-n+2.
+    """
+    nm = n - m
+    k = span // sigma
+    acc = r = total = 0
+    c = 1
+    e = nm
+    while c <= k and n * c - total <= rank_bound and e < limit:
+        acc |= taps_mask & (taps_mask << (c * sigma))
+        r = acc.bit_count()
+        total += r
+        if r < nm:
+            e += nm - r
+        c += 1
+    slack = rank_bound - n * c + total
+    if c > k and slack >= 0 and r < nm:
+        e += (nm - r) * (slack // (n - r) + 1)
+    return e
+
+
 def _constant_sweep(
-    taps: TapSet,
+    taps_mask: int,
+    span: int,
+    rank_bound: int,
     n: int,
     m: int,
     L: int,
@@ -148,51 +193,21 @@ def _constant_sweep(
 ) -> tuple[int, int] | None:
     """Cost-only sweep of sigma over 1..L: the smallest optimal sigma and its E.
 
-    Each sigma is priced without building its profile. The sweep runs the
-    recursion of :func:`constant_profile` (r_i = |I_1 u .. u I_i| with
-    I_i = I_0 ^ (I_0 + i*sigma), steady at r_k past the horizon
-    k = floor(span/sigma)) under its rank stop, and keeps one integer, the
-    clamped exponent E = (n-m) + sum_i max(0, n-m-r_i). The solver term is
-    the same for every sigma, so E orders the distances exactly as
-    log2_total does. E never decreases as samples are added, so a sigma is
-    abandoned as soon as E reaches the best E so far: it can at most tie,
-    and exact ties resolve to the smallest sigma. The lowest tap never
-    repeats (r_i <= n-1), so every sample adds an equation and c <= L-n+2.
-
-    Only the samples inside the horizon are looped over. Past it r is
-    steady, so the samples left before the rank stop number
-    (L_reg - n*c + R) // (n - r) + 1 (L_reg the register length) and add
-    n-m-r each, in one step. Every sigma above the span repeats nothing and
-    prices as sigma = span + 1 does, so the sweep ends there.
+    The taps are given as for :func:`_sigma_exponent`, which prices each
+    sigma without building its profile. The solver term is the same for
+    every sigma, so E orders the distances exactly as log2_total does. A
+    sigma is abandoned as soon as its E reaches the best E so far: it can
+    at most tie, and exact ties resolve to the smallest sigma. Every sigma
+    above the span repeats nothing and prices as sigma = span + 1 does, so
+    the sweep ends there.
 
     ``cut(sigma, E)`` is asked each time a sigma completes with a new
     minimum E; once it answers True the sweep stops and returns None.
     """
-    if n != taps.n:
-        raise ValueError("n must equal the tap count")
-    if L > taps.register_length:
-        raise ValueError("L must not exceed the register length")
-    taps_mask = _label_mask(taps.positions)
-    span = taps.span
-    rank_bound = taps.register_length  # overdefined once n*c - R exceeds it
-    nm = n - m
     best_sigma = None
     best_e = math.inf
     for sigma in range(1, min(L, span + 1) + 1):
-        k = span // sigma
-        acc = r = total = 0
-        c = 1
-        e = nm
-        while c <= k and n * c - total <= rank_bound and e < best_e:
-            acc |= taps_mask & (taps_mask << (c * sigma))
-            r = acc.bit_count()
-            total += r
-            if r < nm:
-                e += nm - r
-            c += 1
-        slack = rank_bound - n * c + total
-        if c > k and slack >= 0 and r < nm:
-            e += (nm - r) * (slack // (n - r) + 1)
+        e = _sigma_exponent(taps_mask, span, rank_bound, n, m, sigma, best_e)
         if e < best_e:
             best_sigma, best_e = sigma, e
             if cut is not None and cut(sigma, e):
@@ -216,11 +231,18 @@ def optimal_constant_sigma(
     a larger sigma repeats nothing and ties span + 1, and ties go to the
     smallest sigma. Only the winner's profile and estimate are built, and
     the tests hold this to a sweep that builds both for every sigma. The
-    ordering search runs the same sweep with a cut: the running minimum E
-    never rises as sigma grows, so it stops at the first sigma that prices
-    the taps below the best set so far.
+    ordering search prices sigmas with the same kernel,
+    :func:`_sigma_exponent`: first the few sigmas that cut earlier
+    orderings, each stopped at the exponent where it can no longer cut,
+    and only when none of them cuts, this sweep with a cut.
     """
-    sigma, _ = _constant_sweep(taps, n, m, L)
+    if n != taps.n:
+        raise ValueError("n must equal the tap count")
+    if L > taps.register_length:
+        raise ValueError("L must not exceed the register length")
+    sigma, _ = _constant_sweep(
+        _label_mask(taps.positions), taps.span, taps.register_length, n, m, L
+    )
     profile = constant_profile(taps, sigma)
     return sigma, gfsga_constant_cost(profile, n, m, L, solver_exponent)
 

@@ -22,6 +22,13 @@ class ConfigError(ValueError):
     """Configuration file is missing fields or internally inconsistent."""
 
 
+# The largest optimize.budget accepted. Step A draws up to 200 times the
+# budget: at 1000, step A+B on configs/optimize_step_b.json (without its
+# differences) takes about 2 s on a 2-core VM, and budget 10**30 was still
+# running after 60 s.
+MAX_OPTIMIZE_BUDGET = 1000
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     n: int
@@ -283,6 +290,13 @@ def parse_config(raw: dict) -> ScenarioConfig:
         chunk_size=_int(opt_obj, "chunk_size", "optimize", 5),
         retries=_int(opt_obj, "retries", "optimize", 6),
     )
+    if not 1 <= optimize.budget <= MAX_OPTIMIZE_BUDGET:
+        raise ConfigError(
+            f"optimize.budget must be between 1 and {MAX_OPTIMIZE_BUDGET}, not {optimize.budget}"
+        )
+    for key, value in (("chunk_size", optimize.chunk_size), ("retries", optimize.retries)):
+        if value < 1:
+            raise ConfigError(f"optimize.{key} must be at least 1, not {value}")
     fmt = _section(raw, "report", "config").get("format", "table")
     if fmt not in ("table", "structured"):
         raise ConfigError("report.format must be table or structured")

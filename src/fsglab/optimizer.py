@@ -20,6 +20,7 @@ from .complexity import (
     DEFAULT_SOLVER_EXPONENT,
     ComplexityEstimate,
     _constant_sweep,
+    _sigma_exponent,
     gfsga_variable_cost,
     optimal_constant_sigma,
 )
@@ -222,25 +223,82 @@ def _ordering_key(cost: float, sigma: int, ordering: tuple[int, ...]):
     return (-cost, -sigma, ordering)
 
 
+# How many of the sigmas that cut earlier orderings are probed first.
+_PROBES = 4
+
+
+def _ceiling(cost: float, solver: float) -> int:
+    """An integer E with E + solver > cost, the smallest one up to float
+    rounding: a sigma priced at E or more keys below an incumbent of that
+    cost, so it cannot cut."""
+    t = math.floor(cost - solver) + 1
+    while t + solver <= cost:  # rounding must never leave a ceiling that can cut
+        t += 1
+    return t
+
+
+def _to_front(probes: list[int], sigma: int) -> None:
+    if sigma in probes:
+        probes.remove(sigma)
+    probes.insert(0, sigma)
+    del probes[_PROBES:]
+
+
 def _bounded_search(orderings, n: int, m: int, L: int, best=None):
     """Branch and bound over orderings: the best (key, ordering, sigma).
 
-    ``best`` is the incumbent or None. An ordering's sweep stops at the first
-    sigma whose running minimum cost keys it no better than the incumbent;
-    from there its key can only grow, so the result is the exact minimum by
-    :func:`_ordering_key`. Sigma 1 always reaches its rank stop, so every
-    ordering has a cost.
+    ``orderings`` are orderings of one difference multiset, which is
+    checked once, with the messages of :class:`TapSet`; each ordering's
+    taps sit at the cumulative sums of its differences from position 1.
+    ``best`` is the incumbent or None.
+
+    An ordering's key is the largest key over its sigmas (its cheapest
+    cost, then the smallest sigma that attains it), so any one sigma whose
+    key reaches the incumbent's proves that the ordering cannot win. With
+    an incumbent in hand, the sigmas that cut earlier orderings in this
+    call are priced first, most recent first (a move-to-front list of at
+    most ``_PROBES``), each stopped at the ceiling of :func:`_ceiling`:
+    past it a sigma cannot cut. Only when no probe cuts does the full sweep
+    run; it stops at the first sigma whose running minimum keys the
+    ordering no better than the incumbent, and that sigma goes to the
+    front of the list. Both cuts are exact, so the result is the exact
+    minimum by :func:`_ordering_key`. Sigma 1 always reaches its rank
+    stop, so every ordering has a cost.
     """
+    if not orderings:
+        return best
+    first = TapSet.from_differences(orderings[0], L)
+    if n != first.n:
+        raise ValueError("n must equal the tap count")
     solver = DEFAULT_SOLVER_EXPONENT * math.log2(L)  # the solver term of log2_total
+    probes: list[int] = []
     for ordering in orderings:
+        mask, span = 1, 0
+        for d in ordering:
+            span += d
+            mask |= 1 << span
         cut = None
         if best is not None:
             bound = best[0]
+            ceiling = _ceiling(-bound[0], solver)
+            hit = next((
+                sigma for sigma in probes
+                if _ordering_key(
+                    _sigma_exponent(mask, span, L, n, m, sigma, ceiling) + solver,
+                    sigma, ordering) >= bound
+            ), None)
+            if hit is not None:
+                if hit != probes[0]:
+                    _to_front(probes, hit)
+                continue
 
             def cut(sigma, e):
-                return _ordering_key(e + solver, sigma, ordering) >= bound
+                if _ordering_key(e + solver, sigma, ordering) < bound:
+                    return False
+                _to_front(probes, sigma)
+                return True
 
-        found = _constant_sweep(TapSet.from_differences(ordering, L), n, m, L, cut)
+        found = _constant_sweep(mask, span, L, n, m, L, cut)
         if found is not None:
             sigma, e = found
             best = (_ordering_key(e + solver, sigma, ordering), ordering, sigma)
@@ -276,9 +334,11 @@ def step_b_best_ordering(
     L: int,
 ) -> tuple[tuple[int, ...], Scorecard]:
     """Exhaustive search over all distinct orderings of the difference multiset,
-    pruned by the branch-and-bound cut of :func:`_bounded_search`: an ordering
-    is dropped at the first sigma that prices it below the best one so far.
-    Only the winner gets a scorecard."""
+    pruned by :func:`_bounded_search`: an ordering is dropped as soon as one
+    sigma prices it below the best one so far. The few sigmas that dropped
+    earlier orderings are tried first, each only up to the exponent where it
+    can still drop one; the full sigma sweep, with its cut, runs only when
+    none of them does. Only the winner gets a scorecard."""
     values = tuple(
         diffs.differences if isinstance(diffs, CandidateDifferenceSet) else diffs
     )

@@ -307,23 +307,19 @@ def test_criterion_11_grain_calibration_sweep():
     with criterion(11, "filter-width calibration against both register tables", 60.0):
         cal6 = grain_calibration("table6")
         cal7 = grain_calibration("table7")
-        ARTIFACT_DIR.mkdir(exist_ok=True)
-        archive = ARTIFACT_DIR / "grain_calibration.json"
-        archive.write_text(
-            json.dumps(
-                {"table6": cal6.to_dict(), "table7": cal7.to_dict()},
-                indent=2,
-                sort_keys=True,
-            )
-        )
     for cal, targets in ((cal6, TABLE6_TARGETS), (cal7, TABLE7_TARGETS)):
         assert cal.best_m in (1, 2, 3, 4)
         assert [r.m for r in cal.rows] == [1, 2, 3, 4]
         for row in cal.rows:
             assert len(row.deltas) == 3
         assert cal.targets == targets
-    assert archive.exists() and archive.stat().st_size > 0
-    print(
-        f"  best m: table6={cal6.best_m}, table7={cal7.best_m}; "
-        f"archived to {archive}"
+    # The sweep must reproduce the checked-in archive; a calibration change
+    # fails here instead of rewriting it.
+    archive = ARTIFACT_DIR / "grain_calibration.json"
+    text = json.dumps(
+        {"table6": cal6.to_dict(), "table7": cal7.to_dict()},
+        indent=2,
+        sort_keys=True,
     )
+    assert text == archive.read_text()
+    print(f"  best m: table6={cal6.best_m}, table7={cal7.best_m}; matches {archive.name}")

@@ -247,6 +247,24 @@ def test_optimize_rejects_workers_option(tmp_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("budget", 10**30), ("budget", 1001), ("budget", 0), ("chunk_size", 0), ("retries", 0)],
+)
+def test_optimize_search_size_out_of_range_is_exit_2(tmp_path, capsys, key, value):
+    # Checked on load, before any search: without the check, budget 10**30
+    # runs step A for hours, and budget 0, chunk_size 0 or retries 0 fail
+    # inside the search with messages that do not name the key.
+    with open(SHIPPED_CONFIGS / "optimize_step_b.json") as fh:
+        doc = json.load(fh)
+    doc["optimize"] = {key: value}
+    cfg = write_config(tmp_path, "bad.json", doc)
+    assert main(["optimize", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: optimize.{key} must be ")
+    assert str(value) in err
+
+
 def test_optimize_two_taps_trivial(tmp_path, capsys):
     gen, _, _ = lfsr_generator_section(16, (2, 9), 2, 1, seed=3)
     cfg = write_config(

@@ -19,7 +19,7 @@ from fsglab import (
     repetition_profile,
     restricted_annihilator_cost,
 )
-from fsglab.complexity import _constant_sweep
+from fsglab.complexity import _constant_sweep, _sigma_exponent
 from fsglab.fixtures import (
     EXAMPLE1_TAPS,
     EXAMPLE3_Q,
@@ -27,6 +27,7 @@ from fsglab.fixtures import (
     EXAMPLE4_Q,
     example4_fixture_profile,
 )
+from fsglab.sampling import _label_mask
 
 EX1 = TapSet(EXAMPLE1_TAPS, 80)
 
@@ -190,20 +191,26 @@ def test_optimal_sigma_equals_full_sweep():
         optimal_constant_sigma(taps, 3, 1, 0)
 
 
+def _per_sample_exponent(taps, n, m, sigma):
+    """E of one sigma priced sample by sample on the label timeline, with no
+    horizon, tail formula or early abandonment."""
+    seen = set(taps.positions)
+    c, total, e = 1, 0, n - m
+    while n * c - total <= taps.register_length:
+        sample = {p + c * sigma for p in taps.positions}
+        q = len(sample & seen)
+        seen |= sample
+        total += q
+        e += max(0, n - m - q)
+        c += 1
+    return e
+
+
 def _per_sample_sweep(taps, n, m, L, cut=None):
-    """Every sigma in 1..L priced sample by sample on the label timeline,
-    with no horizon, tail formula or early abandonment."""
+    """Every sigma in 1..L priced by :func:`_per_sample_exponent`."""
     best = None
     for sigma in range(1, L + 1):
-        seen = set(taps.positions)
-        c, total, e = 1, 0, n - m
-        while n * c - total <= taps.register_length:
-            sample = {p + c * sigma for p in taps.positions}
-            q = len(sample & seen)
-            seen |= sample
-            total += q
-            e += max(0, n - m - q)
-            c += 1
+        e = _per_sample_exponent(taps, n, m, sigma)
         if best is None or e < best[1]:
             best = (sigma, e)
             if cut is not None and cut(sigma, e):
@@ -213,22 +220,56 @@ def _per_sample_sweep(taps, n, m, L, cut=None):
     return best
 
 
+def _random_sweep_instance(rng, i, seen_cases=None):
+    """A tap set on a register of up to 90 cells, every 7th with one tap and
+    every 4th evenly spaced, so that every multiple of the spacing ties."""
+    R = rng.randint(1, 90)
+    n = 1 if i % 7 == 0 else rng.randint(1, min(R, 12))
+    if i % 4 == 0:
+        gap = rng.randint(1, max(1, (R - 1) // max(1, n - 1)))
+        positions = tuple(1 + j * gap for j in range(n))
+        R = max(R, positions[-1])
+        if seen_cases is not None:
+            seen_cases["even"] += n > 2
+    else:
+        positions = tuple(sorted(rng.sample(range(1, R + 1), n)))
+    return TapSet(positions, R), n, rng.randint(1, n)
+
+
+def test_sigma_exponent_equals_per_sample_recurrence():
+    # Uncapped, the kernel is the per-sample recurrence at every sigma,
+    # those above the span included; capped, it is exact below the limit
+    # and at least the limit otherwise.
+    rng = random.Random(0x5E1)
+    exact = capped = short = 0
+    for i in range(200):
+        taps, n, m = _random_sweep_instance(rng, i)
+        R = taps.register_length
+        mask = _label_mask(taps.positions)
+        for sigma in range(1, R + 2):
+            want = _per_sample_exponent(taps, n, m, sigma)
+            assert _sigma_exponent(mask, taps.span, R, n, m, sigma) == want
+            assert _sigma_exponent(mask, taps.span, R, n, m, sigma, math.inf) == want
+            limit = rng.randint(max(0, want - 6), want + 2)
+            got = _sigma_exponent(mask, taps.span, R, n, m, sigma, limit)
+            if want < limit:
+                assert got == want, (taps.positions, R, n, m, sigma, limit)
+                exact += 1
+            else:
+                assert got >= limit, (taps.positions, R, n, m, sigma, limit)
+                capped += 1
+                short += got < want  # stopped inside the horizon
+    assert exact > 1000 and capped > 1000 and short > 200, (exact, capped, short)
+
+
 def test_constant_sweep_equals_per_sample_recurrence():
     rng = random.Random(0x5EE)
     seen_cases = dict.fromkeys(
         ("sigma > span", "L <= span", "n = 1", "even", "cut", "uncut"), 0)
     for i in range(400):
-        R = rng.randint(1, 90)
-        n = 1 if i % 7 == 0 else rng.randint(1, min(R, 12))
-        if i % 4 == 0:  # evenly spaced taps: every multiple of the spacing ties
-            gap = rng.randint(1, max(1, (R - 1) // max(1, n - 1)))
-            positions = tuple(1 + j * gap for j in range(n))
-            R = max(R, positions[-1])
-            seen_cases["even"] += n > 2
-        else:
-            positions = tuple(sorted(rng.sample(range(1, R + 1), n)))
-        taps = TapSet(positions, R)
-        m = rng.randint(1, n)
+        taps, n, m = _random_sweep_instance(rng, i, seen_cases)
+        R, positions = taps.register_length, taps.positions
+        mask = _label_mask(positions)
         L = rng.randint(1, R)
         threshold = rng.randint(0, 2 * R) if i % 2 else -1  # -1: never cut
         logs = ([], [])
@@ -237,7 +278,7 @@ def test_constant_sweep_equals_per_sample_recurrence():
             return lambda sigma, e: log.append((sigma, e)) or e <= threshold
 
         for cut in (None, recording):
-            got = _constant_sweep(taps, n, m, L, cut and recording(logs[0]))
+            got = _constant_sweep(mask, taps.span, R, n, m, L, cut and recording(logs[0]))
             want = _per_sample_sweep(taps, n, m, L, cut and recording(logs[1]))
             assert got == want, (positions, R, n, m, L)
         assert logs[0] == logs[1], (positions, R, n, m, L)

@@ -25,8 +25,9 @@ from fsglab import (
 )
 from fsglab.fixtures import GRAIN_LFSR_TAPS, GRAIN_NFSR_TAPS
 from fsglab import optimizer, sampling
+from fsglab.complexity import _constant_sweep
 from fsglab.optimizer import StageTrace, _ordering_key, _scorecards, _stage_m
-from fsglab.sampling import NoOverdefinedSystemError
+from fsglab.sampling import NoOverdefinedSystemError, _label_mask
 
 
 def test_step_a_candidate_invariants():
@@ -135,6 +136,73 @@ def test_step_b_equals_unbounded_search():
         sigma_ties += len({sigma for sigma, _ in top}) > 1
     assert cost_ties > 100
     assert sigma_ties > 0
+
+
+def _swept_best(orderings, n, m, L):
+    """Every ordering swept in full, uncut, min by _ordering_key."""
+    solver = 3.0 * math.log2(L)
+    rows = []
+    for o in orderings:
+        taps = TapSet.from_differences(o, L)
+        sigma, e = _constant_sweep(_label_mask(taps.positions), taps.span, L, n, m, L)
+        rows.append((_ordering_key(e + solver, sigma, o), o, sigma))
+    return min(rows)
+
+
+def test_bounded_search_equals_unbounded_minimum(monkeypatch):
+    # The probes and the cut are exact: the bounded search returns the
+    # minimum over the incumbent and every ordering. Incumbents come in
+    # four kinds: none; the best of other orderings at the same L; the best
+    # at another L, so that the solver terms differ (as in the staged
+    # search); and one that ties the best ordering's cost and sigma exactly,
+    # where only the ordering decides.
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args)
+        return _constant_sweep(*args)
+
+    monkeypatch.setattr(optimizer, "_constant_sweep", counted)
+    rng = random.Random(0x9B0BE)
+    probed = kinds = 0
+    for i in range(1200):
+        k = rng.randint(3, 5)
+        top = 3 if i % 3 == 0 else 14  # small differences: many cost ties
+        values = tuple(rng.randint(1, top) for _ in range(k))
+        n = k + 1
+        m = rng.randint(1, n - 1)
+        L = sum(values) + 1 + rng.randint(0, 12)
+        orderings = sorted(set(permutations(values)))
+        want = _swept_best(orderings, n, m, L)
+        kind = i % 4
+        if kind == 0:
+            incumbent = None
+        elif kind == 1:
+            incumbent = _swept_best(rng.sample(orderings, (len(orderings) + 1) // 2), n, m, L)
+        elif kind == 2:
+            other_l = max(sum(values) + 1, L + rng.randint(-4, 4))
+            incumbent = _swept_best(orderings, n, m, other_l)
+        else:
+            (cost, sigma, _), _, s = want
+            tied = () if rng.random() < 0.5 else (L,) * k  # sorts before / after
+            incumbent = ((cost, sigma, tied), tied, s)
+        rng.shuffle(orderings)
+        sweeps.clear()
+        got = optimizer._bounded_search(orderings, n, m, L, incumbent)
+        assert got == min(r for r in (want, incumbent) if r is not None), (values, m, L, kind)
+        probed += len(orderings) - len(sweeps)
+        kinds += kind == 3 and got[1] == ()
+    assert probed > 10_000, probed
+    assert kinds > 100, kinds
+
+
+def test_bounded_search_checks_the_multiset_once():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        optimizer._bounded_search([(3, 0, 4)], 4, 1, 20)
+    with pytest.raises(ValueError, match="beyond register length"):
+        optimizer._bounded_search([(3, 9, 4)], 4, 1, 16)
+    with pytest.raises(ValueError, match="n must equal the tap count"):
+        optimizer._bounded_search([(3, 9, 4)], 5, 1, 20)
 
 
 def test_mirrored_ordering_has_same_sweep():
