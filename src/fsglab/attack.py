@@ -3,11 +3,13 @@
 Which filter inputs reread a timeline label fixed by an earlier sample
 depends only on the taps and the schedule, so ``_sample_plan`` works it out
 once, and a path picks its preimages with one lookup in the sample's
-``_buckets``. A path is a label bitset of its guessed bits. The window attack
-walks the samples depth first. The LFSR attack compiles its GF(2) elimination
-once per schedule (``_compile``): parity checks prune, and a state is an XOR
-of label contributions. It expands the samples a level at a time, in slices
-of at most ``_FRONTIER_CAP`` paths, which yields its leaves in the same
+``_buckets``. Every sample reads the first sample's labels shifted, so each
+attack spreads the preimages over those labels once (``_spread_table``) and
+shifts the table per sample. A path is a label bitset of its guessed bits.
+The LFSR attack compiles its GF(2) elimination once per schedule
+(``_compile``): parity checks prune, and a state is an XOR of label
+contributions. Both attacks expand the samples a level at a time, in slices
+of at most ``_FRONTIER_CAP`` paths, which yields the leaves in the same
 order as a depth-first walk. Samples are processed in schedule order and
 preimages in truth-table index order, which makes every run deterministic.
 """
@@ -76,18 +78,27 @@ def _sample_plan(reads: Sequence[Sequence[int]]) -> list[tuple]:
     return plan
 
 
-def _spread(x: int, inputs) -> int:
-    """The label bitset that preimage x sets at the (input, label) pairs."""
-    return sum((x >> i & 1) << label for i, label in inputs)
+def _spread_table(labels: Sequence[int]) -> list[int]:
+    """Entry x: the label bitset that preimage x sets when input i reads
+    ``labels[i]``."""
+    table = [0]
+    for label in labels:
+        table += [spread | 1 << label for spread in table]
+    return table
 
 
-def _buckets(members: Sequence[int], fixed, fresh) -> dict[int, list[int]]:
+def _buckets(members: Sequence[int], table: Sequence[int], mask: int,
+             shift: int) -> dict[int, list[int]]:
     """A sample's preimages as the label bitsets their fresh inputs set,
     grouped by the label bitset their fixed inputs set, so that a path picks
-    its group as ``path & mask``. Truth-table order is kept inside a group."""
+    its group as ``path & mask``. The sample reads the labels of ``table``
+    (a ``_spread_table``) plus ``shift``, and ``mask`` holds its fixed
+    labels. Truth-table order is kept inside a group."""
+    sel = mask >> shift
     groups: dict[int, list[int]] = {}
     for x in members:
-        groups.setdefault(_spread(x, fixed), []).append(_spread(x, fresh))
+        spread = table[x]
+        groups.setdefault((spread & sel) << shift, []).append((spread ^ spread & sel) << shift)
     return groups
 
 
@@ -133,9 +144,11 @@ def _least_covered_order(shifts: Sequence[int], positions: Sequence[int],
     return sorted(range(count), key=covered.__getitem__)  # stable: ties by t
 
 
-def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled) -> tuple:
+def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
+             spreads: Sequence[int], shifts: Sequence[int]) -> tuple:
     """The guess-independent part of ``gfsga_recover``: (steps,
-    contributions, nulls), given each sample's preimages ``sampled[s]``.
+    contributions, nulls), given each sample's preimages ``sampled[s]``,
+    the ``_spread_table`` of the tap positions and each sample's shift.
 
     Fresh label rows are reduced once, in plan order, each tracking the
     labels whose expressions it combines, up to the sample that reaches rank
@@ -151,7 +164,7 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled) -> tu
     """
     basis: dict[int, list[int]] = {}  # pivot column -> [row, label combo]
     steps = []
-    for (mask, fixed, fresh), members in zip(plan, sampled):
+    for (mask, _, fresh), members, shift in zip(plan, sampled, shifts):
         checks = []
         for _, label in fresh:
             row, combo = exprs[label - 1], 1 << label
@@ -169,9 +182,9 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled) -> tu
         else:
             groups: dict[int, list[int]] = {}
             sizes = {}
-            for want, spreads in _buckets(members, fixed, fresh).items():
-                sizes[want] = len(spreads)
-                for spread in spreads:
+            for want, bucket in _buckets(members, spreads, mask, shift).items():
+                sizes[want] = len(bucket)
+                for spread in bucket:
                     key = want
                     for check in checks:
                         key = key << 1 | (spread & check).bit_count() & 1
@@ -250,7 +263,8 @@ def gfsga_recover(
     exprs = label_expressions(gen.register, positions[-1] + len(blocks) - 1)
     table = preimage_table(gen.filter)
     steps, contributions, nulls = _compile(
-        plan, exprs, L, [table.get(blocks[shift]) for shift in shifts])
+        plan, exprs, L, [table.get(blocks[shift]) for shift in shifts],
+        _spread_table(positions), shifts)
     if len(nulls) > completion_cap_bits:
         raise NoOverdefinedSystemError(
             f"labels read have rank {L - len(nulls)} of {L}: {len(nulls)} free bits "
@@ -346,11 +360,17 @@ def nfsr_window_recover(
     2^free completions of their uncovered cells are replayed bitsliced
     against the keystream past the window (``_first_completion``): a lane
     int holds the completions of as many consecutive joints as fit in its
-    2^_LANE_BITS lanes, lane (joint << free) | completion. The first
+    2^_LANE_BITS lanes, lane completion * joints + joint. The first
     surviving completion of the first joint that has one is the recovered
     state, as if every completion were replayed one at a time in enumeration
     order.
-    ``systems_solved`` counts every completion of every joint.
+
+    The joints are expanded a level at a time, as in ``gfsga_recover``: each
+    sample maps the ordered list of live paths to the next, and a list longer
+    than ``_FRONTIER_CAP`` is cut into slices that are expanded one after the
+    other, so the joints come in depth-first order. ``systems_solved`` counts
+    every completion of every joint, and ``candidates_pruned`` every path
+    that finds no preimage.
     """
     families, total_bits, window = _window_geometry(gen)
     n, m = gen.filter.n, gen.filter.m
@@ -364,33 +384,36 @@ def nfsr_window_recover(
     table = preimage_table(gen.filter)
     lengths = [ts.register_length for _, ts in families]
     offsets = [sum(lengths[:r]) for r in range(len(lengths))]
-    plan = _sample_plan([
-        [off + pos + s for off, (_, ts) in zip(offsets, families) for pos in ts.positions]
-        for s in range(window)
-    ])
+    labels = [off + pos for off, (_, ts) in zip(offsets, families) for pos in ts.positions]
+    plan = _sample_plan([[label + s for label in labels] for s in range(window)])
+    spreads = _spread_table(labels)
     groups = []
-    for sample, (_, fixed, fresh) in enumerate(plan):
+    for sample, (mask, _, _) in enumerate(plan):
         members = table.get(blocks[sample])
-        groups.append(None if members is None else _buckets(members, fixed, fresh))
+        groups.append(None if members is None else _buckets(members, spreads, mask, sample))
 
     pruned = 0
     joints: list[int] = []
 
-    def dfs(sample: int, path: int) -> None:
+    def expand(first: int, paths: list[int]) -> None:
+        """Grow ``paths`` from sample ``first`` to the end of the window."""
         nonlocal pruned
-        if sample == window:
-            joints.append(path)
-            return
-        if groups[sample] is None:
-            pruned += 1
-            return
-        filtered = groups[sample].get(path & plan[sample][0], ())
-        if not filtered:
-            pruned += 1
-        for spread in filtered:
-            dfs(sample + 1, path | spread)
+        for sample in range(first, window):
+            if groups[sample] is None:
+                pruned += len(paths)
+                return
+            mask, get = plan[sample][0], groups[sample].get
+            # A missing key reads (); every bucket is a non-empty list.
+            branches = [get(path & mask, ()) for path in paths]
+            pruned += branches.count(())
+            paths = [path | spread for path, bucket in zip(paths, branches) for spread in bucket]
+            if sample < window - 1 and len(paths) > _FRONTIER_CAP:
+                for cut in range(0, len(paths), _FRONTIER_CAP):
+                    expand(sample + 1, paths[cut:cut + _FRONTIER_CAP])
+                return
+        joints.extend(paths)
 
-    dfs(0, 0)
+    expand(0, [0])
 
     # Covered labels are the plan's fresh labels; every joint fixes them all.
     # Label j is cell j - 1, so a joint's cell bitset is joint >> 1.
@@ -435,15 +458,19 @@ def _first_completion(
     The candidates are replayed bitsliced (Biham, FSE 1997): each cell is one
     lane int with one bit per candidate, at most 2^_LANE_BITS lanes per
     chunk, chunks in ascending order. The first f = min(free, _LANE_BITS)
-    free cells vary inside a chunk: lane (i << f) | k is the chunk's base i
-    with those cells set as in k. A chunk holds 2^(_LANE_BITS - f)
-    consecutive bases when free <= _LANE_BITS; otherwise it holds one base,
-    with the other free cells fixed per chunk. Each register keeps a
-    timeline of lane ints, one entry appended per clock, so cell p at time t
-    is ``line[t + p - 1]``. A block keeps the lanes whose tap values form one
-    of its preimages, and a chunk stops once no lane is left. The lowest
-    surviving lane of the first chunk that has one is the first candidate in
-    enumeration order.
+    free cells vary inside a chunk: with ``size`` bases in the chunk, lane
+    k * size + i is base i with those cells set as in k, so a cell's lane int
+    is its column of base bits times a repeat of ones. A chunk holds
+    2^(_LANE_BITS - f) consecutive bases when free <= _LANE_BITS; otherwise
+    it holds one base, with the other free cells fixed per chunk. Each
+    register keeps a timeline of lane ints, one entry appended per clock, so
+    cell p at time t is ``line[t + p - 1]``. A block keeps the lanes whose
+    tap values form one of its preimages, and a chunk stops once no lane is
+    left. Once a block leaves one lane, every timeline entry is cut down to
+    that lane's bit, and each later block looks its tap values up in the
+    truth table directly. In the first chunk with a surviving lane, the
+    first candidate in enumeration order is the lowest live lane of the
+    lowest base that has one.
     """
     reg, taps = gen.register, gen.taps
     hybrid = isinstance(reg, HybridSpec)
@@ -455,35 +482,38 @@ def _first_completion(
     feedback = [p - 1 for p in reg.lfsr.feedback_positions] if hybrid else []
     coupled = hybrid and reg.coupling
     monomials = [[p - 1 for p in mono] for mono in nfsr.monomials]
+    truth_table = gen.filter.truth_table
 
     f = min(len(free_cells), _LANE_BITS)
     per_chunk = 1 << (_LANE_BITS - f)  # 1 when free > _LANE_BITS
-    block = (1 << (1 << f)) - 1  # the 2^f lanes of one joint
-    gap = "0" * ((1 << f) - 1)
     high = free_cells[f:]  # constant within a chunk
     for start in range(0, len(bases), per_chunk):
         joints = bases[start:start + per_chunk]
-        full = (1 << (len(joints) << f)) - 1
-        constant = full if nfsr.constant_term else 0
-        # Transpose: one binary string per joint, last joint first, so
-        # column c holds cell width - 1 - c of every joint; spaced 2^f apart
-        # and times ``block``, joint i's bit fills lanes i << f onwards.
-        rows = [format(base, f"0{width}b") for base in reversed(joints)]
-        cells = [int(gap.join(column), 2) * block for column in zip(*rows)][::-1]
-        # Free cell i < f: lane (joint << f) | k set iff bit i of k is.
+        size = len(joints)
+        full = (1 << (size << f)) - 1
+        repeat = full // ((1 << size) - 1)  # lane k * size for every k
+        # Transpose: one binary string per joint, last joint first, so every
+        # width-th character from ``width - 1 - j`` holds cell j of every
+        # joint; times ``repeat``, joint i's bit fills lanes k * size + i.
+        rows = "".join([format(base, f"0{width}b") for base in reversed(joints)])
+        cells = [int(rows[width - 1 - j::width], 2) * repeat for j in range(width)]
+        # Free cell i < f: lane k * size + joint set iff bit i of k is.
         for i, j in enumerate(free_cells[:f]):
-            cells[j] = (((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1))
+            run = size << i
+            cells[j] = ((1 << run) - 1 << run) * (full // ((1 << 2 * run) - 1))
         for chunk in range(1 << len(high)):
             for i, j in enumerate(high):
                 cells[j] = full if chunk >> i & 1 else 0
             lfsr_line, nfsr_line = cells[:split], cells[split:]
-            alive = full
+            alive = ones = full
+            constant = ones if nfsr.constant_term else 0
+            lane = None  # the one live lane, once the lines are cut down to it
             for t, z in enumerate(blocks):
                 if t:
                     s = t - 1
                     bit = constant ^ lfsr_line[s] if coupled else constant
                     for mono in monomials:
-                        prod = full
+                        prod = ones
                         for o in mono:
                             prod &= nfsr_line[s + o]
                         bit ^= prod
@@ -498,21 +528,39 @@ def _first_completion(
                 members = table.get(z)
                 if members is None:  # no state at all yields this block
                     return None
+                reads = [lfsr_line[t + o] for o in lfsr_reads] + [
+                    nfsr_line[t + o] for o in nfsr_reads]
+                if lane is not None:
+                    if truth_table[sum(tap << i for i, tap in enumerate(reads))] != z:
+                        alive = 0
+                        break
+                    continue
                 # terms[x]: the live lanes whose tap values spell table index x.
                 terms = [alive]
-                for tap in [lfsr_line[t + o] for o in lfsr_reads] + [
-                        nfsr_line[t + o] for o in nfsr_reads]:
-                    off = tap ^ full
+                for tap in reads:
+                    off = tap ^ ones
                     terms = [lanes & off for lanes in terms] + [lanes & tap for lanes in terms]
                 alive = 0
                 for x in members:
                     alive |= terms[x]
                 if not alive:
                     break
+                if not alive & alive - 1:
+                    # One live lane: every line keeps only its bit, so each
+                    # later block reads its truth-table index directly.
+                    lane = alive.bit_length() - 1
+                    lfsr_line = [line >> lane & 1 for line in lfsr_line]
+                    nfsr_line = [line >> lane & 1 for line in nfsr_line]
+                    alive = ones = 1
+                    constant &= 1
             if alive:
-                lane = (alive & -alive).bit_length() - 1
-                k = chunk << f | lane & (1 << f) - 1
-                return joints[lane >> f] | sum(
+                if lane is None:
+                    # The first joint with a live lane, then its first one.
+                    joint = next(i for i in range(size) if alive >> i & repeat)
+                    live = alive >> joint & repeat
+                    lane = (live & -live).bit_length() - 1 + joint
+                k = chunk << f | lane // size
+                return joints[lane % size] | sum(
                     1 << j for i, j in enumerate(free_cells) if k >> i & 1)
     return None
 

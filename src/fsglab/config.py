@@ -297,6 +297,15 @@ def parse_config(raw: dict) -> ScenarioConfig:
     for key, value in (("chunk_size", optimize.chunk_size), ("retries", optimize.retries)):
         if value < 1:
             raise ConfigError(f"optimize.{key} must be at least 1, not {value}")
+    if optimize.differences is not None:
+        for value in optimize.differences:
+            if value < 1:
+                raise ConfigError(f"optimize.differences entries must be at least 1, not {value}")
+        span = sum(optimize.differences)
+        if span > gen.total_length - 1:
+            raise ConfigError(
+                f"optimize.differences sum to {span}, beyond L - 1 = {gen.total_length - 1}"
+            )
     fmt = _section(raw, "report", "config").get("format", "table")
     if fmt not in ("table", "structured"):
         raise ConfigError("report.format must be table or structured")

@@ -37,10 +37,12 @@ from fsglab.attack import (
     _least_covered_order,
     _regenerates,
     _sample_plan,
+    _spread_table,
 )
 from fsglab.gf2 import rank_of
 from fsglab.registers import label_expressions
 from gfsga_reference import reference_gfsga_recover
+from window_reference import reference_window_joints
 
 
 def planted_lfsr_instance(rng, L, n, m, filter_seed=None):
@@ -86,10 +88,16 @@ def test_sample_plan_against_brute_force():
                                   if label in earlier)
             assert fresh == tuple((i, label) for i, label in enumerate(labels)
                                   if label not in earlier)
+            # Both attacks read the first sample's labels shifted.
+            shift = labels[0] - reads[0][0]
+            assert labels == [label + shift for label in reads[0]]
             n = len(labels)
             path = rng.getrandbits(max(max(row) for row in reads) + 1)
             members = sorted(rng.sample(range(1 << n), rng.randint(0, 1 << n)))
-            assert _buckets(members, fixed, fresh).get(path & mask, []) == [
+            groups = _buckets(members, _spread_table(reads[0]), mask, shift)
+            assert all(key & ~mask == 0 for key in groups)
+            assert sum(map(len, groups.values())) == len(members)
+            assert groups.get(path & mask, []) == [
                 sum((x >> i & 1) << label for i, label in fresh) for x in members
                 if all((x >> i) & 1 == (path >> label) & 1 for i, label in fixed)
             ]
@@ -552,6 +560,35 @@ def test_bitsliced_sweep_matches_scalar_reference(monkeypatch):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("cap", [1, 3, 1024])
+def test_window_level_walk_matches_depth_first_reference(monkeypatch, cap):
+    # The joints reach the replay in depth-first order, whichever slices the
+    # levels are cut into, and prunes count the same paths.
+    rng = random.Random(64)
+    monkeypatch.setattr(attack, "_FRONTIER_CAP", cap)
+    replayed = []
+    monkeypatch.setattr(attack, "_first_completion",
+                        lambda gen, blocks, table, bases, *rest: replayed.append(bases))
+    seen = dict.fromkeys(("pruned", "window-no-preimage", "no-joint", "sliced"), 0)
+    for index in range(210):
+        kind = ("nfsr", "coupled", "uncoupled")[index % 3]
+        gen, _, blocks, missing = _window_instance(rng, kind)
+        window = attack._window_geometry(gen)[2]
+        if missing and index % 4 == 0:
+            blocks[rng.randrange(window)] = missing[0]
+        joints, pruned, widths = reference_window_joints(gen, blocks)
+        recovery, result = nfsr_window_recover(gen, blocks)
+        assert replayed.pop() == [joint >> 1 for joint in joints], index
+        assert result.candidates_pruned == pruned, index
+        assert result.systems_solved == len(joints) << recovery.remaining_guess
+        seen["pruned"] += pruned > 0
+        seen["window-no-preimage"] += any(z in missing for z in blocks[:window])
+        seen["no-joint"] += not joints
+        # A level past the first sample and short of the last is sliced.
+        seen["sliced"] += max(widths[1:], default=0) > cap
+    assert all(count for key, count in seen.items() if key != "sliced" or cap < 1024), seen
+
+
 def test_bitsliced_sweep_chunks_keep_enumeration_order():
     # 14 free cells: 16 chunks of 2^10 completions. A bijective filter leaves
     # one joint, and the planted state is completion 1029, in the second chunk.
@@ -638,6 +675,54 @@ def test_bitsliced_sweep_earlier_joint_in_a_chunk_wins(monkeypatch):
                 patch.setattr(attack, "_LANE_BITS", lane_bits)
                 got = attack._first_completion(gen, blocks, table, bases, free, 0)
             assert got == expected, (bases, lane_bits)
+
+
+class _CountedTable(tuple):
+    """A truth table that records the indices it is read at."""
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return tuple.__getitem__(self, index)
+
+
+def test_single_lane_finish_keeps_enumeration_order(monkeypatch):
+    # 1023 bases fail block 0 and a slow loser regenerates the next blocks,
+    # so block 0 leaves one lane in the chunk of the first 1024 bases. The
+    # loser fails later; the planted state, second in the next chunk, wins.
+    # At 1 and 3 lane bits the same happens in smaller chunks. Only a chunk
+    # cut down to one lane reads the truth table.
+    L = 12
+    nfsr = NfsrSpec(L, 0, (frozenset({4}), frozenset({6, 9}), frozenset({5, 11})))
+    taps = TapSet((4, 5, 6), L)
+    gen = GeneratorSpec(nfsr, taps, FilterSpec.uniform_random(3, 1, seed=11))
+    state = (1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0)
+    blocks = keystream(gen, state, 5 + 2 * L)
+    table = preimage_table(gen.filter)
+    rng = random.Random(63)
+    dead, slow = [], None
+    while len(dead) < 1024 or slow is None:
+        value = rng.getrandbits(L)
+        stream = keystream(gen, attack._state(value, [L]), len(blocks))
+        if stream[0] != blocks[0]:
+            dead.append(value)
+        elif stream[:4] == blocks[:4] and stream != blocks:
+            slow = value
+    fails_at = next(t for t, z in enumerate(keystream(gen, attack._state(slow, [L]), len(blocks)))
+                    if z != blocks[t])
+    bases = dead[:1023] + [slow, dead[1023], _cells(state)]
+    assert _scalar_first_completion(gen, blocks, bases, [], [L]) == _cells(state)
+    counted = FilterSpec(3, 1, gen.filter.truth_table)
+    object.__setattr__(counted, "truth_table", _CountedTable(gen.filter.truth_table))
+    counted.truth_table.reads = []
+    counted_gen = GeneratorSpec(nfsr, taps, counted)
+    for lane_bits in (attack._LANE_BITS, 1, 3):
+        counted.truth_table.reads.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(attack, "_LANE_BITS", lane_bits)
+            got = attack._first_completion(counted_gen, blocks, table, bases, [], 0)
+        assert got == _cells(state), lane_bits
+        # The loser's blocks 1..fails_at, then the winner's blocks 1..end.
+        assert len(counted.truth_table.reads) == fails_at + len(blocks) - 1, lane_bits
 
 
 def test_keystream_file_round_trip(tmp_path):

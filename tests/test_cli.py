@@ -265,6 +265,24 @@ def test_optimize_search_size_out_of_range_is_exit_2(tmp_path, capsys, key, valu
     assert str(value) in err
 
 
+@pytest.mark.parametrize("differences,named", [
+    ([5, 13, 7, 0, 11, 17], "not 0"),
+    ([5, 13, -2, 26, 11, 17], "not -2"),
+    ([50, 13, 7, 26, 11, 17], "sum to 124, beyond L - 1 = 79"),
+])
+def test_optimize_bad_differences_are_exit_2(tmp_path, capsys, differences, named):
+    # Checked on load: the tap set built from them used to fail with a
+    # message that named neither the key nor the entry.
+    with open(SHIPPED_CONFIGS / "optimize_step_b.json") as fh:
+        doc = json.load(fh)
+    doc["optimize"]["differences"] = differences
+    cfg = write_config(tmp_path, "bad.json", doc)
+    assert main(["optimize", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: optimize.differences ")
+    assert named in err
+
+
 def test_optimize_two_taps_trivial(tmp_path, capsys):
     gen, _, _ = lfsr_generator_section(16, (2, 9), 2, 1, seed=3)
     cfg = write_config(
