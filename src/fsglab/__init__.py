@@ -38,8 +38,6 @@ from .registers import (  # noqa: F401
     LfsrSpec,
     NfsrSpec,
     keystream,
-    lfsr_step,
-    nfsr_step,
     preimage_table,
     primitive_lfsr,
     primitive_lengths,

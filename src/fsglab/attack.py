@@ -29,6 +29,8 @@ from .registers import (
     NfsrSpec,
     label_expressions,
     preimage_table,
+    tap_reads,
+    timeline_clock,
 )
 from .sampling import NoOverdefinedSystemError, SamplingSchedule
 
@@ -463,8 +465,9 @@ def _first_completion(
     is its column of base bits times a repeat of ones. A chunk holds
     2^(_LANE_BITS - f) consecutive bases when free <= _LANE_BITS; otherwise
     it holds one base, with the other free cells fixed per chunk. Each
-    register keeps a timeline of lane ints, one entry appended per clock, so
-    cell p at time t is ``line[t + p - 1]``. A block keeps the lanes whose
+    register keeps a timeline of lane ints, so cell p at time t is
+    ``line[t + p - 1]``; ``timeline_clock`` runs them through the window in
+    one call, then one clock per tested block. A block keeps the lanes whose
     tap values form one of its preimages, and a chunk stops once no lane is
     left. Once a block leaves one lane, every timeline entry is cut down to
     that lane's bit, and each later block looks its tap values up in the
@@ -472,16 +475,12 @@ def _first_completion(
     first candidate in enumeration order is the lowest live lane of the
     lowest base that has one.
     """
-    reg, taps = gen.register, gen.taps
+    reg = gen.register
     hybrid = isinstance(reg, HybridSpec)
-    nfsr = reg.nfsr if hybrid else reg
     split = reg.lfsr.length if hybrid else 0
-    width = split + nfsr.length
-    lfsr_reads = [p - 1 for p in taps.lfsr.positions] if hybrid else []
-    nfsr_reads = [p - 1 for p in (taps.nfsr if hybrid else taps).positions]
-    feedback = [p - 1 for p in reg.lfsr.feedback_positions] if hybrid else []
-    coupled = hybrid and reg.coupling
-    monomials = [[p - 1 for p in mono] for mono in nfsr.monomials]
+    width = split + (reg.nfsr if hybrid else reg).length
+    advance = timeline_clock(reg)
+    reads = tap_reads(gen.taps)
     truth_table = gen.filter.truth_table
 
     f = min(len(free_cells), _LANE_BITS)
@@ -504,40 +503,26 @@ def _first_completion(
         for chunk in range(1 << len(high)):
             for i, j in enumerate(high):
                 cells[j] = full if chunk >> i & 1 else 0
-            lfsr_line, nfsr_line = cells[:split], cells[split:]
+            lines = [cells[:split], cells[split:]] if hybrid else [cells[:]]
             alive = ones = full
-            constant = ones if nfsr.constant_term else 0
             lane = None  # the one live lane, once the lines are cut down to it
-            for t, z in enumerate(blocks):
-                if t:
-                    s = t - 1
-                    bit = constant ^ lfsr_line[s] if coupled else constant
-                    for mono in monomials:
-                        prod = ones
-                        for o in mono:
-                            prod &= nfsr_line[s + o]
-                        bit ^= prod
-                    nfsr_line.append(bit)
-                    if hybrid:
-                        bit = 0
-                        for o in feedback:
-                            bit ^= lfsr_line[s + o]
-                        lfsr_line.append(bit)
-                if t < checked:
-                    continue
+            advance(lines, checked, ones)  # through the window, untested
+            for t in range(checked, len(blocks)):
+                if t > checked:
+                    advance(lines, 1, ones)
+                z = blocks[t]
                 members = table.get(z)
                 if members is None:  # no state at all yields this block
                     return None
-                reads = [lfsr_line[t + o] for o in lfsr_reads] + [
-                    nfsr_line[t + o] for o in nfsr_reads]
+                values = [lines[r][t + o] for r, o in reads]
                 if lane is not None:
-                    if truth_table[sum(tap << i for i, tap in enumerate(reads))] != z:
+                    if truth_table[sum(tap << i for i, tap in enumerate(values))] != z:
                         alive = 0
                         break
                     continue
                 # terms[x]: the live lanes whose tap values spell table index x.
                 terms = [alive]
-                for tap in reads:
+                for tap in values:
                     off = tap ^ ones
                     terms = [lanes & off for lanes in terms] + [lanes & tap for lanes in terms]
                 alive = 0
@@ -549,10 +534,8 @@ def _first_completion(
                     # One live lane: every line keeps only its bit, so each
                     # later block reads its truth-table index directly.
                     lane = alive.bit_length() - 1
-                    lfsr_line = [line >> lane & 1 for line in lfsr_line]
-                    nfsr_line = [line >> lane & 1 for line in nfsr_line]
+                    lines = [[cell >> lane & 1 for cell in line] for line in lines]
                     alive = ones = 1
-                    constant &= 1
             if alive:
                 if lane is None:
                     # The first joint with a live lane, then its first one.

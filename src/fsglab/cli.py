@@ -177,7 +177,6 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
         raise ConfigError("attack needs a concrete filter (source hex or random)")
     if not config.attack.keystream:
         raise ConfigError("attack.keystream path is required")
-    gen = gen_cfg.build_generator(0 if seed is None else seed)
     try:
         header, blocks = read_keystream_file(config.attack.keystream)
     except FileNotFoundError:
@@ -186,10 +185,13 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
         raise AttackFailure(
             f"cannot read keystream file {config.attack.keystream}: {exc.strerror}")
     n, m, L, _count = header
-    if (n, m, L) != (gen.filter.n, gen.filter.m, gen_cfg.total_length):
+    # Checked before the filter is built: a random filter's 2^n table can
+    # take seconds to build.
+    if (n, m, L) != (gen_cfg.filter.n, gen_cfg.filter.m, gen_cfg.total_length):
         raise AttackFailure(
             f"keystream header (n={n}, m={m}, L={L}) does not match the configuration"
         )
+    gen = gen_cfg.build_generator(0 if seed is None else seed)
     payload: dict = {"notes": []}
     started = time.perf_counter()
     if isinstance(gen.register, LfsrSpec):

@@ -231,12 +231,18 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
     return cfg
 
 
-def _parse_stop(obj, context: str) -> Stop:
+def _parse_stop(obj, context: str, L: int) -> Stop:
     if obj is None:
         return RankStop()
     if isinstance(obj, dict):
         if "samples" in obj:
-            return SampleStop(_int(obj, "samples", f"{context}.stop"))
+            samples = _int(obj, "samples", f"{context}.stop")
+            # Every sample adds at least one distinct equation, so L - n + 2
+            # samples always overdefine the system; more only spend time.
+            if not 1 <= samples <= L:
+                raise ConfigError(
+                    f"{context}.stop.samples must lie in 1..L = {L}, not {samples}")
+            return SampleStop(samples)
         if obj.get("rank", True):
             return RankStop()
     raise ConfigError(f"{context}.stop must be {{'rank': true}} or {{'samples': c}}")
@@ -259,7 +265,8 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
         if any(not 1 <= s <= limit for s in schedule):
             raise ConfigError("schedule steps must lie in 1..L")
     stop_default = None if mode == "custom" else RankStop()
-    stop = _parse_stop(obj["stop"], "analysis") if "stop" in obj else stop_default
+    stop = (_parse_stop(obj["stop"], "analysis", gen.total_length) if "stop" in obj
+            else stop_default)
     return AnalysisConfig(
         mode=mode,
         sigma=None if obj.get("sigma") is None else _int(obj, "sigma", "analysis"),

@@ -6,7 +6,14 @@ Conventions (used everywhere in this package):
   cell's content one place toward cell 1 and feeds the newly computed bit
   into cell L. Hence the bit sitting in cell j at time 0 sits in cell j - t
   after t clocks (while j - t >= 1).
-* States are tuples of 0/1 with index 0 holding cell 1.
+* A register is clocked on its timeline: the list of every bit that has
+  entered it, initial cells first, so entry t + p - 1 is cell p at time t
+  (timeline label j is entry j - 1). ``timeline_clock`` is the only clock:
+  ``keystream`` runs it on 0/1 entries, ``label_expressions`` on coefficient
+  bitsets, and the window attack's replay on lane ints that hold one
+  candidate per bit.
+* States are tuples of 0/1 with index 0 holding cell 1; a hybrid state is a
+  pair of them, LFSR first.
 * Filter inputs x_1..x_n are read from tap positions l_1 < ... < l_n; the
   truth-table index is sum(x_i * 2^(i-1)) and output blocks pack z_1 as the
   least significant bit.
@@ -18,9 +25,6 @@ import random
 from dataclasses import dataclass
 
 from .sampling import TapSet
-
-State = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class LfsrSpec:
@@ -95,12 +99,6 @@ class FilterSpec:
         if any(not 0 <= v < (1 << self.m) for v in self.truth_table):
             raise ValueError("truth table entry out of range")
         object.__setattr__(self, "truth_table", tuple(self.truth_table))
-
-    def apply(self, bits: tuple[int, ...]) -> int:
-        idx = 0
-        for i, b in enumerate(bits):
-            idx |= (b & 1) << i
-        return self.truth_table[idx]
 
     def to_hex(self) -> str:
         """Lowercase hex, one zero-padded entry per table slot, entry 0 first."""
@@ -204,84 +202,82 @@ def primitive_lengths() -> tuple[int, ...]:
     return tuple(sorted(_PRIMITIVE_EXPONENTS))
 
 
-def lfsr_step(state: State, spec: LfsrSpec) -> State:
-    """One clock: shift toward cell 1, feedback bit enters cell L."""
-    if len(state) != spec.length:
-        raise ValueError("state length mismatch")
-    fb = 0
-    for p in spec.feedback_positions:
-        fb ^= state[p - 1]
-    return state[1:] + (fb,)
-
-
-def nfsr_step(state: State, spec: NfsrSpec, xor_in: int = 0) -> State:
-    """One clock of the nonlinear register; ``xor_in`` folds a coupled bit in."""
-    if len(state) != spec.length:
-        raise ValueError("state length mismatch")
-    bit = spec.constant_term ^ (xor_in & 1)
-    for mono in spec.monomials:
-        prod = 1
-        for p in mono:
-            prod &= state[p - 1]
-            if not prod:
-                break
-        bit ^= prod
-    return state[1:] + (bit,)
-
-
-def hybrid_step(state: tuple[State, State], spec: HybridSpec) -> tuple[State, State]:
-    lfsr_state, nfsr_state = state
-    xor_in = lfsr_state[0] if spec.coupling else 0
-    return (
-        lfsr_step(lfsr_state, spec.lfsr),
-        nfsr_step(nfsr_state, spec.nfsr, xor_in=xor_in),
-    )
-
-
-def step_register(state, register):
-    if isinstance(register, LfsrSpec):
-        return lfsr_step(state, register)
-    if isinstance(register, NfsrSpec):
-        return nfsr_step(state, register)
-    if isinstance(register, HybridSpec):
-        return hybrid_step(state, register)
-    raise TypeError(f"unknown register spec {type(register).__name__}")
-
-
-def read_taps(state, taps) -> tuple[int, ...]:
+def tap_reads(taps) -> list[tuple[int, int]]:
+    """(timeline, offset) per filter input: input i reads ``lines[r][t + o]``."""
     if isinstance(taps, HybridTaps):
-        lfsr_state, nfsr_state = state
-        return tuple(lfsr_state[p - 1] for p in taps.lfsr.positions) + tuple(
-            nfsr_state[p - 1] for p in taps.nfsr.positions
-        )
-    return tuple(state[p - 1] for p in taps.positions)
+        return [(0, p - 1) for p in taps.lfsr.positions] + [
+            (1, p - 1) for p in taps.nfsr.positions]
+    return [(0, p - 1) for p in taps.positions]
+
+
+def timeline_clock(register):
+    """The clock of ``register`` on timelines: ``advance(lines, clocks, ones)``.
+
+    ``lines`` holds one timeline per register (LFSR first in a hybrid), all
+    at the same time t: a timeline of a length-L register holds L + t
+    entries. ``advance`` appends ``clocks`` entries to each, the bits that
+    enter cell L. Entries are lane ints under the all-lanes mask ``ones``;
+    the LFSR part only XORs entries, so it also runs on coefficient bitsets.
+    The feedback and monomial offsets are worked out here, once per run.
+    """
+    hybrid = isinstance(register, HybridSpec)
+    lfsr = register.lfsr if hybrid else register if isinstance(register, LfsrSpec) else None
+    nfsr = register.nfsr if hybrid else register if isinstance(register, NfsrSpec) else None
+    length = (lfsr or nfsr).length  # of lines[0]
+    feedback = sorted(p - 1 for p in lfsr.feedback_positions) if lfsr else None
+    monomials = [sorted(p - 1 for p in mono) for mono in nfsr.monomials] if nfsr else None
+    constant_term = nfsr.constant_term if nfsr else 0
+    coupled = hybrid and register.coupling
+
+    def advance(lines: list[list[int]], clocks: int, ones: int = 1) -> None:
+        lfsr_line, nfsr_line = lines[0], lines[-1]  # one list for one register
+        first = len(lfsr_line) - length  # the time t of every timeline
+        constant = ones if constant_term else 0
+        for s in range(first, first + clocks):
+            if monomials is not None:
+                bit = constant ^ lfsr_line[s] if coupled else constant
+                for mono in monomials:
+                    prod = ones
+                    for o in mono:
+                        prod &= nfsr_line[s + o]
+                    bit ^= prod
+                nfsr_line.append(bit)
+            if feedback is not None:
+                bit = 0
+                for o in feedback:
+                    bit ^= lfsr_line[s + o]
+                lfsr_line.append(bit)
+
+    return advance
 
 
 def keystream(gen: GeneratorSpec, initial_state, count: int) -> list[int]:
     """First block is filtered from the initial state, then clock once per block."""
-    state = initial_state
-    blocks = []
-    for _ in range(count):
-        blocks.append(gen.filter.apply(read_taps(state, gen.taps)))
-        state = step_register(state, gen.register)
-    return blocks
+    reg = gen.register
+    hybrid = isinstance(reg, HybridSpec)
+    states = initial_state if hybrid else (initial_state,)
+    lengths = (reg.lfsr.length, reg.nfsr.length) if hybrid else (reg.length,)
+    if tuple(map(len, states)) != lengths:
+        raise ValueError("state length mismatch")
+    lines = [list(state) for state in states]
+    timeline_clock(reg)(lines, count - 1)
+    # Block t's truth-table index: bit i is input i's timeline entry t + o.
+    idx = [0] * count
+    for i, (r, o) in enumerate(tap_reads(gen.taps)):
+        idx = [x | bit << i for x, bit in zip(idx, lines[r][o:o + count])]
+    truth_table = gen.filter.truth_table
+    return [truth_table[x] for x in idx]
 
 
 def label_expressions(spec: LfsrSpec, max_label: int) -> list[int]:
     """Coefficient bitsets for timeline labels 1..max_label.
 
-    Label j <= L is initial cell j; later labels follow the feedback
-    recurrence. Index 0 of the result is label 1.
+    Label j <= L is initial cell j; later labels are the LFSR's timeline run
+    on coefficient bitsets. Index 0 of the result is label 1.
     """
-    L = spec.length
-    exprs = [1 << j for j in range(min(L, max_label))]
-    offsets = [p - L - 1 for p in sorted(spec.feedback_positions)]
-    for label in range(L + 1, max_label + 1):
-        acc = 0
-        for off in offsets:
-            acc ^= exprs[label + off - 1]
-        exprs.append(acc)
-    return exprs
+    exprs = [1 << j for j in range(spec.length)]
+    timeline_clock(spec)([exprs], max_label - spec.length)
+    return exprs[:max_label]
 
 
 def preimage_table(filt: FilterSpec) -> dict[int, tuple[int, ...]]:

@@ -7,8 +7,10 @@ elimination once per schedule; the tests hold the two equal.
 """
 
 from fsglab.attack import KeystreamFormatError, _sample_plan
-from fsglab.registers import label_expressions, preimage_table, read_taps, step_register
+from fsglab.registers import label_expressions, preimage_table
 from fsglab.sampling import NoOverdefinedSystemError, repetition_profile
+
+from register_reference import apply, read_taps, step_register
 
 ADDED = 0
 DEPENDENT = 1
@@ -77,7 +79,7 @@ class Eliminator:
 
 def _replays(gen, state, observed) -> bool:
     for z in observed:
-        if gen.filter.apply(read_taps(state, gen.taps)) != z:
+        if apply(gen.filter, read_taps(state, gen.taps)) != z:
             return False
         state = step_register(state, gen.register)
     return True

@@ -730,3 +730,60 @@ def test_usage_error_leaves_the_shared_parser_intact(capsys):
     assert "--workers" in capsys.readouterr().err
     after = _structured(argv, capsys)
     assert json.dumps(after, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["analyze", "attack"])
+@pytest.mark.parametrize("samples", [0, 21, 100000, 10**9])
+def test_sample_stop_outside_1_to_L_is_exit_2(tmp_path, capsys, command, samples):
+    # Refused on load: 100000 samples used to build a schedule for seconds
+    # before the attack exited 4 and analyze printed megabytes.
+    doc = json.loads((SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
+    doc["analysis"]["stop"] = {"samples": samples}
+    doc["attack"]["keystream"] = str(tmp_path / "missing.ks")
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: analysis.stop.samples must lie in 1..L = 20, not {samples}\n"
+
+
+def test_sample_stop_at_L_is_accepted(tmp_path, capsys):
+    doc = json.loads((SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
+    doc["analysis"]["stop"] = {"samples": 20}
+    assert main(["analyze", "--config", write_config(tmp_path, "c.json", doc)]) == 0
+
+
+def test_attack_header_mismatch_exits_before_building_the_filter(tmp_path, monkeypatch):
+    def refuse(cls, n, m, seed):
+        raise AssertionError("the filter was built before the header check")
+
+    gen_section, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)
+    gen_section["filter"] = {"n": 5, "m": 2, "source": "random", "seed": 1}
+    monkeypatch.setattr(FilterSpec, "uniform_random", classmethod(refuse))
+    ks = tmp_path / "stream.ks"
+    write_keystream_file(ks, 5, 2, 21, [1] * 60)  # wrong L
+    cfg = write_config(tmp_path, "c.json", {
+        "generator": gen_section,
+        "analysis": {"mode": "greedy"},
+        "attack": {"keystream": str(ks)},
+    })
+    assert main(["attack", "--config", cfg]) == 4
+
+
+def test_readme_attack_demo_recovers_the_planted_state(tmp_path, capsys, monkeypatch):
+    readme = (SHIPPED_CONFIGS.parent / "README.md").read_text()
+    demo = readme.split("### End-to-end attack demo", 1)[1]
+    script = demo.split("python - <<'PY'\n", 1)[1].split("\nPY\n", 1)[0]
+    assert "fsglab attack --config configs/toy_attack_lfsr.json" in demo
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "toy_attack_lfsr.json").write_text(
+        (SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
+    src = str(SHIPPED_CONFIGS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-"], input=script, text=True, cwd=tmp_path,
+                         env=env, capture_output=True, check=True)
+    planted = run.stdout.split("planted:", 1)[1].strip()
+    monkeypatch.chdir(tmp_path)
+    assert main(["attack", "--config", "configs/toy_attack_lfsr.json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"recovered_state: {planted}" in lines

@@ -14,16 +14,19 @@ from fsglab import (
     NfsrSpec,
     TapSet,
     keystream,
-    lfsr_step,
-    nfsr_step,
     preimage_table,
     primitive_lengths,
     primitive_lfsr,
 )
-from fsglab.registers import (
+from fsglab.registers import label_expressions
+
+from register_reference import (
+    apply,
     hybrid_step,
-    label_expressions,
+    lfsr_step,
+    nfsr_step,
     read_taps,
+    reference_keystream,
 )
 
 # The 128-bit nonlinear update used by the hybrid fixtures: constant 1,
@@ -186,7 +189,7 @@ def test_keystream_matches_direct_recomputation():
     blocks = keystream(gen, state, 30)
     cur = state
     for z in blocks:
-        assert filt.apply(tuple(cur[p - 1] for p in taps.positions)) == z
+        assert apply(filt, tuple(cur[p - 1] for p in taps.positions)) == z
         cur = lfsr_step(cur, spec)
 
 
@@ -206,8 +209,59 @@ def test_hybrid_keystream_consistent_with_per_register_stepping():
     blocks = keystream(gen, state, 5)
     cur = state
     for z in blocks:
-        assert filt.apply(read_taps(cur, taps)) == z
+        assert apply(filt, read_taps(cur, taps)) == z
         cur = hybrid_step(cur, hybrid)
+
+
+def _random_nfsr(rng, L):
+    monomials = tuple(
+        frozenset(rng.sample(range(1, L + 1), rng.randint(1, min(3, L))))
+        for _ in range(rng.randint(0, 5))
+    )
+    return NfsrSpec(L, rng.getrandbits(1), monomials)
+
+
+def _random_taps(rng, L):
+    return TapSet(tuple(sorted(rng.sample(range(1, L + 1), rng.randint(1, min(4, L))))), L)
+
+
+def _random_generator(rng, kind):
+    """(generator, initial state) of the given kind, lengths 1..24."""
+    if kind == "lfsr" or kind == "nfsr":
+        L = rng.randint(1, 24)
+        reg = random_lfsr(rng, L) if kind == "lfsr" else _random_nfsr(rng, L)
+        taps = _random_taps(rng, L)
+        n = len(taps.positions)
+        state = tuple(rng.getrandbits(1) for _ in range(L))
+    else:
+        La = rng.randint(1, 16)
+        Lb = La if kind == "coupled" else rng.randint(1, 16)
+        reg = HybridSpec(random_lfsr(rng, La), _random_nfsr(rng, Lb), coupling=kind == "coupled")
+        taps = HybridTaps(_random_taps(rng, La), _random_taps(rng, Lb))
+        n = taps.total
+        state = (tuple(rng.getrandbits(1) for _ in range(La)),
+                 tuple(rng.getrandbits(1) for _ in range(Lb)))
+    m = rng.randint(1, n)
+    filt = FilterSpec(n, m, tuple(rng.getrandbits(m) for _ in range(1 << n)))
+    return GeneratorSpec(reg, taps, filt), state
+
+
+def test_keystream_matches_tuple_reference_on_600_generators():
+    rng = random.Random(0x5EED)
+    kinds = ("lfsr", "nfsr", "coupled", "uncoupled")
+    for i in range(600):
+        gen, state = _random_generator(rng, kinds[i % 4])
+        count = i % 7 if i % 3 == 0 else rng.randint(0, 120)  # 0 and 1 included
+        assert keystream(gen, state, count) == reference_keystream(gen, state, count), i
+
+
+@pytest.mark.parametrize("kind", ["lfsr", "nfsr", "coupled", "uncoupled"])
+def test_keystream_rejects_a_state_of_the_wrong_length(kind):
+    gen, state = _random_generator(random.Random(kind), kind)
+    short = state[1:] if kind in ("lfsr", "nfsr") else (state[0], state[1] + (0,))
+    for count in (0, 1, 5):
+        with pytest.raises(ValueError, match="state length mismatch"):
+            keystream(gen, short, count)
 
 
 def test_uniform_preimage_sizes():
