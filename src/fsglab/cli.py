@@ -3,6 +3,12 @@
 Exit codes: 0 success, 2 configuration error (an unreadable config or an
 unwritable ``--out`` included), 3 no overdefined system, 4 attack failure
 (missing, unreadable or corrupt keystream, or unrecovered state).
+
+Only what parsing and dispatch need is imported here. Each command imports
+the modules it runs when it runs, so ``optimize`` never loads ``attack`` and
+``attack`` never loads ``optimizer``. The imports sit inside the functions and
+read the names at call time, so a rebinding in the defining module (a test's
+monkeypatch, a tracer) is what the command calls.
 """
 
 from __future__ import annotations
@@ -13,28 +19,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from .attack import (
-    KeystreamFormatError,
-    gfsga_recover,
-    nfsr_window_recover,
-    read_keystream_file,
-)
-from .complexity import (
-    gfsga_constant_cost,
-    gfsga_variable_cost,
-    internal_state_recovery_cost,
-)
 from .config import AnalysisConfig, ConfigError, ScenarioConfig, load_config
-from .fixtures import run_fixture
-from .optimizer import (
-    SearchExhaustedError,
-    StagedSearchParams,
-    _scorecards,
-    staged_search,
-    step_a_candidates,
-    step_ab_best_ordering,
-    step_b_best_ordering,
-)
 from .registers import HybridSpec, LfsrSpec
 from .report import Report, emit, make_provenance
 from .sampling import (
@@ -83,6 +68,12 @@ def _profile(taps: TapSet, analysis: AnalysisConfig) -> RepetitionProfile:
 
 
 def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
+    from .complexity import (
+        gfsga_constant_cost,
+        gfsga_variable_cost,
+        internal_state_recovery_cost,
+    )
+
     gen = config.generator
     analysis = config.analysis
     n, m = gen.filter.n, gen.filter.m
@@ -121,6 +112,8 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
                 f"distinct equations for {L} unknowns"
             )
     if analysis.m_calibration and not isinstance(gen.register, HybridSpec):
+        from .optimizer import _scorecards
+
         ms = range(1, min(5, n))
         # The scorecards price the RankStop greedy and cyclic schedules: a
         # profile of either, built above under a RankStop, is reused.
@@ -133,6 +126,14 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
 
 
 def cmd_optimize(config: ScenarioConfig, seed: int | None) -> Report:
+    from .optimizer import (
+        StagedSearchParams,
+        staged_search,
+        step_a_candidates,
+        step_ab_best_ordering,
+        step_b_best_ordering,
+    )
+
     gen = config.generator
     opt = config.optimize
     n, m = gen.filter.n, gen.filter.m
@@ -172,6 +173,8 @@ class AttackFailure(RuntimeError):
 
 
 def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
+    from .attack import gfsga_recover, nfsr_window_recover, read_keystream_file
+
     gen_cfg = config.generator
     if not gen_cfg.filter.source:
         raise ConfigError("attack needs a concrete filter (source hex or random)")
@@ -233,6 +236,8 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
 
 
 def cmd_report_tables(fixture_id: str, seed: int | None) -> Report:
+    from .fixtures import run_fixture
+
     fx = run_fixture(fixture_id)
     payload = fx.to_dict()
     return Report("report", payload, make_provenance(None, seed))
@@ -263,6 +268,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int | None:
+    """The exit code of an error a command reports, None for any other.
+
+    ``KeystreamFormatError`` and ``SearchExhaustedError`` belong to modules
+    that only the commands import. An error of a module that was never loaded
+    cannot have been raised, so their classes are read from ``sys.modules``.
+    """
+    attack = sys.modules.get(f"{__package__}.attack")
+    optimizer = sys.modules.get(f"{__package__}.optimizer")
+    if isinstance(exc, AttackFailure) or (
+            attack and isinstance(exc, attack.KeystreamFormatError)):
+        return EXIT_ATTACK
+    if isinstance(exc, NoOverdefinedSystemError):
+        return EXIT_NO_SYSTEM
+    if isinstance(exc, ValueError) or (
+            optimizer and isinstance(exc, optimizer.SearchExhaustedError)):
+        return EXIT_CONFIG
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -288,15 +313,12 @@ def main(argv=None) -> int:
                 raise
             raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
         return EXIT_OK
-    except (AttackFailure, KeystreamFormatError) as exc:
+    except (ValueError, RuntimeError) as exc:  # every error class _exit_code maps
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ATTACK
-    except NoOverdefinedSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SYSTEM
-    except (ConfigError, SearchExhaustedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return code
 
 
 if __name__ == "__main__":

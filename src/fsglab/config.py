@@ -28,6 +28,12 @@ class ConfigError(ValueError):
 # running after 60 s.
 MAX_OPTIMIZE_BUDGET = 1000
 
+# The widest concrete filter (source hex or random) accepted: its truth table
+# has 2^n entries, built in Python before any attack bound applies. A random
+# table took 0.4-0.8 s at n = 20 on a 2-core VM, and the time doubles per
+# input (at n = 27 the table alone needs over 1 GB).
+MAX_FILTER_INPUTS = 20
+
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -38,6 +44,11 @@ class FilterConfig:
     seed: int | None
 
     def build(self, fallback_seed: int = 0) -> FilterSpec:
+        if self.source in ("hex", "random") and self.n > MAX_FILTER_INPUTS:
+            raise ConfigError(
+                f"generator.filter.n must be at most {MAX_FILTER_INPUTS} for a concrete "
+                f"filter (source {self.source}), not {self.n}"
+            )
         if self.source == "hex":
             if not self.hex_table:
                 raise ConfigError("filter.source=hex needs filter.hex")

@@ -25,7 +25,7 @@ from fsglab import (
 )
 from fsglab import cli, optimizer
 from fsglab.cli import main
-from fsglab.config import load_config
+from fsglab.config import MAX_FILTER_INPUTS, load_config
 from fsglab.registers import NfsrSpec
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -767,6 +767,68 @@ def test_attack_header_mismatch_exits_before_building_the_filter(tmp_path, monke
         "attack": {"keystream": str(ks)},
     })
     assert main(["attack", "--config", cfg]) == 4
+
+
+@pytest.mark.parametrize("source", ["random", "hex"])
+def test_attack_filter_wider_than_the_limit_is_exit_2(tmp_path, capsys, monkeypatch, source):
+    def refuse(cls, *args):
+        raise AssertionError("the 2^n filter table was built")
+
+    n = MAX_FILTER_INPUTS + 1
+    monkeypatch.setattr(FilterSpec, "uniform_random", classmethod(refuse))
+    monkeypatch.setattr(FilterSpec, "from_hex", classmethod(refuse))
+    ks = tmp_path / "stream.ks"
+    write_keystream_file(ks, n, 1, 24, [1] * 8)  # the header matches
+    filt = {"n": n, "m": 1, "source": source}
+    filt.update({"seed": 1} if source == "random" else {"hex": "00"})
+    cfg = write_config(tmp_path, "c.json", {
+        "generator": {"kind": "lfsr", "length": 24, "feedback": [1, 2],
+                      "taps": list(range(1, n + 1)), "filter": filt},
+        "analysis": {"mode": "greedy"},
+        "attack": {"keystream": str(ks)},
+    })
+    assert main(["attack", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: generator.filter.n must be at most {MAX_FILTER_INPUTS} for a concrete "
+        f"filter (source {source}), not {n}\n")
+
+
+def test_search_exhausted_is_exit_2(tmp_path, capsys):
+    # Twelve taps on a 12-bit register leave the staged search no seed chunk.
+    cfg = write_config(tmp_path, "c.json", {
+        "generator": {"kind": "lfsr", "length": 12, "feedback": [1, 2],
+                      "taps": list(range(1, 13)), "filter": {"n": 12, "m": 2}},
+        "optimize": {"budget": 1, "retries": 1},
+    })
+    params = optimizer.StagedSearchParams(chunk_size=5, stage_budget=1, retries=1, seed=0)
+    with pytest.raises(optimizer.SearchExhaustedError, match="no feasible seed chunk"):
+        optimizer.staged_search(12, 12, 2, params)
+    assert main(["optimize", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: no feasible seed chunk\n"
+
+
+def test_short_keystream_is_exit_4_when_attack_loads_in_the_command(tmp_path):
+    gen_section, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)
+    ks = tmp_path / "stream.ks"
+    write_keystream_file(ks, 5, 2, 20, [1] * 3)
+    cfg = write_config(tmp_path, "c.json", {
+        "generator": gen_section,
+        "analysis": {"mode": "greedy"},
+        "attack": {"keystream": str(ks)},
+    })
+    script = (
+        "import sys\n"
+        "from fsglab.cli import main\n"
+        "assert 'fsglab.attack' not in sys.modules\n"
+        f"sys.exit(main(['attack', '--config', {cfg!r}]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr == "error: keystream does not cover the sampling schedule\n"
 
 
 def test_readme_attack_demo_recovers_the_planted_state(tmp_path, capsys, monkeypatch):

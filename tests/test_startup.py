@@ -1,0 +1,67 @@
+"""Start-up contract: ``import fsglab`` loads no submodule, and each command
+loads only the modules it runs. Module loading is checked in fresh
+interpreters, since the test session has imported everything already."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fsglab
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def loaded_after(code: str) -> set[str]:
+    """The ``fsglab.*`` submodules loaded after ``code`` runs in a fresh interpreter."""
+    script = (code + "\nimport json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fsglab.'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return {name.removeprefix("fsglab.")
+            for name in json.loads(done.stdout.splitlines()[-1])}
+
+
+def test_import_fsglab_loads_no_submodule():
+    assert loaded_after("import fsglab; fsglab.__version__") == set()
+
+
+def test_import_cli_loads_only_parsing_and_dispatch():
+    loaded = loaded_after("import fsglab.cli")
+    assert loaded == {"cli", "config", "registers", "report", "sampling"}
+    assert not loaded & {"attack", "optimizer", "complexity", "fixtures", "gf2"}
+
+
+def test_optimize_leaves_attack_and_fixtures_unloaded():
+    loaded = loaded_after(
+        "from fsglab.cli import main\n"
+        "assert main(['optimize', '--config', 'configs/optimize_step_b.json']) == 0")
+    assert {"optimizer", "complexity"} <= loaded
+    assert not loaded & {"attack", "fixtures", "gf2"}
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    listed = dir(fsglab)
+    assert len(set(fsglab.__all__)) == len(fsglab.__all__)
+    for name in fsglab.__all__:
+        obj = getattr(fsglab, name)
+        module = sys.modules[obj.__module__]
+        assert module.__name__.startswith("fsglab."), name
+        assert getattr(module, name) is obj, name
+        assert name in listed, name
+    assert "__version__" in listed
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fsglab.no_such_name
+    assert not hasattr(fsglab, "_scorecards")  # private names are not exported
+    with pytest.raises(ImportError):
+        from fsglab import no_such_name  # noqa: F401
+
