@@ -24,13 +24,12 @@ from typing import Sequence
 from .registers import (
     GeneratorSpec,
     HybridSpec,
-    HybridTaps,
     LfsrSpec,
-    NfsrSpec,
     label_expressions,
     preimage_table,
     tap_reads,
     timeline_clock,
+    window_geometry,
 )
 from .sampling import NoOverdefinedSystemError, SamplingSchedule
 
@@ -329,31 +328,12 @@ def gfsga_recover(
     return AttackResult(state, solved, pruned)
 
 
-def _window_geometry(gen: GeneratorSpec):
-    """(families, total_bits, window_length) for the distance-1 window attack."""
-    reg = gen.register
-    if isinstance(reg, NfsrSpec):
-        families = [("nfsr", gen.taps)]
-        total = reg.length
-        p = reg.length - gen.taps.positions[-1]
-    elif isinstance(reg, HybridSpec):
-        taps: HybridTaps = gen.taps
-        families = [("lfsr", taps.lfsr), ("nfsr", taps.nfsr)]
-        total = reg.lfsr.length + reg.nfsr.length
-        p = min(
-            reg.lfsr.length - taps.lfsr.positions[-1],
-            reg.nfsr.length - taps.nfsr.positions[-1],
-        )
-    else:
-        raise ValueError("window recovery targets NFSR or hybrid generators")
-    return families, total, p - 1
-
-
 def nfsr_window_recover(
     gen: GeneratorSpec,
     blocks: Sequence[int],
 ) -> tuple[WindowRecovery, AttackResult]:
-    """Distance-1 window attack against NFSR or hybrid generators.
+    """Distance-1 window attack against NFSR or hybrid generators, over the
+    window of :func:`~fsglab.registers.window_geometry`.
 
     All tap reads inside the window land on original state cells, so joint
     candidates for the covered bits are enumerated directly from the filtered
@@ -374,10 +354,8 @@ def nfsr_window_recover(
     every completion of every joint, and ``candidates_pruned`` every path
     that finds no preimage.
     """
-    families, total_bits, window = _window_geometry(gen)
+    families, total_bits, window = window_geometry(gen.register, gen.taps)
     n, m = gen.filter.n, gen.filter.m
-    if window * n <= total_bits:
-        raise ValueError("window too short: need (p-1)*n > L")
     need = window + -(-total_bits // m)
     if len(blocks) < need:
         raise KeystreamFormatError(

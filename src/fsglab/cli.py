@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict
 
 from .config import AnalysisConfig, ConfigError, ScenarioConfig, load_config
-from .registers import HybridSpec, LfsrSpec
+from .registers import HybridSpec, LfsrSpec, window_geometry
 from .report import Report, emit, make_provenance
 from .sampling import (
     NoOverdefinedSystemError,
@@ -77,28 +77,24 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
     gen = config.generator
     analysis = config.analysis
     n, m = gen.filter.n, gen.filter.m
-    payload: dict = {"notes": []}
-    hybrid = isinstance(gen.register, HybridSpec)
-    if hybrid:
-        if analysis.mode != "custom":
-            raise ConfigError("hybrid generators support custom schedules only")
-        families = [("lfsr", gen.taps.lfsr), ("nfsr", gen.taps.nfsr)]
-        profile = hybrid_window_profile(families, analysis.schedule)
-        payload["notes"].append("hybrid counting model: per-register")
-    else:
-        profile = _profile(gen.taps, analysis)
-    payload["profile"] = profile.to_dict()
     L = gen.total_length
-    overdefined = n * profile.samples - profile.total > L
-    if hybrid and set(profile.steps) == {1}:
+    payload: dict = {"notes": []}
+    if not isinstance(gen.register, LfsrSpec):
+        # NFSR and hybrid generators: price the window that ``attack`` runs.
+        families, _, window = window_geometry(gen.register, gen.taps)
+        if len(families) > 1:
+            payload["notes"].append("hybrid counting model: per-register")
+        profile = hybrid_window_profile(families, [1] * (window - 1))
         cost = internal_state_recovery_cost(profile, n, m, L)
+        payload["profile"] = profile.to_dict()
         payload["estimate"] = cost.estimate.to_dict()
         payload["window_cost"] = {
-            "recovered_bits": cost.recovered_bits,
-            "memory_bits": cost.memory_bits,
-            "data_bits": cost.data_bits,
-        }
-    elif not hybrid and m < n and overdefined:
+            key: getattr(cost, key) for key in ("recovered_bits", "memory_bits", "data_bits")}
+        return Report("analyze", payload, make_provenance(config.sha256(), seed))
+    profile = _profile(gen.taps, analysis)
+    payload["profile"] = profile.to_dict()
+    overdefined = n * profile.samples - profile.total > L
+    if m < n and overdefined:
         if profile.mode == "constant":
             est = gfsga_constant_cost(profile, n, m, L, analysis.solver_exponent)
         else:
@@ -111,15 +107,14 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
                 f"system not overdefined: {n * profile.samples - profile.total} "
                 f"distinct equations for {L} unknowns"
             )
-    if analysis.m_calibration and not isinstance(gen.register, HybridSpec):
-        from .optimizer import _scorecards
+    if analysis.m_calibration:
+        from .optimizer import _calibration_widths, _scorecards
 
-        ms = range(1, min(5, n))
+        ms = _calibration_widths(n)
         # The scorecards price the RankStop greedy and cyclic schedules: a
         # profile of either, built above under a RankStop, is reused.
         built = profile if isinstance(analysis.stop, RankStop) else None
-        cards = _scorecards(gen.taps, n, ms, gen.register.length, built,
-                            analysis.solver_exponent)
+        cards = _scorecards(gen.taps, n, ms, L, built, analysis.solver_exponent)
         payload["calibration_sweep"] = [
             card.to_dict() | {"m": m_try} for m_try, card in zip(ms, cards)]
     return Report("analyze", payload, make_provenance(config.sha256(), seed))

@@ -254,34 +254,33 @@ def _parse_stop(obj, context: str, L: int) -> Stop:
                 raise ConfigError(
                     f"{context}.stop.samples must lie in 1..L = {L}, not {samples}")
             return SampleStop(samples)
-        if obj.get("rank", True):
+        if _bool(obj, "rank", f"{context}.stop", True):
             return RankStop()
     raise ConfigError(f"{context}.stop must be {{'rank': true}} or {{'samples': c}}")
 
 
 def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
+    if obj and not isinstance(gen.register, LfsrSpec):
+        keys = ", ".join(f"analysis.{key}" for key in obj)
+        raise ConfigError(
+            f"{keys} not accepted: nfsr and hybrid generators take no analysis section "
+            "(analyze and attack derive the distance-1 window from the register geometry)")
     mode = obj.get("mode", "constant")
     if mode not in ("constant", "greedy", "cyclic", "custom"):
         raise ConfigError(f"unknown analysis mode {mode!r}")
     schedule = obj.get("schedule")
-    if mode == "custom":
-        if not schedule:
-            raise ConfigError("custom mode needs analysis.schedule")
+    if schedule is not None:
         schedule = _positions(schedule, "analysis.schedule")
-        limit = (
-            gen.register.length
-            if not isinstance(gen.register, HybridSpec)
-            else min(gen.register.lfsr.length, gen.register.nfsr.length)
-        )
-        if any(not 1 <= s <= limit for s in schedule):
+        if any(not 1 <= s <= gen.total_length for s in schedule):
             raise ConfigError("schedule steps must lie in 1..L")
-    stop_default = None if mode == "custom" else RankStop()
+    if mode == "custom" and not schedule:
+        raise ConfigError("custom mode needs analysis.schedule")
     stop = (_parse_stop(obj["stop"], "analysis", gen.total_length) if "stop" in obj
-            else stop_default)
+            else None if mode == "custom" else RankStop())
     return AnalysisConfig(
         mode=mode,
         sigma=None if obj.get("sigma") is None else _int(obj, "sigma", "analysis"),
-        schedule=None if schedule is None else tuple(schedule),
+        schedule=schedule,
         solver_exponent=_float(obj, "solver_exponent", "analysis", 3.0),
         m_calibration=_bool(obj, "m_calibration", "analysis", False),
         stop=stop,

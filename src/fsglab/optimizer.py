@@ -490,6 +490,11 @@ class CalibrationResult:
         }
 
 
+def _calibration_widths(n: int) -> range:
+    """The filter widths a calibration sweeps: m in 1..4 below n."""
+    return range(1, min(5, n))
+
+
 def calibrate_filter_width(
     taps: TapSet,
     L: int,
@@ -501,7 +506,7 @@ def calibrate_filter_width(
     1..4 below n with its (constant, greedy, cyclic) log2 costs, their deltas
     to the targets, and the best-fitting m by total absolute delta.
     """
-    ms = range(1, min(5, taps.n))
+    ms = _calibration_widths(taps.n)
     rows = []
     for m, card in zip(ms, _scorecards(taps, taps.n, ms, L)):
         trio = (

@@ -210,6 +210,28 @@ def tap_reads(taps) -> list[tuple[int, int]]:
     return [(0, p - 1) for p in taps.positions]
 
 
+def window_geometry(register, taps) -> tuple[list[tuple[str, TapSet]], int, int]:
+    """(families, total_bits, window_length) of the distance-1 window that
+    ``analyze`` prices and ``attack`` runs on an NFSR or hybrid generator.
+
+    ``families`` tags each register's tap set, LFSR first. The window is the
+    paper's p - 1 samples, p = L - l_n the least distance of a register's last
+    tap from its end, so every tap read inside it lands on an original state
+    cell. Raises ValueError unless (p - 1) * n exceeds total_bits.
+    """
+    if isinstance(register, NfsrSpec):
+        families = [("nfsr", taps)]
+    elif isinstance(register, HybridSpec):
+        families = [("lfsr", taps.lfsr), ("nfsr", taps.nfsr)]
+    else:
+        raise ValueError("window recovery targets NFSR or hybrid generators")
+    total = sum(ts.register_length for _, ts in families)
+    window = min(ts.register_length - ts.positions[-1] for _, ts in families) - 1
+    if window * sum(ts.n for _, ts in families) <= total:
+        raise ValueError("window too short: need (p-1)*n > L")
+    return families, total, window
+
+
 def timeline_clock(register):
     """The clock of ``register`` on timelines: ``advance(lines, clocks, ones)``.
 

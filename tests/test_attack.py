@@ -39,8 +39,10 @@ from fsglab.attack import (
     _sample_plan,
     _spread_table,
 )
+from fsglab.cli import cmd_analyze
+from fsglab.config import parse_config
 from fsglab.gf2 import rank_of
-from fsglab.registers import label_expressions
+from fsglab.registers import label_expressions, window_geometry
 from gfsga_reference import reference_gfsga_recover
 from window_reference import reference_window_joints
 
@@ -560,6 +562,44 @@ def test_bitsliced_sweep_matches_scalar_reference(monkeypatch):
     assert all(seen.values()), seen
 
 
+def _generator_section(gen) -> dict:
+    """The config ``generator`` section of ``gen``, its filter left abstract."""
+    def anf(nfsr):
+        return {"constant": nfsr.constant_term,
+                "monomials": [sorted(mono) for mono in nfsr.monomials]}
+
+    reg, filt = gen.register, {"n": gen.filter.n, "m": gen.filter.m}
+    if isinstance(reg, NfsrSpec):
+        return {"kind": "nfsr", "length": reg.length, "anf": anf(reg),
+                "taps": list(gen.taps.positions), "filter": filt}
+    return {
+        "kind": "hybrid", "coupling": reg.coupling,
+        "lfsr": {"length": reg.lfsr.length, "feedback": sorted(reg.lfsr.feedback_positions)},
+        "nfsr": {"length": reg.nfsr.length, "anf": anf(reg.nfsr)},
+        "taps": {"lfsr": list(gen.taps.lfsr.positions), "nfsr": list(gen.taps.nfsr.positions)},
+        "filter": filt,
+    }
+
+
+def test_analyze_prices_the_window_the_attack_runs():
+    # analyze, on the generator's config, prices the window that
+    # nfsr_window_recover runs: the same samples, covered cells and
+    # per-sample preimage spaces.
+    rng = random.Random(65)
+    for index in range(210):
+        kind = ("nfsr", "coupled", "uncoupled")[index % 3]
+        gen, _, blocks, _ = _window_instance(rng, kind)
+        recovery, _ = nfsr_window_recover(gen, blocks)
+        config = parse_config({"generator": _generator_section(gen)})
+        payload = cmd_analyze(config, None).payload
+        est = payload["estimate"]
+        assert payload["profile"]["c"] == recovery.window_length, index
+        assert payload["window_cost"]["recovered_bits"] == recovery.recovered_bit_count, index
+        assert est["solver_log2"] == recovery.remaining_guess, index
+        exponents = [est["first_sample_exponent"], *est["per_sample_exponents"]]
+        assert exponents == [math.log2(size) for size in recovery.per_sample_sizes], index
+
+
 @pytest.mark.parametrize("cap", [1, 3, 1024])
 def test_window_level_walk_matches_depth_first_reference(monkeypatch, cap):
     # The joints reach the replay in depth-first order, whichever slices the
@@ -573,7 +613,7 @@ def test_window_level_walk_matches_depth_first_reference(monkeypatch, cap):
     for index in range(210):
         kind = ("nfsr", "coupled", "uncoupled")[index % 3]
         gen, _, blocks, missing = _window_instance(rng, kind)
-        window = attack._window_geometry(gen)[2]
+        window = window_geometry(gen.register, gen.taps)[2]
         if missing and index % 4 == 0:
             blocks[rng.randrange(window)] = missing[0]
         joints, pruned, widths = reference_window_joints(gen, blocks)

@@ -359,15 +359,10 @@ def test_attack_keystream_too_short_is_exit_4(tmp_path, capsys, kind):
     ks = tmp_path / "stream.ks"
     # Well formed, but shorter than the schedule or the window needs.
     write_keystream_file(ks, filt["n"], filt["m"], gen_section["length"], [1] * 3)
-    cfg = write_config(
-        tmp_path,
-        "c.json",
-        {
-            "generator": gen_section,
-            "analysis": {"mode": "greedy"},
-            "attack": {"keystream": str(ks)},
-        },
-    )
+    doc = {"generator": gen_section, "attack": {"keystream": str(ks)}}
+    if kind == "lfsr":  # the window of an NFSR takes no analysis section
+        doc["analysis"] = {"mode": "greedy"}
+    cfg = write_config(tmp_path, "c.json", doc)
     assert main(["attack", "--config", cfg]) == 4
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -497,13 +492,59 @@ def test_hybrid_coupling_string_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+WINDOW_ANALYSIS_ERROR = (
+    "not accepted: nfsr and hybrid generators take no analysis section (analyze and "
+    "attack derive the distance-1 window from the register geometry)\n")
+
+
 def test_hybrid_non_custom_mode_is_exit_2(tmp_path, capsys):
     with open(SHIPPED_CONFIGS / "hybrid_window.json") as fh:
         doc = json.load(fh)
-    doc["analysis"]["mode"] = "greedy"
+    doc["analysis"] = {"mode": "greedy"}
     assert main(["analyze", "--config", write_config(tmp_path, "greedy.json", doc)]) == 2
-    assert capsys.readouterr().err == (
-        "error: hybrid generators support custom schedules only\n")
+    assert capsys.readouterr().err == "error: analysis.mode " + WINDOW_ANALYSIS_ERROR
+
+
+@pytest.mark.parametrize("command", ["analyze", "attack"])
+@pytest.mark.parametrize("kind", ["nfsr", "hybrid"])
+@pytest.mark.parametrize("key, value", [
+    ("mode", "custom"), ("schedule", [1, 1, 1]), ("sigma", 1), ("stop", {"rank": True}),
+    ("solver_exponent", 3.0), ("m_calibration", False),
+])
+def test_window_generator_analysis_key_is_exit_2(tmp_path, capsys, command, kind, key, value):
+    # The window is derived from the register geometry, so any analysis key,
+    # even one that restates a default, is refused before the command runs.
+    if kind == "nfsr":
+        generator = NFSR_GENERATOR
+    else:
+        with open(SHIPPED_CONFIGS / "hybrid_window.json") as fh:
+            generator = json.load(fh)["generator"]
+    doc = {"generator": generator, "analysis": {key: value}}
+    assert main([command, "--config", write_config(tmp_path, "c.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: analysis.{key} " + WINDOW_ANALYSIS_ERROR
+
+
+def test_window_generator_takes_an_empty_analysis_section(tmp_path, capsys):
+    doc = {"generator": NFSR_GENERATOR, "analysis": {}}
+    assert main(["analyze", "--config", write_config(tmp_path, "c.json", doc)]) == 0
+
+
+def test_analyze_prices_the_64_bit_nfsr_window(tmp_path, capsys):
+    # The linear model priced this register at 2^60.00 (solver term
+    # 3 log2 64 = 18); the 32-sample window that attack runs costs 2^32.
+    doc = {"generator": {
+        "kind": "nfsr", "length": 64,
+        "anf": {"constant": 1, "monomials": [[1], [3, 5], [2, 9]]},
+        "taps": [2, 9, 17, 25, 31], "filter": {"n": 5, "m": 1},
+    }}
+    cfg = write_config(tmp_path, "nfsr64.json", doc)
+    assert main(["analyze", "--config", cfg]) == 0
+    assert "log2 cost = 32.00 " in capsys.readouterr().out
+    assert main(["analyze", "--config", cfg, "--format", "structured"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["estimate"]["log2_total"] == 32
+    assert payload["profile"]["c"] == 32
+    assert payload["notes"] == []
 
 
 def test_merged_window_model_is_exit_2(tmp_path, capsys):
@@ -517,6 +558,23 @@ def test_merged_window_model_is_exit_2(tmp_path, capsys):
 
 
 MUTANT_VALUES = (None, True, "false", 0, -1, 1.5, "x", [], {})
+
+
+@pytest.mark.parametrize("mode", ["greedy", "custom"])
+@pytest.mark.parametrize("value", MUTANT_VALUES, ids=repr)
+def test_mutated_analysis_schedule_ends_in_an_exit_code(tmp_path, capsys, mode, value):
+    # A schedule is checked whenever it is present, even in a mode that
+    # does not read it; null counts as absent.
+    with open(SHIPPED_CONFIGS / "example1_greedy.json") as fh:
+        doc = json.load(fh)
+    doc["analysis"].update(mode=mode, schedule=value)
+    code = main(["analyze", "--config", write_config(tmp_path, "c.json", doc)])
+    err = capsys.readouterr().err
+    if value is None or value == []:
+        assert code == (0 if mode == "greedy" else 2)
+    else:
+        assert code == 2
+        assert err == "error: analysis.schedule must be a list of integers\n"
 
 
 def node_paths(node, prefix=()):
@@ -750,6 +808,16 @@ def test_sample_stop_at_L_is_accepted(tmp_path, capsys):
     doc = json.loads((SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
     doc["analysis"]["stop"] = {"samples": 20}
     assert main(["analyze", "--config", write_config(tmp_path, "c.json", doc)]) == 0
+
+
+@pytest.mark.parametrize("rank", ["false", "true", 1, 0, None, [], {}])
+def test_rank_stop_non_boolean_is_exit_2(tmp_path, capsys, rank):
+    # A truthy string such as "false" used to read as a rank stop.
+    doc = json.loads((SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
+    doc["analysis"]["stop"] = {"rank": rank}
+    assert main(["analyze", "--config", write_config(tmp_path, "c.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: analysis.stop.rank must be true or false, not {rank!r}\n"
 
 
 def test_attack_header_mismatch_exits_before_building_the_filter(tmp_path, monkeypatch):

@@ -46,6 +46,27 @@ def test_optimize_leaves_attack_and_fixtures_unloaded():
     assert not loaded & {"attack", "fixtures", "gf2"}
 
 
+NFSR_CONFIG = {"generator": {
+    "kind": "nfsr", "length": 16, "anf": {"constant": 1, "monomials": [[1], [3, 5]]},
+    "taps": [2, 5, 8, 10], "filter": {"n": 4, "m": 1},
+}}
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "nfsr"])
+def test_window_analyze_leaves_attack_optimizer_and_fixtures_unloaded(tmp_path, kind):
+    # analyze reads the window from registers.window_geometry, not from attack.
+    if kind == "hybrid":
+        path = ROOT / "configs" / "hybrid_window.json"
+    else:
+        path = tmp_path / "nfsr.json"
+        path.write_text(json.dumps(NFSR_CONFIG))
+    loaded = loaded_after(
+        "from fsglab.cli import main\n"
+        f"assert main(['analyze', '--config', {str(path)!r}]) == 0")
+    assert "complexity" in loaded
+    assert not loaded & {"attack", "optimizer", "fixtures", "gf2"}
+
+
 def test_every_public_name_is_its_defining_modules_object():
     listed = dir(fsglab)
     assert len(set(fsglab.__all__)) == len(fsglab.__all__)

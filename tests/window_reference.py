@@ -6,8 +6,8 @@ spreads them with one shifted table lookup and walks a level at a time; the
 tests hold the two equal.
 """
 
-from fsglab.attack import _sample_plan, _window_geometry
-from fsglab.registers import preimage_table
+from fsglab.attack import _sample_plan
+from fsglab.registers import preimage_table, window_geometry
 
 
 def _spread(x, inputs):
@@ -19,7 +19,7 @@ def reference_window_joints(gen, blocks):
     """(joints, pruned, widths): the window's joint label bitsets in
     depth-first order, the paths that found no preimage, and how many paths
     reach each sample."""
-    families, _, window = _window_geometry(gen)
+    families, _, window = window_geometry(gen.register, gen.taps)
     lengths = [ts.register_length for _, ts in families]
     offsets = [sum(lengths[:r]) for r in range(len(lengths))]
     plan = _sample_plan([
