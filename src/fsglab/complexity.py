@@ -158,26 +158,29 @@ def _sigma_exponent(
     I_i = I_0 ^ (I_0 + i*sigma), steady at r_k past the horizon
     k = floor(span/sigma), run under its rank stop, and
     E = (n-m) + sum_i max(0, n-m-r_i). E never decreases as samples are
-    added, so the loop stops once E reaches ``limit``. Only the samples
-    inside the horizon are looped over. Past it r is steady, so the samples
-    left before the rank stop number (rank_bound - n*c + R) // (n - r) + 1
-    and add n-m-r each, in one step. The lowest tap never repeats
-    (r_i <= n-1), so every sample adds an equation and c <= L-n+2.
+    added, so the loop stops once E reaches ``limit``. Only the shifts
+    i*sigma up to the span are looped over. The slack rank_bound - n*c + R
+    starts at rank_bound - n and falls by n - r per sample, and sampling
+    goes on while it is >= 0. Past the horizon r is steady, so the samples
+    left, slack // (n - r) + 1, add n-m-r each, in one step. r never falls,
+    so once r >= n-m no later sample adds to E and the E in hand is exact.
+    The lowest tap never repeats (r_i <= n-1), so every sample adds an
+    equation and c <= L-n+2.
     """
     nm = n - m
-    k = span // sigma
-    acc = r = total = 0
-    c = 1
+    acc = r = 0
     e = nm
-    while c <= k and n * c - total <= rank_bound and e < limit:
-        acc |= taps_mask & (taps_mask << (c * sigma))
+    slack = rank_bound - n
+    shift = sigma
+    while shift <= span and slack >= 0 and e < limit:
+        acc |= taps_mask & (taps_mask << shift)
         r = acc.bit_count()
-        total += r
-        if r < nm:
-            e += nm - r
-        c += 1
-    slack = rank_bound - n * c + total
-    if c > k and slack >= 0 and r < nm:
+        if r >= nm:
+            return e
+        e += nm - r
+        slack -= n - r
+        shift += sigma
+    if shift > span and slack >= 0 and r < nm:
         e += (nm - r) * (slack // (n - r) + 1)
     return e
 

@@ -133,6 +133,16 @@ def _section(obj: dict, key: str, context: str, required: bool = False) -> dict:
     return value
 
 
+def _known(obj: dict, context: str, *keys: str) -> None:
+    """Refuse a key of ``obj`` outside ``keys``, named with its dotted path,
+    so that a misspelled key exits 2 instead of being silently ignored."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        names = ", ".join(f"{context}.{key}" if context else key for key in unknown)
+        raise ConfigError(
+            f"unknown config key {names}: {context or 'the config'} takes {', '.join(keys)}")
+
+
 def _int(obj: dict, key: str, context: str, default: int | None = None) -> int:
     """obj[key] as an integer; required unless a default is given."""
     value = _require(obj, key, context) if default is None else obj.get(key, default)
@@ -179,6 +189,7 @@ def _positions(values, context: str) -> tuple[int, ...]:
 
 
 def _parse_anf(obj: dict, length: int, context: str) -> NfsrSpec:
+    _known(obj, context, "constant", "monomials")
     constant = _int(obj, "constant", context, 0)
     monomials = obj.get("monomials", [])
     if not isinstance(monomials, list):
@@ -188,9 +199,21 @@ def _parse_anf(obj: dict, length: int, context: str) -> NfsrSpec:
     )
 
 
+# The keys each generator kind reads.
+_GENERATOR_KEYS = {
+    "lfsr": ("kind", "length", "feedback", "taps", "filter"),
+    "nfsr": ("kind", "length", "anf", "taps", "filter"),
+    "hybrid": ("kind", "lfsr", "nfsr", "coupling", "taps", "filter"),
+}
+
+
 def _parse_generator(obj: dict) -> GeneratorConfig:
     kind = _require(obj, "kind", "generator")
+    if not isinstance(kind, str) or kind not in _GENERATOR_KEYS:
+        raise ConfigError(f"unknown generator kind {kind!r}")
+    _known(obj, "generator", *_GENERATOR_KEYS[kind])
     filt = _section(obj, "filter", "generator")
+    _known(filt, "generator.filter", "n", "m", "source", "hex", "seed")
     fcfg = FilterConfig(
         n=_int(filt, "n", "generator.filter"),
         m=_int(filt, "m", "generator.filter"),
@@ -201,6 +224,8 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
     if kind == "hybrid":
         lf = _section(obj, "lfsr", "generator", required=True)
         nf = _section(obj, "nfsr", "generator", required=True)
+        _known(lf, "generator.lfsr", "length", "feedback")
+        _known(nf, "generator.nfsr", "length", "anf")
         lfsr = LfsrSpec(
             _int(lf, "length", "generator.lfsr"),
             frozenset(_positions(_require(lf, "feedback", "generator.lfsr"), "feedback")),
@@ -214,6 +239,7 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
             lfsr, nfsr, _bool(obj, "coupling", "generator", True)
         )
         taps_obj = _section(obj, "taps", "generator", required=True)
+        _known(taps_obj, "generator.taps", "lfsr", "nfsr")
         taps: TapSet | HybridTaps = HybridTaps(
             lfsr=TapSet(_positions(_require(taps_obj, "lfsr", "taps"), "taps.lfsr"), lfsr.length),
             nfsr=TapSet(_positions(_require(taps_obj, "nfsr", "taps"), "taps.nfsr"), nfsr.length),
@@ -225,12 +251,10 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
                 length,
                 frozenset(_positions(_require(obj, "feedback", "generator"), "feedback")),
             )
-        elif kind == "nfsr":
+        else:
             register = _parse_anf(
                 _section(obj, "anf", "generator", required=True), length, "generator.anf"
             )
-        else:
-            raise ConfigError(f"unknown generator kind {kind!r}")
         taps = TapSet(_positions(_require(obj, "taps", "generator"), "taps"), length)
     cfg = GeneratorConfig(register, taps, fcfg)
     if fcfg.n != cfg.tap_count:
@@ -246,6 +270,7 @@ def _parse_stop(obj, context: str, L: int) -> Stop:
     if obj is None:
         return RankStop()
     if isinstance(obj, dict):
+        _known(obj, f"{context}.stop", "rank", "samples")
         if "samples" in obj:
             samples = _int(obj, "samples", f"{context}.stop")
             # Every sample adds at least one distinct equation, so L - n + 2
@@ -265,6 +290,9 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
         raise ConfigError(
             f"{keys} not accepted: nfsr and hybrid generators take no analysis section "
             "(analyze and attack derive the distance-1 window from the register geometry)")
+    # sigma and schedule are accepted in every mode, read or not.
+    _known(obj, "analysis", "mode", "sigma", "schedule", "solver_exponent", "m_calibration",
+           "stop")
     mode = obj.get("mode", "constant")
     if mode not in ("constant", "greedy", "cyclic", "custom"):
         raise ConfigError(f"unknown analysis mode {mode!r}")
@@ -290,9 +318,11 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
 def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
+    _known(raw, "", "generator", "analysis", "attack", "optimize", "report")
     gen = _parse_generator(_section(raw, "generator", "config", required=True))
     analysis = _parse_analysis(_section(raw, "analysis", "config"), gen)
     attack_obj = _section(raw, "attack", "config")
+    _known(attack_obj, "attack", "keystream", "window_model")
     if attack_obj.get("window_model", "per-register") != "per-register":
         raise ConfigError(
             "attack.window_model must be per-register (the merged model was removed: "
@@ -300,6 +330,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         )
     attack = AttackConfig(keystream=_str(attack_obj, "keystream", "attack"))
     opt_obj = _section(raw, "optimize", "config")
+    _known(opt_obj, "optimize", "differences", "budget", "chunk_size", "retries")
     differences = opt_obj.get("differences")
     optimize = OptimizeConfig(
         differences=None if differences is None else tuple(_positions(differences, "optimize.differences")),
@@ -323,7 +354,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
             raise ConfigError(
                 f"optimize.differences sum to {span}, beyond L - 1 = {gen.total_length - 1}"
             )
-    fmt = _section(raw, "report", "config").get("format", "table")
+    report_obj = _section(raw, "report", "config")
+    _known(report_obj, "report", "format")
+    fmt = report_obj.get("format", "table")
     if fmt not in ("table", "structured"):
         raise ConfigError("report.format must be table or structured")
     return ScenarioConfig(gen, analysis, attack, optimize, fmt, raw)

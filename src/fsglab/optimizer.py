@@ -258,12 +258,13 @@ def _bounded_search(orderings, n: int, m: int, L: int, best=None):
     an incumbent in hand, the sigmas that cut earlier orderings in this
     call are priced first, most recent first (a move-to-front list of at
     most ``_PROBES``), each stopped at the ceiling of :func:`_ceiling`:
-    past it a sigma cannot cut. Only when no probe cuts does the full sweep
-    run; it stops at the first sigma whose running minimum keys the
-    ordering no better than the incumbent, and that sigma goes to the
-    front of the list. Both cuts are exact, so the result is the exact
-    minimum by :func:`_ordering_key`. Sigma 1 always reaches its rank
-    stop, so every ordering has a cost.
+    past it a sigma cannot cut. The ceiling depends only on the incumbent's
+    cost and this call's solver term, so it is worked out once per
+    incumbent. Only when no probe cuts does the full sweep run; it stops at
+    the first sigma whose running minimum keys the ordering no better than
+    the incumbent, and that sigma goes to the front of the list. Both cuts
+    are exact, so the result is the exact minimum by :func:`_ordering_key`.
+    Sigma 1 always reaches its rank stop, so every ordering has a cost.
     """
     if not orderings:
         return best
@@ -272,6 +273,7 @@ def _bounded_search(orderings, n: int, m: int, L: int, best=None):
         raise ValueError("n must equal the tap count")
     solver = DEFAULT_SOLVER_EXPONENT * math.log2(L)  # the solver term of log2_total
     probes: list[int] = []
+    ceiling = None  # of the incumbent in hand; None once it changes
     for ordering in orderings:
         mask, span = 1, 0
         for d in ordering:
@@ -280,7 +282,8 @@ def _bounded_search(orderings, n: int, m: int, L: int, best=None):
         cut = None
         if best is not None:
             bound = best[0]
-            ceiling = _ceiling(-bound[0], solver)
+            if ceiling is None:
+                ceiling = _ceiling(-bound[0], solver)
             hit = next((
                 sigma for sigma in probes
                 if _ordering_key(
@@ -302,6 +305,7 @@ def _bounded_search(orderings, n: int, m: int, L: int, best=None):
         if found is not None:
             sigma, e = found
             best = (_ordering_key(e + solver, sigma, ordering), ordering, sigma)
+            ceiling = None
     return best
 
 

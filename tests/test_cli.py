@@ -820,6 +820,58 @@ def test_rank_stop_non_boolean_is_exit_2(tmp_path, capsys, rank):
     assert err == f"error: analysis.stop.rank must be true or false, not {rank!r}\n"
 
 
+NFSR_CONFIG = {
+    "generator": {
+        "kind": "nfsr", "length": 16, "anf": {"constant": 1, "monomials": [[1], [3, 5]]},
+        "taps": [2, 5, 8, 10], "filter": {"n": 4, "m": 1},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "base,section,key",
+    [
+        ("example1_greedy", (), "analysys"),
+        ("example1_greedy", ("generator",), "lenght"),
+        ("hybrid_window", ("generator",), "length"),  # read by lfsr and nfsr only
+        ("example1_greedy", ("generator", "filter"), "sead"),
+        ("hybrid_window", ("generator", "lfsr"), "taps"),
+        ("hybrid_window", ("generator", "nfsr"), "feedback"),
+        ("hybrid_window", ("generator", "nfsr", "anf"), "monomial"),
+        ("nfsr", ("generator", "anf"), "constnat"),
+        ("hybrid_window", ("generator", "taps"), "both"),
+        ("example1_greedy", ("analysis",), "solver_exponnet"),
+        ("example1_greedy", ("analysis", "stop"), "sample"),
+        ("example1_greedy", ("attack",), "keystrem"),
+        ("example1_greedy", ("optimize",), "budgte"),
+        ("example1_greedy", ("report",), "fromat"),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else v,
+)
+def test_unknown_config_key_is_exit_2(tmp_path, capsys, base, section, key):
+    # A misspelled key used to be ignored: "solver_exponnet" priced at the
+    # default 3.0, and stop {"sample": 3} read as a rank stop.
+    if base == "nfsr":
+        doc = json.loads(json.dumps(NFSR_CONFIG))
+    else:
+        doc = json.loads((SHIPPED_CONFIGS / f"{base}.json").read_text())
+    node = doc
+    for name in section:
+        node = node.setdefault(name, {})
+    node[key] = 3
+    assert main(["analyze", "--config", write_config(tmp_path, "c.json", doc)]) == 2
+    err = capsys.readouterr().err
+    dotted = ".".join((*section, key))
+    assert err.startswith(f"error: unknown config key {dotted}: "), err
+
+
+def test_analysis_keys_the_mode_does_not_read_are_accepted(tmp_path, capsys):
+    doc = json.loads((SHIPPED_CONFIGS / "example1_greedy.json").read_text())
+    doc["analysis"].update(sigma=5, schedule=[3, 4])
+    assert main(["analyze", "--config", write_config(tmp_path, "c.json", doc)]) == 0
+    assert "log2 cost = 63.97 " in capsys.readouterr().out
+
+
 def test_attack_header_mismatch_exits_before_building_the_filter(tmp_path, monkeypatch):
     def refuse(cls, n, m, seed):
         raise AssertionError("the filter was built before the header check")

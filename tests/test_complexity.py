@@ -191,19 +191,23 @@ def test_optimal_sigma_equals_full_sweep():
         optimal_constant_sigma(taps, 3, 1, 0)
 
 
-def _per_sample_exponent(taps, n, m, sigma):
-    """E of one sigma priced sample by sample on the label timeline, with no
-    horizon, tail formula or early abandonment."""
+def _per_sample_q(taps, n, sigma):
+    """q_1, q_2, ... of one sigma, counted sample by sample on the label
+    timeline under the rank stop, with no horizon or tail formula."""
     seen = set(taps.positions)
-    c, total, e = 1, 0, n - m
+    c, total, q = 1, 0, []
     while n * c - total <= taps.register_length:
         sample = {p + c * sigma for p in taps.positions}
-        q = len(sample & seen)
+        q.append(len(sample & seen))
         seen |= sample
-        total += q
-        e += max(0, n - m - q)
+        total += q[-1]
         c += 1
-    return e
+    return q
+
+
+def _per_sample_exponent(taps, n, m, sigma):
+    """E of one sigma priced sample by sample, with no early abandonment."""
+    return n - m + sum(max(0, n - m - qi) for qi in _per_sample_q(taps, n, sigma))
 
 
 def _per_sample_sweep(taps, n, m, L, cut=None):
@@ -239,15 +243,19 @@ def _random_sweep_instance(rng, i, seen_cases=None):
 def test_sigma_exponent_equals_per_sample_recurrence():
     # Uncapped, the kernel is the per-sample recurrence at every sigma,
     # those above the span included; capped, it is exact below the limit
-    # and at least the limit otherwise.
+    # and at least the limit otherwise. The cases where q reaches n - m
+    # inside the horizon, before the rank stop, are the kernel's early
+    # return, and must be exact too.
     rng = random.Random(0x5E1)
-    exact = capped = short = 0
+    exact = capped = short = saturated = 0
     for i in range(200):
         taps, n, m = _random_sweep_instance(rng, i)
         R = taps.register_length
         mask = _label_mask(taps.positions)
         for sigma in range(1, R + 2):
             want = _per_sample_exponent(taps, n, m, sigma)
+            in_horizon = _per_sample_q(taps, n, sigma)[:taps.span // sigma]
+            saturated += any(q >= n - m for q in in_horizon)
             assert _sigma_exponent(mask, taps.span, R, n, m, sigma) == want
             assert _sigma_exponent(mask, taps.span, R, n, m, sigma, math.inf) == want
             limit = rng.randint(max(0, want - 6), want + 2)
@@ -259,7 +267,8 @@ def test_sigma_exponent_equals_per_sample_recurrence():
                 assert got >= limit, (taps.positions, R, n, m, sigma, limit)
                 capped += 1
                 short += got < want  # stopped inside the horizon
-    assert exact > 1000 and capped > 1000 and short > 200, (exact, capped, short)
+    assert exact > 1000 and capped > 1000 and short > 200 and saturated > 1000, (
+        exact, capped, short, saturated)
 
 
 def test_constant_sweep_equals_per_sample_recurrence():

@@ -26,7 +26,7 @@ from fsglab import (
 from fsglab.fixtures import GRAIN_LFSR_TAPS, GRAIN_NFSR_TAPS
 from fsglab import optimizer, sampling
 from fsglab.complexity import _constant_sweep
-from fsglab.optimizer import StageTrace, _ordering_key, _scorecards, _stage_m
+from fsglab.optimizer import StageTrace, _ceiling, _ordering_key, _scorecards, _stage_m
 from fsglab.sampling import NoOverdefinedSystemError, _label_mask
 
 
@@ -194,6 +194,37 @@ def test_bounded_search_equals_unbounded_minimum(monkeypatch):
         kinds += kind == 3 and got[1] == ()
     assert probed > 10_000, probed
     assert kinds > 100, kinds
+
+
+def test_bounded_search_prices_one_ceiling_per_incumbent(monkeypatch):
+    # The probe ceiling depends only on the incumbent's cost and the solver
+    # term, so it is worked out once per incumbent, not once per ordering.
+    # Every sweep that completes makes a new incumbent.
+    ceilings = []
+    incumbents = []
+
+    def ceiling(cost, solver):
+        ceilings.append(cost)
+        return _ceiling(cost, solver)
+
+    def sweep(*args):
+        found = _constant_sweep(*args)
+        incumbents.append(found is not None)
+        return found
+
+    monkeypatch.setattr(optimizer, "_ceiling", ceiling)
+    monkeypatch.setattr(optimizer, "_constant_sweep", sweep)
+    rng = random.Random(0xCE1)
+    for values, L in (((5, 13, 7, 26, 11, 17), 80), ((3, 8, 2, 9, 4, 6), 40)):
+        n = len(values) + 1
+        orderings = sorted(set(permutations(values)))
+        rng.shuffle(orderings)
+        for best in (None, optimizer._bounded_search(orderings[:3], n, 2, L + 7)):
+            ceilings.clear()
+            incumbents.clear()
+            optimizer._bounded_search(orderings, n, 2, L, best)
+            assert len(ceilings) <= sum(incumbents) + 1, (values, best)
+            assert len(ceilings) * 10 < len(orderings), (values, best)
 
 
 def test_bounded_search_checks_the_multiset_once():
