@@ -17,8 +17,11 @@ preimages in truth-table index order, which makes every run deterministic.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
+from operator import eq, or_, xor
 from typing import Sequence
 
 from .registers import (
@@ -324,6 +327,7 @@ def gfsga_recover(
                     order = _least_covered_order(shifts[:len(steps)], positions, len(blocks))
 
     expand(0, [0])
+    del expand  # it refers to itself: without this, only the collector frees the walk
     state = None if found is None else _state(found, (L,))
     return AttackResult(state, solved, pruned)
 
@@ -394,6 +398,7 @@ def nfsr_window_recover(
         joints.extend(paths)
 
     expand(0, [0])
+    del expand  # it refers to itself: without this, only the collector frees the walk
 
     # Covered labels are the plan's fresh labels; every joint fixes them all.
     # Label j is cell j - 1, so a joint's cell bitset is joint >> 1.
@@ -419,6 +424,38 @@ def nfsr_window_recover(
 _LANE_BITS = 10
 
 
+def _split_preimages(table: dict[int, tuple[int, ...]], n: int) -> dict[int, tuple]:
+    """Each output value's preimages split over the last filter input: per z,
+    ``(lo, hi, both)`` sets of indices y < 2^(n - 1) over the first n - 1
+    inputs, where z is the output at y only, at y + 2^(n - 1) only, or at
+    both."""
+    half = 1 << (n - 1)
+    split = {}
+    for z, members in table.items():
+        cut = bisect_left(members, half)
+        lo = set(members[:cut])
+        hi = {y - half for y in members[cut:]}
+        split[z] = (lo - hi, hi - lo, lo & hi)
+    return split
+
+
+def _preimage_lanes(values: Sequence[int], alive: int, split: tuple) -> int:
+    """The lanes of ``alive`` whose tap values form a preimage of z, given one
+    lane int per filter input and z's ``_split_preimages`` entry.
+
+    ``terms[y]`` holds the live lanes whose first n - 1 tap values spell y;
+    the last input then picks the lo or hi half, so the widest level holds
+    2^(n - 1) terms, not 2^n."""
+    terms = [alive]
+    for tap in values[:-1]:
+        on = [*map(tap.__and__, terms)]
+        terms = [*map(xor, terms, on), *on]  # lanes & ~tap, then lanes & tap
+    get = terms.__getitem__
+    lo, hi, both = split
+    lo = reduce(or_, map(get, lo), 0)
+    return lo ^ (lo ^ reduce(or_, map(get, hi), 0)) & values[-1] | reduce(or_, map(get, both), 0)
+
+
 def _first_completion(
     gen: GeneratorSpec,
     blocks: Sequence[int],
@@ -433,7 +470,8 @@ def _first_completion(
     ``free_cells`` completed every way: completion k sets ``free_cells[i]``
     iff bit i of k is set, so the first free cell varies fastest. Every
     candidate is known to match the first ``checked`` blocks. Returns the
-    winning state's cell bitset, or None.
+    winning state's cell bitset, or None, at once if a later block has no
+    preimage at all.
 
     The candidates are replayed bitsliced (Biham, FSE 1997): each cell is one
     lane int with one bit per candidate, at most 2^_LANE_BITS lanes per
@@ -446,13 +484,16 @@ def _first_completion(
     register keeps a timeline of lane ints, so cell p at time t is
     ``line[t + p - 1]``; ``timeline_clock`` runs them through the window in
     one call, then one clock per tested block. A block keeps the lanes whose
-    tap values form one of its preimages, and a chunk stops once no lane is
-    left. Once a block leaves one lane, every timeline entry is cut down to
-    that lane's bit, and each later block looks its tap values up in the
-    truth table directly. In the first chunk with a surviving lane, the
-    first candidate in enumeration order is the lowest live lane of the
-    lowest base that has one.
+    tap values form one of its preimages (``_preimage_lanes``), and a chunk
+    stops once no lane is left. Once a block leaves one lane, every timeline
+    is cut down to that lane's bit and clocked through all the remaining
+    blocks in one call; their truth-table indices are compared with the
+    blocks in order, up to the first mismatch. In the first chunk with a
+    surviving lane, the first candidate in enumeration order is the lowest
+    live lane of the lowest base that has one.
     """
+    if any(z not in table for z in blocks[checked:]):
+        return None  # no state at all yields that block
     reg = gen.register
     hybrid = isinstance(reg, HybridSpec)
     split = reg.lfsr.length if hybrid else 0
@@ -460,6 +501,9 @@ def _first_completion(
     advance = timeline_clock(reg)
     reads = tap_reads(gen.taps)
     truth_table = gen.filter.truth_table
+    halves = _split_preimages(table, len(reads))
+    top = 1 << width
+    last = len(blocks) - 1
 
     f = min(len(free_cells), _LANE_BITS)
     per_chunk = 1 << (_LANE_BITS - f)  # 1 when free > _LANE_BITS
@@ -468,12 +512,14 @@ def _first_completion(
         joints = bases[start:start + per_chunk]
         size = len(joints)
         full = (1 << (size << f)) - 1
-        repeat = full // ((1 << size) - 1)  # lane k * size for every k
-        # Transpose: one binary string per joint, last joint first, so every
-        # width-th character from ``width - 1 - j`` holds cell j of every
-        # joint; times ``repeat``, joint i's bit fills lanes k * size + i.
-        rows = "".join([format(base, f"0{width}b") for base in reversed(joints)])
-        cells = [int(rows[width - 1 - j::width], 2) * repeat for j in range(width)]
+        copies = full // ((1 << size) - 1)  # lane k * size for every k
+        # Transpose: one binary string per joint, last joint first, each
+        # "0b1" and then its cells, highest first (``top`` fixes the length),
+        # so every (width + 3)-th character from ``width + 2 - j`` holds cell
+        # j of every joint; times ``copies``, joint i's bit fills lanes
+        # k * size + i.
+        rows = "".join(map(bin, map(top.__or__, reversed(joints))))
+        cells = [int(rows[width + 2 - j::width + 3], 2) * copies for j in range(width)]
         # Free cell i < f: lane k * size + joint set iff bit i of k is.
         for i, j in enumerate(free_cells[:f]):
             run = size << i
@@ -482,47 +528,37 @@ def _first_completion(
             for i, j in enumerate(high):
                 cells[j] = full if chunk >> i & 1 else 0
             lines = [cells[:split], cells[split:]] if hybrid else [cells[:]]
-            alive = ones = full
-            lane = None  # the one live lane, once the lines are cut down to it
-            advance(lines, checked, ones)  # through the window, untested
+            alive = full
+            t = checked  # the timelines' time, also when no block is left to test
+            advance(lines, checked, full)  # through the window, untested
             for t in range(checked, len(blocks)):
                 if t > checked:
-                    advance(lines, 1, ones)
-                z = blocks[t]
-                members = table.get(z)
-                if members is None:  # no state at all yields this block
-                    return None
-                values = [lines[r][t + o] for r, o in reads]
-                if lane is not None:
-                    if truth_table[sum(tap << i for i, tap in enumerate(values))] != z:
-                        alive = 0
-                        break
-                    continue
-                # terms[x]: the live lanes whose tap values spell table index x.
-                terms = [alive]
-                for tap in values:
-                    off = tap ^ ones
-                    terms = [lanes & off for lanes in terms] + [lanes & tap for lanes in terms]
-                alive = 0
-                for x in members:
-                    alive |= terms[x]
-                if not alive:
-                    break
+                    advance(lines, 1, full)
+                alive = _preimage_lanes([lines[r][t + o] for r, o in reads], alive,
+                                        halves[blocks[t]])
                 if not alive & alive - 1:
-                    # One live lane: every line keeps only its bit, so each
-                    # later block reads its truth-table index directly.
-                    lane = alive.bit_length() - 1
-                    lines = [[cell >> lane & 1 for cell in line] for line in lines]
-                    alive = ones = 1
-            if alive:
-                if lane is None:
-                    # The first joint with a live lane, then its first one.
-                    joint = next(i for i in range(size) if alive >> i & repeat)
-                    live = alive >> joint & repeat
-                    lane = (live & -live).bit_length() - 1 + joint
-                k = chunk << f | lane // size
-                return joints[lane % size] | sum(
-                    1 << j for i, j in enumerate(free_cells) if k >> i & 1)
+                    break
+            if not alive:
+                continue
+            if alive & alive - 1:
+                # The first joint with a live lane, then its first one.
+                joint = next(i for i in range(size) if alive >> i & copies)
+                live = alive >> joint & copies
+                lane = (live & -live).bit_length() - 1 + joint
+            else:
+                # One live lane: its timelines from time t, clocked to the
+                # last block; block u's index has input i's bit u - t + o.
+                lane = alive.bit_length() - 1
+                lines = [[cell >> lane & 1 for cell in line[t:]] for line in lines]
+                advance(lines, last - t)
+                idx = [0] * (last - t)
+                for i, (r, o) in enumerate(reads):
+                    idx = [x | bit << i for x, bit in zip(idx, lines[r][1 + o:])]
+                if not all(map(eq, map(truth_table.__getitem__, idx), blocks[t + 1:])):
+                    continue
+            k = chunk << f | lane // size
+            return joints[lane % size] | sum(
+                1 << j for i, j in enumerate(free_cells) if k >> i & 1)
     return None
 
 

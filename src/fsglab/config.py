@@ -271,6 +271,9 @@ def _parse_stop(obj, context: str, L: int) -> Stop:
         return RankStop()
     if isinstance(obj, dict):
         _known(obj, f"{context}.stop", "rank", "samples")
+        if "rank" in obj and "samples" in obj:
+            raise ConfigError(
+                f"{context}.stop takes {context}.stop.rank or {context}.stop.samples, not both")
         if "samples" in obj:
             samples = _int(obj, "samples", f"{context}.stop")
             # Every sample adds at least one distinct equation, so L - n + 2

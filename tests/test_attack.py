@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -763,6 +764,199 @@ def test_single_lane_finish_keeps_enumeration_order(monkeypatch):
         assert got == _cells(state), lane_bits
         # The loser's blocks 1..fails_at, then the winner's blocks 1..end.
         assert len(counted.truth_table.reads) == fails_at + len(blocks) - 1, lane_bits
+
+
+def _replay_generator(rng, kind, missing=False):
+    """(generator, register lengths, output values with no preimage) of a
+    window instance of ``kind``; with ``missing``, one whose filter misses
+    an output value."""
+    while True:
+        gen, state, _, gone = _window_instance(rng, kind)
+        if gone or not missing:
+            return gen, [len(state)] if kind == "nfsr" else [len(part) for part in state], gone
+
+
+def _stream(gen, value, lengths, count):
+    return keystream(gen, attack._state(value, lengths), count)
+
+
+def _dead_bases(rng, gen, lengths, blocks, count):
+    """``count`` random states whose first block is not ``blocks[0]``."""
+    dead = []
+    while len(dead) < count:
+        value = rng.getrandbits(sum(lengths))
+        if _stream(gen, value, lengths, 1)[0] != blocks[0]:
+            dead.append(value)
+    return dead
+
+
+def _replays_like_scalar(monkeypatch, gen, blocks, bases, lengths, expected):
+    """Hold ``_first_completion`` (no free cells, nothing checked) equal to
+    the scalar reference and ``expected`` at 10, 1 and 3 lane bits; returns
+    the truth-table reads of each run."""
+    assert _scalar_first_completion(gen, blocks, bases, [], lengths) == expected
+    table = preimage_table(gen.filter)
+    counted = FilterSpec(gen.filter.n, gen.filter.m, gen.filter.truth_table)
+    object.__setattr__(counted, "truth_table", _CountedTable(gen.filter.truth_table))
+    counted_gen = GeneratorSpec(gen.register, gen.taps, counted)
+    reads = []
+    for lane_bits in (attack._LANE_BITS, 1, 3):
+        counted.truth_table.reads = []
+        with monkeypatch.context() as patch:
+            patch.setattr(attack, "_LANE_BITS", lane_bits)
+            got = attack._first_completion(counted_gen, blocks, table, bases, [], 0)
+        assert got == expected, lane_bits
+        reads.append(len(counted.truth_table.reads))
+    return reads
+
+
+def test_lone_lane_failing_in_the_last_chunk_returns_none(monkeypatch):
+    # Nine bases fail block 0, so block 0 leaves the slow loser alone in the
+    # last chunk, whether that chunk holds all ten bases or the last two.
+    # Its one clock run to the end fails at a later block, and the truth
+    # table is read up to that block only.
+    rng = random.Random(66)
+    for index in range(30):
+        kind = ("nfsr", "coupled", "uncoupled")[index % 3]
+        gen, lengths, _ = _replay_generator(rng, kind)
+        slow = rng.getrandbits(sum(lengths))
+        blocks = _stream(gen, slow, lengths, rng.randint(6, 12))
+        fail = rng.randrange(1, len(blocks))
+        others = [z for z in preimage_table(gen.filter) if z != blocks[fail]]
+        blocks[fail] = rng.choice(others)
+        bases = _dead_bases(rng, gen, lengths, blocks, 9) + [slow]
+        reads = _replays_like_scalar(monkeypatch, gen, blocks, bases, lengths, None)
+        assert reads == [fail] * 3, index
+
+
+def test_collapse_at_the_final_block_leaves_no_block_to_finish(monkeypatch):
+    # A twin differs from the winner in one cell, and the keystream ends at
+    # the first block that tells them apart. Both stay live up to it, so
+    # that block leaves one lane with zero blocks remaining and the truth
+    # table is never read.
+    rng = random.Random(67)
+    for index in range(30):
+        kind = ("nfsr", "coupled", "uncoupled")[index % 3]
+        gen, lengths, _ = _replay_generator(rng, kind)
+        total = sum(lengths)
+        winner = rng.getrandbits(total)
+        stream = _stream(gen, winner, lengths, 4 * total)
+        for cell in rng.sample(range(total), total):
+            twin = winner ^ 1 << cell
+            last = next((t for t, (a, b) in enumerate(
+                zip(stream, _stream(gen, twin, lengths, 4 * total))) if a != b), 0)
+            if last > 0:
+                break
+        assert last > 0, index
+        blocks = stream[:last + 1]
+        bases = _dead_bases(rng, gen, lengths, blocks, 2) + [twin, winner]
+        reads = _replays_like_scalar(monkeypatch, gen, blocks, bases, lengths, winner)
+        assert reads == [0] * 3, index
+
+
+def test_block_past_the_window_without_preimage_returns_none(monkeypatch):
+    # An output value that no state yields ends the replay before any chunk
+    # is built; through the window attack, it sits past the window.
+    rng = random.Random(68)
+    for index in range(30):
+        kind = ("nfsr", "coupled", "uncoupled")[index % 3]
+        gen, lengths, missing = _replay_generator(rng, kind, missing=True)
+        planted = rng.getrandbits(sum(lengths))
+        blocks = _stream(gen, planted, lengths, rng.randint(6, 12))
+        blocks[rng.randrange(len(blocks))] = missing[0]
+        bases = _dead_bases(rng, gen, lengths, blocks, 3) + [planted]
+        rng.shuffle(bases)
+        reads = _replays_like_scalar(monkeypatch, gen, blocks, bases, lengths, None)
+        assert reads == [0] * 3, index
+
+        window = window_geometry(gen.register, gen.taps)[2]
+        state = attack._state(planted, lengths)
+        blocks = keystream(gen, state, window + sum(lengths) + 2)
+        blocks[rng.randrange(window, len(blocks))] = missing[0]
+        expected = _scalar_window_recover(gen, blocks)
+        assert expected[1] is None
+        for lane_bits in (attack._LANE_BITS, 1, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(attack, "_LANE_BITS", lane_bits)
+                recovery, result = nfsr_window_recover(gen, blocks)
+            assert (recovery, result.recovered_state, result.systems_solved,
+                    result.candidates_pruned) == expected, (index, lane_bits)
+
+
+def test_one_lane_chunks_and_short_keystreams_match_scalar(monkeypatch):
+    # At 0 lane bits every chunk starts with one lane, which is tested like
+    # any other before its finish; a keystream with no block to test leaves
+    # the first candidate.
+    rng = random.Random(71)
+    for index in range(60):
+        kind = ("nfsr", "coupled", "uncoupled")[index % 3]
+        gen, lengths, _ = _replay_generator(rng, kind)
+        planted = rng.getrandbits(sum(lengths))
+        blocks = _stream(gen, planted, lengths, rng.randint(0, 10))
+        if blocks and index % 4 == 0:
+            blocks[rng.randrange(len(blocks))] ^= 1
+        bases = [rng.getrandbits(sum(lengths)) for _ in range(rng.randint(1, 5))] + [planted]
+        rng.shuffle(bases)
+        expected = _scalar_first_completion(gen, blocks, bases, [], lengths)
+        table = preimage_table(gen.filter)
+        for lane_bits in (0, 2, attack._LANE_BITS):
+            with monkeypatch.context() as patch:
+                patch.setattr(attack, "_LANE_BITS", lane_bits)
+                got = attack._first_completion(gen, blocks, table, bases, [], 0)
+            assert got == expected, (index, lane_bits)
+
+
+def test_split_minterm_test_matches_the_full_one():
+    # The half-size test over the first n - 1 tap values, then the last,
+    # keeps the lanes that the 2^n-term test over all n tap values keeps.
+    rng = random.Random(69)
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            for style in ("uniform", "skewed", "missing") if m > 1 else ("uniform", "skewed"):
+                table = preimage_table(_window_filter(rng, n, m, style))
+                split = attack._split_preimages(table, n)
+                assert split.keys() == table.keys()
+                for _ in range(3):
+                    width = rng.randint(1, 80)
+                    values = [rng.getrandbits(width) for _ in range(n)]
+                    alive = rng.getrandbits(width)
+                    terms = [alive]
+                    for tap in values:
+                        terms = [lanes & ~tap for lanes in terms] + [lanes & tap for lanes in terms]
+                    for z, members in table.items():
+                        full = 0
+                        for x in members:
+                            full |= terms[x]
+                        got = attack._preimage_lanes(values, alive, split[z])
+                        assert got == full, (n, m, style, z)
+
+
+def test_attacks_leave_no_reference_cycles(monkeypatch):
+    # With the collector off, everything an attack allocates is freed by
+    # reference counting alone: the level walk leaves no cycle behind, also
+    # when it is cut into slices or the LFSR attack fails.
+    rng = random.Random(70)
+    monkeypatch.setattr(attack, "_FRONTIER_CAP", 3)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for index in range(12):
+            gen, _, blocks, _ = _window_instance(rng, ("nfsr", "coupled", "uncoupled")[index % 3])
+            gc.collect()
+            nfsr_window_recover(gen, blocks)
+            assert gc.collect() == 0, index
+        for index in range(6):
+            gen, state = planted_lfsr_instance(rng, 20, 5, 2)
+            schedule, _ = greedy_schedule(gen.taps, RankStop())
+            blocks = keystream(gen, state, sum(schedule.steps) + 24)
+            if index % 2:
+                blocks[-1] ^= 1
+            gc.collect()
+            gfsga_recover(gen, blocks, schedule)
+            assert gc.collect() == 0, index
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_keystream_file_round_trip(tmp_path):

@@ -820,6 +820,19 @@ def test_rank_stop_non_boolean_is_exit_2(tmp_path, capsys, rank):
     assert err == f"error: analysis.stop.rank must be true or false, not {rank!r}\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "attack"])
+@pytest.mark.parametrize("rank", ["no", True, False])
+def test_rank_and_sample_stop_together_is_exit_2(tmp_path, capsys, command, rank):
+    # {"rank": "no", "samples": 3} used to run a 3-sample stop and exit 0.
+    doc = json.loads((SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
+    doc["analysis"]["stop"] = {"rank": rank, "samples": 3}
+    doc["attack"]["keystream"] = str(tmp_path / "missing.ks")
+    assert main([command, "--config", write_config(tmp_path, "c.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: analysis.stop takes analysis.stop.rank or analysis.stop.samples, "
+                   "not both\n")
+
+
 NFSR_CONFIG = {
     "generator": {
         "kind": "nfsr", "length": 16, "anf": {"constant": 1, "monomials": [[1], [3, 5]]},
