@@ -2,16 +2,19 @@
 
 Which filter inputs reread a timeline label fixed by an earlier sample
 depends only on the taps and the schedule, so ``_sample_plan`` works it out
-once, and a path picks its preimages with one lookup in the sample's
-``_buckets``. Every sample reads the first sample's labels shifted, so each
+once, and a path picks its preimages with one lookup in a bucket table of
+the sample. Every sample reads the first sample's labels shifted, so each
 attack spreads the preimages over those labels once (``_spread_table``) and
 shifts the table per sample. A path is a label bitset of its guessed bits.
 The LFSR attack compiles its GF(2) elimination once per schedule
-(``_compile``): parity checks prune, and a state is an XOR of label
-contributions. Both attacks expand the samples a level at a time, in slices
-of at most ``_FRONTIER_CAP`` paths, which yields the leaves in the same
-order as a depth-first walk. Samples are processed in schedule order and
-preimages in truth-table index order, which makes every run deterministic.
+(``_compile``), building each sample's buckets in the same pass: parity
+checks prune, and a state is an XOR of label contributions. The window
+attack buckets its samples with ``_buckets``. Both attacks expand the
+samples a level at a time, in slices of at most ``_FRONTIER_CAP`` paths,
+which yields the leaves in the same order as a depth-first walk; the LFSR
+attack expands two consecutive check-free one-label samples in one pass
+(``_PairChildren``). Samples are processed in schedule order and preimages
+in truth-table index order, which makes every run deterministic.
 """
 
 from __future__ import annotations
@@ -97,7 +100,9 @@ def _buckets(members: Sequence[int], table: Sequence[int], mask: int,
     grouped by the label bitset their fixed inputs set, so that a path picks
     its group as ``path & mask``. The sample reads the labels of ``table``
     (a ``_spread_table``) plus ``shift``, and ``mask`` holds its fixed
-    labels. Truth-table order is kept inside a group."""
+    labels. Truth-table order is kept inside a group. The window attack's
+    buckets; ``_compile`` builds the LFSR attack's in its own pass, with
+    syndrome bits in the key."""
     sel = mask >> shift
     groups: dict[int, list[int]] = {}
     for x in members:
@@ -158,13 +163,16 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
     labels whose expressions it combines, up to the sample that reaches rank
     L. A row that reduces to zero is a parity check c: a consistent path has
     even ``parity(path & c)``. ``steps[s]`` is None if no preimage yields the
-    block, else ``(mask, checks, groups, sizes)``: ``groups`` appends one
-    syndrome bit per check to the ``_buckets`` keys, and ``sizes`` counts
-    each bucket before that split, so the preimages a check prunes are
-    counted unvisited. After Gauss-Jordan, the particular solution (free
-    columns zero) XORs ``contributions[j]`` over the path's set labels j, and
-    ``nulls`` lists the null vector of each free column, lowest column first:
-    L minus the rank of the labels read.
+    block, else ``(mask, checks, groups, sizes)``, built in one pass over the
+    preimages: ``groups`` keys the fresh spreads by the ``_buckets`` key (the
+    fixed labels' bits) followed by one syndrome bit per check, and ``sizes``
+    counts the preimages per ``_buckets`` key before that split, so the
+    preimages a check prunes are counted unvisited. Gauss-Jordan then takes
+    the pivots in ascending order and XORs into each row only the earlier
+    pivot rows whose column the row has set. After it, the particular
+    solution (free columns zero) XORs ``contributions[j]`` over the path's
+    set labels j, and ``nulls`` lists the null vector of each free column,
+    lowest column first: L minus the rank of the labels read.
     """
     basis: dict[int, list[int]] = {}  # pivot column -> [row, label combo]
     steps = []
@@ -184,24 +192,34 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
         if members is None:
             steps.append(None)
         else:
+            # ``_buckets`` and the syndrome split in one pass: the fixed
+            # labels' bits then one bit per check, over the fresh spread.
+            sel = mask >> shift
             groups: dict[int, list[int]] = {}
-            sizes = {}
-            for want, bucket in _buckets(members, spreads, mask, shift).items():
-                sizes[want] = len(bucket)
-                for spread in bucket:
-                    key = want
-                    for check in checks:
-                        key = key << 1 | (spread & check).bit_count() & 1
-                    groups.setdefault(key, []).append(spread)
+            sizes: dict[int, int] = {}
+            for x in members:
+                spread = spreads[x]
+                want = (spread & sel) << shift
+                spread = (spread ^ spread & sel) << shift
+                sizes[want] = sizes.get(want, 0) + 1
+                for check in checks:
+                    want = want << 1 | (spread & check).bit_count() & 1
+                groups.setdefault(want, []).append(spread)
             steps.append((mask, tuple(checks), groups, sizes))
         if len(basis) == L:
             break
-    pivots = sorted(basis)
-    for k, p in enumerate(pivots):
-        for q in pivots[:k]:
-            if basis[p][0] >> q & 1:
-                basis[p][0] ^= basis[q][0]
-                basis[p][1] ^= basis[q][1]
+    # Ascending pivots: a row's earlier pivots are fully reduced already, so
+    # XORing one in clears that pivot's bit and sets no other pivot's.
+    pivot_bits = sum(1 << p for p in basis)
+    for p in sorted(basis):
+        row = basis[p]
+        hits = row[0] & pivot_bits ^ 1 << p
+        while hits:
+            low = hits & -hits
+            earlier = basis[low.bit_length() - 1]
+            row[0] ^= earlier[0]
+            row[1] ^= earlier[1]
+            hits ^= low
     top = max(label for *_, fresh in plan[:len(steps)] for _, label in fresh)
     contributions = [0] * (top + 1)
     for p, (_, combo) in basis.items():
@@ -212,6 +230,25 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
     nulls = [sum((row >> j & 1) << p for p, (row, _) in basis.items()) | 1 << j
              for j in range(L) if j not in basis]
     return steps, contributions, nulls
+
+
+class _PairChildren(dict):
+    """What two consecutive check-free compiled steps add to a path: the
+    label bitsets, in walk order, keyed by the path's bits at their fixed
+    labels and built on first use."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: tuple, second: tuple):
+        super().__init__()
+        self.first, self.second = first, second
+
+    def __missing__(self, key: int) -> list[int]:
+        mask, _, groups, _ = self.first
+        then, _, after, _ = self.second
+        children = self[key] = [one | two for one in groups.get(key & mask, ())
+                                for two in after.get((key | one) & then, ())]
+        return children
 
 
 # Live paths expanded together: a larger frontier is split into slices of this
@@ -233,7 +270,14 @@ def gfsga_recover(
     on the schedule, so ``_compile`` reduces them once and turns each
     dependent one into a parity check on the path. Each compiled step maps
     the ordered list of live paths to the next one: a path's bucket key is
-    its fixed labels plus one syndrome bit per check. A list longer than
+    its fixed labels plus one syndrome bit per check. Two consecutive steps
+    that exist, carry no check and read one fresh label each go in one pass
+    (paired from the first sample on): a path's children through both depend
+    only on its bits at their fixed labels, so ``_PairChildren`` builds them
+    once per such key and a path costs one lookup. The children come in walk
+    order and every leaf is still built, so the leaf order and both counters
+    are those of the step-by-step walk (a check-free step prunes nothing),
+    and a pass grows its input at most 4x. A list longer than
     ``_FRONTIER_CAP`` is cut into slices that are expanded one after the
     other, each down to its leaves, so memory stays bounded and the leaves
     come in depth-first order. At the sample that reaches full rank, a
@@ -280,6 +324,22 @@ def gfsga_recover(
         offsets += [offset ^ null for offset in offsets]
     depth = len(steps) - 1
     truth_table = gen.filter.truth_table
+    # Consecutive steps that exist, carry no check and read one fresh label
+    # each are paired from the first sample on. Each pair's first sample maps
+    # to (both steps' fixed labels, the children per path bits there); the
+    # first's fresh label, which the second may fix, is clear in every path
+    # that reaches the pair. A pass spans a whole pair and the walk cuts
+    # slices only after a pass, so no slice starts inside a pair.
+    pairs = {}
+    sample = 0
+    while sample < depth:
+        one, two = steps[sample], steps[sample + 1]
+        if (one is not None and two is not None and not one[1] and not two[1]
+                and len(plan[sample][2]) == len(plan[sample + 1][2]) == 1):
+            pairs[sample] = (one[0] | two[0], _PairChildren(one, two))
+            sample += 2
+        else:
+            sample += 1
 
     solved = 0
     pruned = 0
@@ -289,12 +349,19 @@ def gfsga_recover(
     def expand(first: int, paths: list[int]) -> None:
         """Grow ``paths`` from sample ``first`` to the leaves and replay them."""
         nonlocal solved, pruned, found, order
-        for sample in range(first, depth + 1):
+        sample = first
+        while sample <= depth:
             if steps[sample] is None:
                 pruned += len(paths)
                 return
             mask, checks, groups, sizes = steps[sample]
-            if checks:
+            if sample in pairs:
+                # Two samples in one pass, one lookup per path. A one-label
+                # bucket holds at most 2 spreads, so a pass grows 4x at most.
+                umask, children = pairs[sample]
+                paths = [path | child for path in paths for child in children[path & umask]]
+                sample += 1
+            elif checks:
                 # ``_compile``'s key: the fixed labels, then one syndrome bit
                 # per check. A preimage a check rules out is counted pruned.
                 keys = wants = [path & mask for path in paths]
@@ -310,6 +377,7 @@ def gfsga_recover(
                 for cut in range(0, len(paths), _FRONTIER_CAP):
                     expand(sample + 1, paths[cut:cut + _FRONTIER_CAP])
                 return
+            sample += 1
         solved += len(paths)
         if found is not None:
             return

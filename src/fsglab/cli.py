@@ -122,6 +122,7 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
 
 def cmd_optimize(config: ScenarioConfig, seed: int | None) -> Report:
     from .optimizer import (
+        MAX_EXHAUSTIVE_DIFFERENCES,
         StagedSearchParams,
         staged_search,
         step_a_candidates,
@@ -138,7 +139,7 @@ def cmd_optimize(config: ScenarioConfig, seed: int | None) -> Report:
     if opt.differences is not None:
         ordering, card = step_b_best_ordering(opt.differences, n, m, L)
         payload["method"] = "step_b"
-    elif n - 1 <= 10:
+    elif n - 1 <= MAX_EXHAUSTIVE_DIFFERENCES:
         candidates = step_a_candidates(L, n, opt.budget, seed)
         ordering, card = step_ab_best_ordering([c.differences for c in candidates], n, m, L)
         payload["method"] = "step_a+step_b"

@@ -4,9 +4,14 @@ Every branch of the depth-first search copies an incremental GF(2)
 eliminator and adds one row per fresh label, so a dependent row is found
 inconsistent or not on the branch itself. ``gfsga_recover`` compiles that
 elimination once per schedule; the tests hold the two equal.
+``reference_compile`` is that compilation in its first form: the preimages
+grouped by ``_buckets`` and then split by syndrome, and a Gauss-Jordan pass
+that tests every earlier pivot. The tests hold ``attack._compile`` equal to it.
 """
 
-from fsglab.attack import KeystreamFormatError, _sample_plan
+from typing import Sequence
+
+from fsglab.attack import KeystreamFormatError, _buckets, _sample_plan
 from fsglab.registers import label_expressions, preimage_table
 from fsglab.sampling import NoOverdefinedSystemError, repetition_profile
 
@@ -152,3 +157,69 @@ def reference_gfsga_recover(gen, blocks, schedule, completion_cap_bits=14):
 
     dfs(0, 0, Eliminator(L))
     return (successes[0] if successes else None), solved, pruned, inconsistent, len(successes)
+
+
+def reference_compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
+                      spreads: Sequence[int], shifts: Sequence[int]) -> tuple:
+    """The guess-independent part of ``gfsga_recover``: (steps,
+    contributions, nulls), given each sample's preimages ``sampled[s]``,
+    the ``_spread_table`` of the tap positions and each sample's shift.
+
+    Fresh label rows are reduced once, in plan order, each tracking the
+    labels whose expressions it combines, up to the sample that reaches rank
+    L. A row that reduces to zero is a parity check c: a consistent path has
+    even ``parity(path & c)``. ``steps[s]`` is None if no preimage yields the
+    block, else ``(mask, checks, groups, sizes)``: ``groups`` appends one
+    syndrome bit per check to the ``_buckets`` keys, and ``sizes`` counts
+    each bucket before that split, so the preimages a check prunes are
+    counted unvisited. After Gauss-Jordan, the particular solution (free
+    columns zero) XORs ``contributions[j]`` over the path's set labels j, and
+    ``nulls`` lists the null vector of each free column, lowest column first:
+    L minus the rank of the labels read.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> [row, label combo]
+    steps = []
+    for (mask, _, fresh), members, shift in zip(plan, sampled, shifts):
+        checks = []
+        for _, label in fresh:
+            row, combo = exprs[label - 1], 1 << label
+            while row:
+                p = row.bit_length() - 1
+                if p not in basis:
+                    basis[p] = [row, combo]
+                    break
+                row ^= basis[p][0]
+                combo ^= basis[p][1]
+            else:
+                checks.append(combo)
+        if members is None:
+            steps.append(None)
+        else:
+            groups: dict[int, list[int]] = {}
+            sizes = {}
+            for want, bucket in _buckets(members, spreads, mask, shift).items():
+                sizes[want] = len(bucket)
+                for spread in bucket:
+                    key = want
+                    for check in checks:
+                        key = key << 1 | (spread & check).bit_count() & 1
+                    groups.setdefault(key, []).append(spread)
+            steps.append((mask, tuple(checks), groups, sizes))
+        if len(basis) == L:
+            break
+    pivots = sorted(basis)
+    for k, p in enumerate(pivots):
+        for q in pivots[:k]:
+            if basis[p][0] >> q & 1:
+                basis[p][0] ^= basis[q][0]
+                basis[p][1] ^= basis[q][1]
+    top = max(label for *_, fresh in plan[:len(steps)] for _, label in fresh)
+    contributions = [0] * (top + 1)
+    for p, (_, combo) in basis.items():
+        while combo:
+            low = combo & -combo
+            contributions[low.bit_length() - 1] |= 1 << p
+            combo ^= low
+    nulls = [sum((row >> j & 1) << p for p, (row, _) in basis.items()) | 1 << j
+             for j in range(L) if j not in basis]
+    return steps, contributions, nulls

@@ -44,7 +44,7 @@ from fsglab.cli import cmd_analyze
 from fsglab.config import parse_config
 from fsglab.gf2 import rank_of
 from fsglab.registers import label_expressions, window_geometry
-from gfsga_reference import reference_gfsga_recover
+from gfsga_reference import reference_compile, reference_gfsga_recover
 from window_reference import reference_window_joints
 
 
@@ -282,6 +282,69 @@ def test_frontier_slices_keep_depth_first_order(monkeypatch, cap):
                 result.candidates_pruned) == expected[:3], index
         split += expected[1] > cap
     assert split
+
+
+@pytest.mark.parametrize("cap", [1, 3, 1024])
+def test_pair_pass_matches_per_branch_reference(monkeypatch, cap):
+    # Greedy schedules at n = 5, m = 1 run into consecutive samples that
+    # each read one fresh label and carry no check; the walk expands such a
+    # pair in one pass through a table of children. Leaves, counters and the
+    # first verified state must stay those of the per-branch search, also
+    # when slices cut the walk between pairs, and the table must be filled.
+    monkeypatch.setattr(attack, "_FRONTIER_CAP", cap)
+    fills = []
+
+    def counting(self, key, fill=attack._PairChildren.__missing__):
+        fills.append(len(fill(self, key)))
+        return self[key]
+
+    monkeypatch.setattr(attack._PairChildren, "__missing__", counting)
+    rng = random.Random(5)
+    paired = recovered = 0
+    for index in range(12):
+        gen, state, schedule, blocks, deficit = _lfsr_reference_instance(rng, 5, 1, "greedy")
+        before = len(fills)
+        expected = reference_gfsga_recover(gen, blocks, schedule, deficit)
+        result = gfsga_recover(gen, blocks, schedule, deficit)
+        assert (result.recovered_state, result.systems_solved,
+                result.candidates_pruned) == expected[:3], index
+        paired += len(fills) > before
+        recovered += expected[0] == state
+    assert paired == 12 and 0 < recovered < 12
+    assert max(fills) <= 4  # a one-label bucket holds at most 2 spreads
+
+
+def test_compile_matches_reference_compile():
+    # Random plans over primitive and arbitrary feedback, with random
+    # preimage sets and samples that no preimage yields: the one-pass
+    # buckets and the pivot-driven Gauss-Jordan must give the same steps,
+    # contributions and null vectors as the first form.
+    rng = random.Random(27)
+    seen = dict.fromkeys(("checks", "no-preimage", "deficit", "full-rank", "cut-short"), 0)
+    for index in range(300):
+        L = rng.randint(8, 32)
+        n = rng.randint(2, 6)
+        positions = tuple(sorted(rng.sample(range(1, L + 1), n)))
+        shifts = [0]
+        for _ in range(rng.randint(0, 14)):
+            shifts.append(shifts[-1] + rng.randint(1, L))
+        if index % 2:
+            reg = primitive_lfsr(L)
+        else:
+            reg = LfsrSpec(L, frozenset(rng.sample(range(1, L + 1), rng.randint(1, 4))))
+        plan = _sample_plan([[pos + shift for pos in positions] for shift in shifts])
+        exprs = label_expressions(reg, positions[-1] + shifts[-1])
+        sampled = [None if rng.random() < 0.1 else
+                   tuple(sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n))))
+                   for _ in shifts]
+        args = (plan, exprs, L, sampled, _spread_table(positions), shifts)
+        steps, contributions, nulls = attack._compile(*args)
+        assert (steps, contributions, nulls) == reference_compile(*args), index
+        seen["checks"] += any(step and step[1] for step in steps)
+        seen["no-preimage"] += None in steps
+        seen["deficit" if nulls else "full-rank"] += 1
+        seen["cut-short"] += len(steps) < len(plan)
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 def test_recover_stops_replaying_after_the_first_verified_state(monkeypatch):

@@ -235,6 +235,28 @@ def test_optimize_step_b_reference_row(tmp_path, capsys):
     assert sorted(doc["payload"]["ordering"]) == [5, 7, 11, 13, 17, 26]
 
 
+def test_optimize_cut_over_is_step_b_limit(tmp_path, capsys, monkeypatch):
+    # One constant decides both which search ``optimize`` runs and what step
+    # B refuses. Lowered to 4, five taps (4 differences) still get step A+B,
+    # six taps go to the staged search, and 5 given differences are refused.
+    monkeypatch.setattr(optimizer, "MAX_EXHAUSTIVE_DIFFERENCES", 4)
+    methods = {}
+    for taps in ((2, 9, 17, 26, 40), (2, 9, 17, 26, 33, 40)):
+        gen, _, _ = lfsr_generator_section(48, taps, len(taps), 2)
+        cfg = write_config(tmp_path, f"n{len(taps)}.json", {
+            "generator": gen, "optimize": {"budget": 2, "chunk_size": 2},
+            "report": {"format": "structured"}})
+        assert main(["optimize", "--config", cfg]) == 0
+        methods[len(taps)] = json.loads(capsys.readouterr().out)["payload"]["method"]
+    assert methods == {5: "step_a+step_b", 6: "staged"}
+    gen, _, _ = lfsr_generator_section(48, (2, 9, 17, 26, 33, 40), 6, 2)
+    cfg = write_config(tmp_path, "b.json", {
+        "generator": gen, "optimize": {"differences": [7, 8, 9, 7, 7]}})
+    assert main(["optimize", "--config", cfg]) == 2
+    assert "more than 4 differences: exhaustive ordering search is infeasible" in (
+        capsys.readouterr().err)
+
+
 def test_optimize_rejects_workers_option(tmp_path, capsys):
     # The ordering search is serial; --workers is no longer an option.
     gen, _, _ = lfsr_generator_section(24, (1, 4, 9, 13, 20), 5, 2)

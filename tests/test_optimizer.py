@@ -79,7 +79,8 @@ def test_step_b_single_difference():
 
 
 def test_step_b_feasibility_gate():
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError, match="^more than 10 differences: exhaustive "
+                       "ordering search is infeasible, use staged_search$"):
         step_b_best_ordering(tuple(range(1, 12)), 12, 2, 200)
 
 
