@@ -6,15 +6,17 @@ once, and a path picks its preimages with one lookup in a bucket table of
 the sample. Every sample reads the first sample's labels shifted, so each
 attack spreads the preimages over those labels once (``_spread_table``) and
 shifts the table per sample. A path is a label bitset of its guessed bits.
-The LFSR attack compiles its GF(2) elimination once per schedule
-(``_compile``), building each sample's buckets in the same pass: parity
-checks prune, and a state is an XOR of label contributions. The window
-attack buckets its samples with ``_buckets``. Both attacks expand the
-samples a level at a time, in slices of at most ``_FRONTIER_CAP`` paths,
-which yields the leaves in the same order as a depth-first walk; the LFSR
-attack expands two consecutive check-free one-label samples in one pass
-(``_PairChildren``). Samples are processed in schedule order and preimages
-in truth-table index order, which makes every run deterministic.
+``_buckets`` is the only code that groups a sample's preimages: the key is
+the fixed labels' bits, followed by one syndrome bit per parity check when
+the LFSR attack, which compiles its GF(2) elimination once per schedule
+(``_compile``), has checks at that sample; a state is then an XOR of label
+contributions. ``_walk`` is the only frontier loop: each sample's step maps
+the ordered list of live paths to the next one, in slices of at most
+``_FRONTIER_CAP`` paths, which yields the leaves in the same order as a
+depth-first walk. The LFSR attack expands two consecutive check-free
+one-label samples in one step (``_PairChildren``). Samples are processed in
+schedule order and preimages in truth-table index order, which makes every
+run deterministic.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import repeat
 from operator import eq, or_, xor
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .registers import (
     GeneratorSpec,
@@ -95,19 +97,23 @@ def _spread_table(labels: Sequence[int]) -> list[int]:
 
 
 def _buckets(members: Sequence[int], table: Sequence[int], mask: int,
-             shift: int) -> dict[int, list[int]]:
+             shift: int, checks: Sequence[int] = ()) -> dict[int, list[int]]:
     """A sample's preimages as the label bitsets their fresh inputs set,
-    grouped by the label bitset their fixed inputs set, so that a path picks
-    its group as ``path & mask``. The sample reads the labels of ``table``
-    (a ``_spread_table``) plus ``shift``, and ``mask`` holds its fixed
-    labels. Truth-table order is kept inside a group. The window attack's
-    buckets; ``_compile`` builds the LFSR attack's in its own pass, with
-    syndrome bits in the key."""
+    grouped by the label bitset their fixed inputs set followed by one
+    syndrome bit per check c, the parity of ``spread & c``, so that a path
+    picks its group as ``path & mask`` followed by its own parity bit per
+    check. The sample reads the labels of ``table`` (a ``_spread_table``)
+    plus ``shift``, and ``mask`` holds its fixed labels. Truth-table order
+    is kept inside a group."""
     sel = mask >> shift
     groups: dict[int, list[int]] = {}
     for x in members:
         spread = table[x]
-        groups.setdefault((spread & sel) << shift, []).append((spread ^ spread & sel) << shift)
+        key = (spread & sel) << shift
+        spread = (spread ^ spread & sel) << shift
+        for check in checks:
+            key = key << 1 | (spread & check).bit_count() & 1
+        groups.setdefault(key, []).append(spread)
     return groups
 
 
@@ -163,11 +169,10 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
     labels whose expressions it combines, up to the sample that reaches rank
     L. A row that reduces to zero is a parity check c: a consistent path has
     even ``parity(path & c)``. ``steps[s]`` is None if no preimage yields the
-    block, else ``(mask, checks, groups, sizes)``, built in one pass over the
-    preimages: ``groups`` keys the fresh spreads by the ``_buckets`` key (the
-    fixed labels' bits) followed by one syndrome bit per check, and ``sizes``
-    counts the preimages per ``_buckets`` key before that split, so the
-    preimages a check prunes are counted unvisited. Gauss-Jordan then takes
+    block, else ``(mask, checks, groups, sizes)``: ``groups`` are the
+    sample's ``_buckets`` with one syndrome bit per check in the key, and
+    ``sizes`` (None without checks) sums their lengths per fixed-label key,
+    so the preimages a check prunes are counted unvisited. Gauss-Jordan then takes
     the pivots in ascending order and XORs into each row only the earlier
     pivot rows whose column the row has set. After it, the particular
     solution (free columns zero) XORs ``contributions[j]`` over the path's
@@ -192,19 +197,13 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
         if members is None:
             steps.append(None)
         else:
-            # ``_buckets`` and the syndrome split in one pass: the fixed
-            # labels' bits then one bit per check, over the fresh spread.
-            sel = mask >> shift
-            groups: dict[int, list[int]] = {}
-            sizes: dict[int, int] = {}
-            for x in members:
-                spread = spreads[x]
-                want = (spread & sel) << shift
-                spread = (spread ^ spread & sel) << shift
-                sizes[want] = sizes.get(want, 0) + 1
-                for check in checks:
-                    want = want << 1 | (spread & check).bit_count() & 1
-                groups.setdefault(want, []).append(spread)
+            groups = _buckets(members, spreads, mask, shift, checks)
+            sizes = None
+            if checks:
+                sizes = {}
+                for key, bucket in groups.items():
+                    key >>= len(checks)
+                    sizes[key] = sizes.get(key, 0) + len(bucket)
             steps.append((mask, tuple(checks), groups, sizes))
         if len(basis) == L:
             break
@@ -251,10 +250,71 @@ class _PairChildren(dict):
         return children
 
 
-# Live paths expanded together: a larger frontier is split into slices of this
-# many, which recurse in order, so memory stays bounded and leaves stay in
-# depth-first order.
+# The steps of ``_walk``, bound to a sample's tables with ``partial``: each
+# maps the ordered list of live paths to the next one and the paths it pruned.
+
+def _plain_step(mask: int, groups: dict, paths: list[int]) -> tuple[list[int], int]:
+    """A check-free LFSR sample: a path without a bucket ends unpruned."""
+    return [path | spread for path in paths for spread in groups.get(path & mask, ())], 0
+
+
+def _pair_step(mask: int, children: _PairChildren, paths: list[int]) -> tuple[list[int], int]:
+    """Two check-free one-label LFSR samples with fixed labels ``mask``, one
+    lookup per path; a one-label bucket holds 2 spreads at most, so 4 children."""
+    return [path | child for path in paths for child in children[path & mask]], 0
+
+
+def _checked_step(mask: int, checks: tuple, groups: dict, sizes: dict,
+                  paths: list[int]) -> tuple[list[int], int]:
+    """An LFSR sample with parity checks, keyed as in ``_compile``; the
+    preimages a check rules out are counted pruned."""
+    keys = wants = [path & mask for path in paths]
+    for check in checks:
+        keys = [key << 1 | (path & check).bit_count() & 1 for key, path in zip(keys, paths)]
+    paths = [path | spread for path, key in zip(paths, keys) for spread in groups.get(key, ())]
+    return paths, sum(map(sizes.get, wants, repeat(0))) - len(paths)
+
+
+def _counting_step(mask: int, groups: dict, paths: list[int]) -> tuple[list[int], int]:
+    """A window sample: a path that finds no bucket is counted pruned."""
+    get = groups.get
+    branches = [get(path & mask, ()) for path in paths]  # every bucket is non-empty
+    paths = [path | spread for path, bucket in zip(paths, branches) for spread in bucket]
+    return paths, branches.count(())
+
+
+# Live paths expanded together: a larger frontier is walked in slices of this
+# many, so memory stays bounded.
 _FRONTIER_CAP = 1024
+
+
+def _walk(steps: Sequence, leaf: Callable[[list[int]], object]) -> int:
+    """Walk the path 0 through ``steps`` and return the paths they pruned.
+
+    A step is None, which prunes every path that reaches it, or maps the
+    ordered list of live paths to the next one and the paths it pruned; the
+    lists that pass the last step go to ``leaf``. A longer list than
+    ``_FRONTIER_CAP`` short of the last step is cut into slices, pushed last
+    first on the work stack, so the leaves come in depth-first order."""
+    pruned = 0
+    last = len(steps) - 1
+    cap = _FRONTIER_CAP
+    work = [(0, [0])]
+    while work:
+        first, paths = work.pop()
+        for index in range(first, last + 1):
+            step = steps[index]
+            if step is None:
+                pruned += len(paths)
+                break
+            paths, cut = step(paths)
+            pruned += cut
+            if index < last and len(paths) > cap:
+                work += [(index + 1, paths[at:at + cap]) for at in reversed(range(0, len(paths), cap))]
+                break
+        else:
+            leaf(paths)
+    return pruned
 
 
 def gfsga_recover(
@@ -265,23 +325,16 @@ def gfsga_recover(
 ) -> AttackResult:
     """Recover an LFSR filter generator's initial state from sampled blocks.
 
-    Expands per-sample filtered preimages a level at a time. Every new label
+    Expands per-sample filtered preimages with ``_walk``. Every new label
     adds one linear equation; which equations are independent depends only
     on the schedule, so ``_compile`` reduces them once and turns each
-    dependent one into a parity check on the path. Each compiled step maps
-    the ordered list of live paths to the next one: a path's bucket key is
-    its fixed labels plus one syndrome bit per check. Two consecutive steps
-    that exist, carry no check and read one fresh label each go in one pass
-    (paired from the first sample on): a path's children through both depend
-    only on its bits at their fixed labels, so ``_PairChildren`` builds them
-    once per such key and a path costs one lookup. The children come in walk
-    order and every leaf is still built, so the leaf order and both counters
-    are those of the step-by-step walk (a check-free step prunes nothing),
-    and a pass grows its input at most 4x. A list longer than
-    ``_FRONTIER_CAP`` is cut into slices that are expanded one after the
-    other, each down to its leaves, so memory stays bounded and the leaves
-    come in depth-first order. At the sample that reaches full rank, a
-    surviving path's state is an XOR of precomputed label contributions,
+    dependent one into a parity check on the path, one syndrome bit of its
+    bucket key. Two consecutive steps that exist, carry no check and read
+    one fresh label each are one walk step: a path's children through both
+    depend only on its bits at their fixed labels, so ``_PairChildren``
+    builds them once per such key, and the leaf order and both counters stay
+    those of the step-by-step walk. Each slice of leaves is replayed as it
+    comes: a path's state is an XOR of precomputed label contributions,
     checked against the whole observed keystream. The overdefined-count
     condition does not guarantee full rank, so a path that survives the
     schedule short of it sweeps the missing dimensions: L minus the rank of
@@ -322,62 +375,32 @@ def gfsga_recover(
     offsets = [0]
     for null in nulls:
         offsets += [offset ^ null for offset in offsets]
-    depth = len(steps) - 1
     truth_table = gen.filter.truth_table
-    # Consecutive steps that exist, carry no check and read one fresh label
-    # each are paired from the first sample on. Each pair's first sample maps
-    # to (both steps' fixed labels, the children per path bits there); the
-    # first's fresh label, which the second may fix, is clear in every path
-    # that reaches the pair. A pass spans a whole pair and the walk cuts
-    # slices only after a pass, so no slice starts inside a pair.
-    pairs = {}
+    # Check-free one-label neighbours pair from the first sample on; the first's
+    # fresh label, which the second may fix, is clear in every path there.
+    walk = []
+    successors = [*steps[1:], None]
     sample = 0
-    while sample < depth:
-        one, two = steps[sample], steps[sample + 1]
-        if (one is not None and two is not None and not one[1] and not two[1]
-                and len(plan[sample][2]) == len(plan[sample + 1][2]) == 1):
-            pairs[sample] = (one[0] | two[0], _PairChildren(one, two))
-            sample += 2
-        else:
+    while sample < len(steps):
+        step, after = steps[sample], successors[sample]
+        if step is None:
+            walk.append(None)
+        elif step[1]:
+            walk.append(partial(_checked_step, *step))
+        elif (after is not None and not after[1]
+              and len(plan[sample][2]) == len(plan[sample + 1][2]) == 1):
+            walk.append(partial(_pair_step, step[0] | after[0], _PairChildren(step, after)))
             sample += 1
+        else:
+            walk.append(partial(_plain_step, step[0], step[2]))
+        sample += 1
 
     solved = 0
-    pruned = 0
     found = None  # the first verified state; later leaves are only counted
     order = None  # replay block order, ranked once a first candidate fails
 
-    def expand(first: int, paths: list[int]) -> None:
-        """Grow ``paths`` from sample ``first`` to the leaves and replay them."""
-        nonlocal solved, pruned, found, order
-        sample = first
-        while sample <= depth:
-            if steps[sample] is None:
-                pruned += len(paths)
-                return
-            mask, checks, groups, sizes = steps[sample]
-            if sample in pairs:
-                # Two samples in one pass, one lookup per path. A one-label
-                # bucket holds at most 2 spreads, so a pass grows 4x at most.
-                umask, children = pairs[sample]
-                paths = [path | child for path in paths for child in children[path & umask]]
-                sample += 1
-            elif checks:
-                # ``_compile``'s key: the fixed labels, then one syndrome bit
-                # per check. A preimage a check rules out is counted pruned.
-                keys = wants = [path & mask for path in paths]
-                for check in checks:
-                    keys = [key << 1 | (path & check).bit_count() & 1
-                            for key, path in zip(keys, paths)]
-                paths = [path | spread for path, key in zip(paths, keys)
-                         for spread in groups.get(key, ())]
-                pruned += sum(map(sizes.get, wants, repeat(0))) - len(paths)
-            else:
-                paths = [path | spread for path in paths for spread in groups.get(path & mask, ())]
-            if sample < depth and len(paths) > _FRONTIER_CAP:
-                for cut in range(0, len(paths), _FRONTIER_CAP):
-                    expand(sample + 1, paths[cut:cut + _FRONTIER_CAP])
-                return
-            sample += 1
+    def replay(paths: list[int]) -> None:
+        nonlocal solved, found, order
         solved += len(paths)
         if found is not None:
             return
@@ -394,8 +417,7 @@ def gfsga_recover(
                 if order is None:
                     order = _least_covered_order(shifts[:len(steps)], positions, len(blocks))
 
-    expand(0, [0])
-    del expand  # it refers to itself: without this, only the collector frees the walk
+    pruned = _walk(walk, replay)
     state = None if found is None else _state(found, (L,))
     return AttackResult(state, solved, pruned)
 
@@ -419,12 +441,9 @@ def nfsr_window_recover(
     state, as if every completion were replayed one at a time in enumeration
     order.
 
-    The joints are expanded a level at a time, as in ``gfsga_recover``: each
-    sample maps the ordered list of live paths to the next, and a list longer
-    than ``_FRONTIER_CAP`` is cut into slices that are expanded one after the
-    other, so the joints come in depth-first order. ``systems_solved`` counts
-    every completion of every joint, and ``candidates_pruned`` every path
-    that finds no preimage.
+    The joints are collected from ``_walk``, in depth-first order, before
+    the replay starts. ``systems_solved`` counts every completion of every
+    joint, and ``candidates_pruned`` every path that finds no preimage.
     """
     families, total_bits, window = window_geometry(gen.register, gen.taps)
     n, m = gen.filter.n, gen.filter.m
@@ -439,34 +458,13 @@ def nfsr_window_recover(
     labels = [off + pos for off, (_, ts) in zip(offsets, families) for pos in ts.positions]
     plan = _sample_plan([[label + s for label in labels] for s in range(window)])
     spreads = _spread_table(labels)
-    groups = []
+    steps = []
     for sample, (mask, _, _) in enumerate(plan):
         members = table.get(blocks[sample])
-        groups.append(None if members is None else _buckets(members, spreads, mask, sample))
-
-    pruned = 0
+        steps.append(None if members is None else
+                     partial(_counting_step, mask, _buckets(members, spreads, mask, sample)))
     joints: list[int] = []
-
-    def expand(first: int, paths: list[int]) -> None:
-        """Grow ``paths`` from sample ``first`` to the end of the window."""
-        nonlocal pruned
-        for sample in range(first, window):
-            if groups[sample] is None:
-                pruned += len(paths)
-                return
-            mask, get = plan[sample][0], groups[sample].get
-            # A missing key reads (); every bucket is a non-empty list.
-            branches = [get(path & mask, ()) for path in paths]
-            pruned += branches.count(())
-            paths = [path | spread for path, bucket in zip(paths, branches) for spread in bucket]
-            if sample < window - 1 and len(paths) > _FRONTIER_CAP:
-                for cut in range(0, len(paths), _FRONTIER_CAP):
-                    expand(sample + 1, paths[cut:cut + _FRONTIER_CAP])
-                return
-        joints.extend(paths)
-
-    expand(0, [0])
-    del expand  # it refers to itself: without this, only the collector frees the walk
+    pruned = _walk(steps, joints.extend)
 
     # Covered labels are the plan's fresh labels; every joint fixes them all.
     # Label j is cell j - 1, so a joint's cell bitset is joint >> 1.

@@ -5,13 +5,15 @@ eliminator and adds one row per fresh label, so a dependent row is found
 inconsistent or not on the branch itself. ``gfsga_recover`` compiles that
 elimination once per schedule; the tests hold the two equal.
 ``reference_compile`` is that compilation in its first form: the preimages
-grouped by ``_buckets`` and then split by syndrome, and a Gauss-Jordan pass
-that tests every earlier pivot. The tests hold ``attack._compile`` equal to it.
+grouped by the fixed labels' bits (``_first_buckets``, the first form of
+``attack._buckets``, kept here so that the reference does not run the code
+it checks) and then split by syndrome, and a Gauss-Jordan pass that tests
+every earlier pivot. The tests hold ``attack._compile`` equal to it.
 """
 
 from typing import Sequence
 
-from fsglab.attack import KeystreamFormatError, _buckets, _sample_plan
+from fsglab.attack import KeystreamFormatError, _sample_plan
 from fsglab.registers import label_expressions, preimage_table
 from fsglab.sampling import NoOverdefinedSystemError, repetition_profile
 
@@ -159,6 +161,21 @@ def reference_gfsga_recover(gen, blocks, schedule, completion_cap_bits=14):
     return (successes[0] if successes else None), solved, pruned, inconsistent, len(successes)
 
 
+def _first_buckets(members: Sequence[int], table: Sequence[int], mask: int,
+                   shift: int) -> dict[int, list[int]]:
+    """A sample's preimages as the label bitsets their fresh inputs set,
+    grouped by the label bitset their fixed inputs set, so that a path picks
+    its group as ``path & mask``. The sample reads the labels of ``table``
+    (a ``_spread_table``) plus ``shift``, and ``mask`` holds its fixed
+    labels. Truth-table order is kept inside a group."""
+    sel = mask >> shift
+    groups: dict[int, list[int]] = {}
+    for x in members:
+        spread = table[x]
+        groups.setdefault((spread & sel) << shift, []).append((spread ^ spread & sel) << shift)
+    return groups
+
+
 def reference_compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
                       spreads: Sequence[int], shifts: Sequence[int]) -> tuple:
     """The guess-independent part of ``gfsga_recover``: (steps,
@@ -170,9 +187,9 @@ def reference_compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampl
     L. A row that reduces to zero is a parity check c: a consistent path has
     even ``parity(path & c)``. ``steps[s]`` is None if no preimage yields the
     block, else ``(mask, checks, groups, sizes)``: ``groups`` appends one
-    syndrome bit per check to the ``_buckets`` keys, and ``sizes`` counts
-    each bucket before that split, so the preimages a check prunes are
-    counted unvisited. After Gauss-Jordan, the particular solution (free
+    syndrome bit per check to the ``_first_buckets`` keys, and ``sizes`` counts
+    each bucket before that split (None without checks, where nothing reads
+    it), so the preimages a check prunes are counted unvisited. After Gauss-Jordan, the particular solution (free
     columns zero) XORs ``contributions[j]`` over the path's set labels j, and
     ``nulls`` lists the null vector of each free column, lowest column first:
     L minus the rank of the labels read.
@@ -197,14 +214,14 @@ def reference_compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampl
         else:
             groups: dict[int, list[int]] = {}
             sizes = {}
-            for want, bucket in _buckets(members, spreads, mask, shift).items():
+            for want, bucket in _first_buckets(members, spreads, mask, shift).items():
                 sizes[want] = len(bucket)
                 for spread in bucket:
                     key = want
                     for check in checks:
                         key = key << 1 | (spread & check).bit_count() & 1
                     groups.setdefault(key, []).append(spread)
-            steps.append((mask, tuple(checks), groups, sizes))
+            steps.append((mask, tuple(checks), groups, sizes if checks else None))
         if len(basis) == L:
             break
     pivots = sorted(basis)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import struct
+from functools import partial
 
 import pytest
 
@@ -97,13 +98,27 @@ def test_sample_plan_against_brute_force():
             n = len(labels)
             path = rng.getrandbits(max(max(row) for row in reads) + 1)
             members = sorted(rng.sample(range(1 << n), rng.randint(0, 1 << n)))
-            groups = _buckets(members, _spread_table(reads[0]), mask, shift)
-            assert all(key & ~mask == 0 for key in groups)
+            checks = [rng.getrandbits(path.bit_length() + 1) for _ in range(rng.randint(0, 3))]
+            k = len(checks)
+            groups = _buckets(members, _spread_table(reads[0]), mask, shift, checks)
+            assert all(key >> k & ~mask == 0 for key in groups)
             assert sum(map(len, groups.values())) == len(members)
-            assert groups.get(path & mask, []) == [
+
+            def syndrome(spread):
+                return sum(((spread & check).bit_count() & 1) << (k - 1 - j)
+                           for j, check in enumerate(checks))
+
+            # The last k bits of a key are the syndrome bits of its spreads,
+            # the first check's bit highest.
+            assert all(key & (1 << k) - 1 == syndrome(spread)
+                       for key, bucket in groups.items() for spread in bucket)
+            matching = [
                 sum((x >> i & 1) << label for i, label in fresh) for x in members
                 if all((x >> i) & 1 == (path >> label) & 1 for i, label in fixed)
             ]
+            for bits in range(1 << k):
+                assert groups.get((path & mask) << k | bits, []) == [
+                    spread for spread in matching if syndrome(spread) == bits]
 
 
 def test_recover_planted_state_greedy_schedule():
@@ -312,6 +327,114 @@ def test_pair_pass_matches_per_branch_reference(monkeypatch, cap):
         recovered += expected[0] == state
     assert paired == 12 and 0 < recovered < 12
     assert max(fills) <= 4  # a one-label bucket holds at most 2 spreads
+
+
+def _random_walk_level(rng, earlier, start, fresh_count, check_count):
+    """(mask, checks, groups) of a synthetic sample: fixed labels drawn from
+    ``earlier``, fresh labels ``start``.., and per fixed-label key (most of
+    them) a non-empty bucket of fresh spreads, split by syndrome."""
+    mask = sum(1 << label for label in rng.sample(earlier, min(len(earlier), rng.randint(0, 3))))
+    fresh = range(start, start + fresh_count)
+    spreads = [sum(1 << label for j, label in enumerate(fresh) if x >> j & 1)
+               for x in range(1 << fresh_count)]
+    checks = tuple(rng.getrandbits(start + fresh_count) | 1 << start for _ in range(check_count))
+    groups = {}
+    for want in range(1 << mask.bit_count()):
+        if rng.random() < 0.1:
+            continue
+        key = 0
+        for j, label in enumerate(label for label in range(mask.bit_length()) if mask >> label & 1):
+            key |= (want >> j & 1) << label
+        for spread in rng.sample(spreads, rng.randint(1, len(spreads))):
+            bits = key
+            for check in checks:
+                bits = bits << 1 | (spread & check).bit_count() & 1
+            groups.setdefault(bits, []).append(spread)
+    return mask, checks, groups
+
+
+def _recursive_walk(levels):
+    """Leaves in depth-first order and paths pruned, one path per call: a
+    None level prunes every path, a counting level a path without a bucket,
+    and a checked level every preimage with the path's fixed labels that a
+    check rules out."""
+    leaves = []
+    pruned = 0
+
+    def dfs(depth, path):
+        nonlocal pruned
+        if depth == len(levels):
+            leaves.append(path)
+            return
+        if levels[depth] is None:
+            pruned += 1
+            return
+        kind, mask, checks, groups = levels[depth]
+        key = path & mask
+        for check in checks:
+            key = key << 1 | (path & check).bit_count() & 1
+        bucket = groups.get(key, [])
+        if kind == "counting" and not bucket:
+            pruned += 1
+        if kind == "checked":
+            pruned += sum(len(group) for bits, group in groups.items()
+                          if bits >> len(checks) == path & mask) - len(bucket)
+        for spread in bucket:
+            dfs(depth + 1, path | spread)
+
+    dfs(0, 0)
+    return leaves, pruned
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 1024])
+def test_walk_matches_recursive_depth_first_walk(monkeypatch, cap):
+    # Random step lists of every kind, a pair counting as two plain levels:
+    # the leaves, their order and the prunes must be those of a recursive
+    # depth-first walk, whichever slices the frontier is cut into.
+    monkeypatch.setattr(attack, "_FRONTIER_CAP", cap)
+    rng = random.Random(29)
+    kinds = ("none", "plain", "counting", "checked", "pair")
+    seen = dict.fromkeys((*kinds, "pruned", "sliced", "no-leaf"), 0)
+    for index in range(300):
+        steps, levels = [], []
+        label = 0
+        for _ in range(rng.randint(0, 7)):
+            kind = rng.choices(kinds, (1, 4, 4, 4, 4))[0]
+            seen[kind] += 1
+            if kind == "none":
+                steps.append(None)
+                levels.append(None)
+                continue
+            if kind == "pair":
+                first = _random_walk_level(rng, range(label), label, 1, 0)
+                second = _random_walk_level(rng, range(label + 1), label + 1, 1, 0)
+                steps.append(partial(attack._pair_step, first[0] | second[0],
+                                     attack._PairChildren((*first, None), (*second, None))))
+                levels += [("plain", *first), ("plain", *second)]
+                label += 2
+                continue
+            width = rng.randint(1, 3)
+            mask, checks, groups = _random_walk_level(
+                rng, range(label), label, width, rng.randint(1, 2) if kind == "checked" else 0)
+            label += width
+            levels.append((kind, mask, checks, groups))
+            if kind == "checked":
+                sizes = {}
+                for bits, group in groups.items():
+                    sizes[bits >> len(checks)] = sizes.get(bits >> len(checks), 0) + len(group)
+                steps.append(partial(attack._checked_step, mask, checks, groups, sizes))
+            else:
+                step = attack._plain_step if kind == "plain" else attack._counting_step
+                steps.append(partial(step, mask, groups))
+        calls = []
+        pruned = attack._walk(steps, calls.append)
+        leaves, expected = _recursive_walk(levels)
+        assert [path for paths in calls for path in paths] == leaves, index
+        assert pruned == expected, index
+        seen["pruned"] += expected > 0
+        seen["sliced"] += len(calls) > 1
+        seen["no-leaf"] += not leaves
+    assert all(count for key, count in seen.items() if key != "sliced" or cap < 1024), seen
 
 
 def test_compile_matches_reference_compile():
