@@ -9,14 +9,15 @@ shifts the table per sample. A path is a label bitset of its guessed bits.
 ``_buckets`` is the only code that groups a sample's preimages: the key is
 the fixed labels' bits, followed by one syndrome bit per parity check when
 the LFSR attack, which compiles its GF(2) elimination once per schedule
-(``_compile``), has checks at that sample; a state is then an XOR of label
-contributions. ``_walk`` is the only frontier loop: each sample's step maps
-the ordered list of live paths to the next one, in slices of at most
-``_FRONTIER_CAP`` paths, which yields the leaves in the same order as a
-depth-first walk. The LFSR attack expands two consecutive check-free
-one-label samples in one step (``_PairChildren``). Samples are processed in
-schedule order and preimages in truth-table index order, which makes every
-run deterministic.
+(``_compile``), has checks at that sample. ``_walk`` is the only frontier
+loop: each sample's step maps the ordered list of live paths to the next
+one, in slices of at most ``_FRONTIER_CAP`` paths, which yields the leaves
+in the same order as a depth-first walk. The LFSR attack expands two
+consecutive check-free one-label samples in one step (``_PairChildren``),
+and replays a leaf's candidates, its label bits with each completion
+offset, on a timeline of label-domain words, so no leaf builds a state.
+Samples are processed in schedule order and preimages in truth-table index
+order, which makes every run deterministic.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ def _buckets(members: Sequence[int], table: Sequence[int], mask: int,
         spread = table[x]
         key = (spread & sel) << shift
         spread = (spread ^ spread & sel) << shift
-        for check in checks:
-            key = key << 1 | (spread & check).bit_count() & 1
+        if checks:  # cheaper than an empty loop for the check-free window attack
+            for check in checks:
+                key = key << 1 | (spread & check).bit_count() & 1
         groups.setdefault(key, []).append(spread)
     return groups
 
@@ -129,16 +131,18 @@ def _state(value: int, lengths: Sequence[int]) -> tuple:
 def _regenerates(value: int, exprs: Sequence[int], positions: Sequence[int],
                  truth_table: Sequence[int], blocks: Sequence[int],
                  order: Sequence[int] | None = None) -> bool:
-    """True when the LFSR state ``value`` (bit j - 1: cell j) regenerates every
-    block. Block t's input i is label ``t + positions[i]``, the parity of
+    """True when ``value`` regenerates every block, read through one word
+    per label: an LFSR state (bit j - 1: cell j) through the label
+    expressions, or an LFSR attack candidate through its label-domain words.
+    Block t's input i is label ``t + positions[i]``, the parity of
     ``exprs[t + positions[i] - 1] & value``, and bit i of the truth-table
     index. Blocks are tested in ``order``, a permutation of their indices
     (keystream order if None); the first mismatch aborts."""
-    last_first = positions[::-1]
+    last_first = [pos - 1 for pos in reversed(positions)]
     for t in range(len(blocks)) if order is None else order:
         idx = 0
-        for pos in last_first:
-            idx = idx << 1 | (exprs[t + pos - 1] & value).bit_count() & 1
+        for o in last_first:
+            idx = idx << 1 | (exprs[t + o] & value).bit_count() & 1
         if truth_table[idx] != blocks[t]:
             return False
     return True
@@ -159,11 +163,60 @@ def _least_covered_order(shifts: Sequence[int], positions: Sequence[int],
     return sorted(range(count), key=covered.__getitem__)  # stable: ties by t
 
 
+class _OffsetBits(dict):
+    """Per block t, the truth-table index bits that each completion offset
+    adds to a candidate's (``_compile``), offsets in ascending order, built
+    on first use: input i's bit flips with offset bit j when bit ``above +
+    j`` of its label word is set."""
+
+    __slots__ = ("words", "positions", "above", "free")
+
+    def __init__(self, words: Sequence[int], positions: Sequence[int], above: int, free: int):
+        super().__init__()
+        self.words, self.positions, self.above, self.free = words, positions, above, free
+
+    def __missing__(self, t: int) -> list[int]:
+        reads = [self.words[t + pos - 1] >> self.above for pos in self.positions]
+        bits = [0]
+        for j in range(self.free):
+            flips = sum((word >> j & 1) << i for i, word in enumerate(reads))
+            bits += [b ^ flips for b in bits]
+        self[t] = bits
+        return bits
+
+
+def _first_offset(path: int, words: Sequence[int], positions: Sequence[int],
+                  truth_table: Sequence[int], blocks: Sequence[int], order: Sequence[int],
+                  offset_bits: _OffsetBits) -> int | None:
+    """The lowest completion offset o whose candidate ``path | o << above``
+    regenerates every block, or None. All offsets are filtered one block at
+    a time, in ``order``: the path's own truth-table index is worked out
+    once per block, and ``offset_bits[t]`` gives what each offset adds to
+    it. Once at most one offset is live, it finishes through
+    ``_regenerates`` on the blocks left."""
+    live = range(1 << offset_bits.free)
+    last_first = [pos - 1 for pos in reversed(positions)]
+    for k, t in enumerate(order):
+        idx = 0
+        for o in last_first:
+            idx = idx << 1 | (words[t + o] & path).bit_count() & 1
+        z, bits = blocks[t], offset_bits[t]
+        live = [o for o in live if truth_table[idx ^ bits[o]] == z]
+        if len(live) < 2:
+            break
+    else:
+        return live[0]  # every block passed: the lowest live offset is first
+    if live and _regenerates(path | live[0] << offset_bits.above, words, positions,
+                             truth_table, blocks, order[k + 1:]):
+        return live[0]
+    return None
+
+
 def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
              spreads: Sequence[int], shifts: Sequence[int]) -> tuple:
-    """The guess-independent part of ``gfsga_recover``: (steps,
-    contributions, nulls), given each sample's preimages ``sampled[s]``,
-    the ``_spread_table`` of the tap positions and each sample's shift.
+    """The guess-independent part of ``gfsga_recover``: (steps, cells,
+    above, free), given each sample's preimages ``sampled[s]``, the
+    ``_spread_table`` of the tap positions and each sample's shift.
 
     Fresh label rows are reduced once, in plan order, each tracking the
     labels whose expressions it combines, up to the sample that reaches rank
@@ -174,10 +227,15 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
     ``sizes`` (None without checks) sums their lengths per fixed-label key,
     so the preimages a check prunes are counted unvisited. Gauss-Jordan then takes
     the pivots in ascending order and XORs into each row only the earlier
-    pivot rows whose column the row has set. After it, the particular
-    solution (free columns zero) XORs ``contributions[j]`` over the path's
-    set labels j, and ``nulls`` lists the null vector of each free column,
-    lowest column first: L minus the rank of the labels read.
+    pivot rows whose column the row has set.
+
+    ``free`` is L minus the rank of the labels read, and ``above`` is one
+    past the highest label a path can hold. A candidate is ``path | o <<
+    above``: the path's guessed label bits and a completion offset o, whose
+    bit i sets the i-th free column (lowest first). ``cells`` are its L
+    label-domain cells: cell p of the candidate's state is ``parity(cells[p]
+    & candidate)``. A free column's word is its offset bit; a pivot's is its
+    label combo plus the offset bit of every free column its row has set.
     """
     basis: dict[int, list[int]] = {}  # pivot column -> [row, label combo]
     steps = []
@@ -219,16 +277,20 @@ def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
             row[0] ^= earlier[0]
             row[1] ^= earlier[1]
             hits ^= low
-    top = max(label for *_, fresh in plan[:len(steps)] for _, label in fresh)
-    contributions = [0] * (top + 1)
-    for p, (_, combo) in basis.items():
-        while combo:
-            low = combo & -combo
-            contributions[low.bit_length() - 1] |= 1 << p
-            combo ^= low
-    nulls = [sum((row >> j & 1) << p for p, (row, _) in basis.items()) | 1 << j
-             for j in range(L) if j not in basis]
-    return steps, contributions, nulls
+    above = 1 + max(label for *_, fresh in plan[:len(steps)] for _, label in fresh)
+    cells = [0] * L
+    free = [j for j in range(L) if j not in basis]
+    for i, j in enumerate(free):
+        cells[j] = 1 << above + i
+    # After Gauss-Jordan a row holds its pivot and free columns only.
+    for p, (row, combo) in basis.items():
+        rest = row ^ 1 << p
+        while rest:
+            low = rest & -rest
+            combo |= cells[low.bit_length() - 1]
+            rest ^= low
+        cells[p] = combo
+    return steps, cells, above, len(free)
 
 
 class _PairChildren(dict):
@@ -333,18 +395,26 @@ def gfsga_recover(
     one fresh label each are one walk step: a path's children through both
     depend only on its bits at their fixed labels, so ``_PairChildren``
     builds them once per such key, and the leaf order and both counters stay
-    those of the step-by-step walk. Each slice of leaves is replayed as it
-    comes: a path's state is an XOR of precomputed label contributions,
-    checked against the whole observed keystream. The overdefined-count
-    condition does not guarantee full rank, so a path that survives the
-    schedule short of it sweeps the missing dimensions: L minus the rank of
-    every label the schedule reads, refused before enumerating above
-    ``completion_cap_bits``. Returns the first verified state in enumeration
-    order or a failure marker. The search still visits every path, since
-    ``systems_solved`` and ``candidates_pruned`` count them all, but replays
-    no candidate once a state is verified. The first candidate is replayed
-    in keystream order; once one fails, the rest test the blocks whose
-    labels the compiled steps read least first (``_least_covered_order``).
+    those of the step-by-step walk.
+
+    The overdefined-count condition does not guarantee full rank, so a path
+    that survives the schedule short of it sweeps the missing dimensions:
+    the free bits, L minus the rank of every label the schedule reads,
+    refused before enumerating above ``completion_cap_bits``. A candidate
+    is the path's label bits with a completion offset above them. The
+    compiled label-domain cells, run on the LFSR's timeline up to the
+    keystream's last label, give each label's bit as the parity of the
+    candidate and the label's word, so no leaf builds a state. Each slice
+    of leaves is replayed as it comes. Without free bits a path is one
+    candidate, checked by ``_regenerates``; otherwise ``_first_offset``
+    filters all its offsets a block at a time and finishes a lone one the
+    same way. Returns the first verified state in enumeration order (the
+    lowest surviving offset of the first path that has one) or a failure
+    marker. The search still visits every path, since ``systems_solved``
+    and ``candidates_pruned`` count them all, but replays no candidate once
+    a state is verified. The blocks whose labels the compiled steps read
+    least are tested first (``_least_covered_order``), except by a first
+    lone candidate, which is replayed in keystream order until one fails.
     """
     if not isinstance(gen.register, LfsrSpec):
         raise ValueError("gfsga_recover handles LFSR generators")
@@ -361,20 +431,18 @@ def gfsga_recover(
         raise ValueError("schedule does not produce an overdefined system")
     if shifts[-1] >= len(blocks):
         raise KeystreamFormatError("keystream does not cover the sampling schedule")
-    exprs = label_expressions(gen.register, positions[-1] + len(blocks) - 1)
+    exprs = label_expressions(gen.register, positions[-1] + shifts[-1])
     table = preimage_table(gen.filter)
-    steps, contributions, nulls = _compile(
+    steps, words, above, free = _compile(
         plan, exprs, L, [table.get(blocks[shift]) for shift in shifts],
         _spread_table(positions), shifts)
-    if len(nulls) > completion_cap_bits:
+    if free > completion_cap_bits:
         raise NoOverdefinedSystemError(
-            f"labels read have rank {L - len(nulls)} of {L}: {len(nulls)} free bits "
+            f"labels read have rank {L - free} of {L}: {free} free bits "
             f"exceed the completion cap of {completion_cap_bits}")
-    # Offset a XORs the null vectors at the bits of a, in an incremental
-    # eliminator's sweep order.
-    offsets = [0]
-    for null in nulls:
-        offsets += [offset ^ null for offset in offsets]
+    # The cells run on the LFSR's timeline up to the keystream's last label:
+    # the map is linear, so label k's bit is parity(words[k - 1] & candidate).
+    timeline_clock(gen.register)([words], positions[-1] + len(blocks) - 1 - L)
     truth_table = gen.filter.truth_table
     # Check-free one-label neighbours pair from the first sample on; the first's
     # fresh label, which the second may fix, is clear in every path there.
@@ -396,29 +464,32 @@ def gfsga_recover(
         sample += 1
 
     solved = 0
-    found = None  # the first verified state; later leaves are only counted
-    order = None  # replay block order, ranked once a first candidate fails
+    found = None  # the first verified candidate; later leaves are only counted
+    # Replay block order, ranked once a first candidate fails; a sweep of
+    # several offsets filters in the ranked order from the start.
+    order = _least_covered_order(shifts[:len(steps)], positions, len(blocks)) if free else None
+    offset_bits = _OffsetBits(words, positions, above, free)
 
     def replay(paths: list[int]) -> None:
         nonlocal solved, found, order
         solved += len(paths)
         if found is not None:
             return
-        for branch in paths:
-            base = 0
-            while branch:
-                low = branch & -branch
-                base ^= contributions[low.bit_length() - 1]
-                branch ^= low
-            for offset in offsets:
-                if _regenerates(base ^ offset, exprs, positions, truth_table, blocks, order):
-                    found = base ^ offset
-                    return
-                if order is None:
-                    order = _least_covered_order(shifts[:len(steps)], positions, len(blocks))
+        for path in paths:
+            if free:
+                offset = _first_offset(path, words, positions, truth_table, blocks, order,
+                                       offset_bits)
+            else:
+                offset = 0 if _regenerates(path, words, positions, truth_table, blocks,
+                                           order) else None
+            if offset is not None:
+                found = path | offset << above
+                return
+            if order is None:
+                order = _least_covered_order(shifts[:len(steps)], positions, len(blocks))
 
     pruned = _walk(walk, replay)
-    state = None if found is None else _state(found, (L,))
+    state = None if found is None else tuple((found & word).bit_count() & 1 for word in words[:L])
     return AttackResult(state, solved, pruned)
 
 

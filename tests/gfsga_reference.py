@@ -8,7 +8,10 @@ elimination once per schedule; the tests hold the two equal.
 grouped by the fixed labels' bits (``_first_buckets``, the first form of
 ``attack._buckets``, kept here so that the reference does not run the code
 it checks) and then split by syndrome, and a Gauss-Jordan pass that tests
-every earlier pivot. The tests hold ``attack._compile`` equal to it.
+every earlier pivot. It keeps the state-domain output of that first form,
+label contributions and null vectors, so the tests can hold the steps of
+``attack._compile`` equal to it and decode its label-domain cells
+independently.
 """
 
 from typing import Sequence

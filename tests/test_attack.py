@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import math
@@ -44,7 +45,7 @@ from fsglab.attack import (
 from fsglab.cli import cmd_analyze
 from fsglab.config import parse_config
 from fsglab.gf2 import rank_of
-from fsglab.registers import label_expressions, window_geometry
+from fsglab.registers import label_expressions, timeline_clock, window_geometry
 from gfsga_reference import reference_compile, reference_gfsga_recover
 from window_reference import reference_window_joints
 
@@ -440,8 +441,10 @@ def test_walk_matches_recursive_depth_first_walk(monkeypatch, cap):
 def test_compile_matches_reference_compile():
     # Random plans over primitive and arbitrary feedback, with random
     # preimage sets and samples that no preimage yields: the one-pass
-    # buckets and the pivot-driven Gauss-Jordan must give the same steps,
-    # contributions and null vectors as the first form.
+    # buckets and the pivot-driven Gauss-Jordan must give the same steps as
+    # the first form, and a candidate path | o << above must decode through
+    # the label-domain cells to the first form's state: the XOR of the
+    # path's label contributions and of the null vectors at the bits of o.
     rng = random.Random(27)
     seen = dict.fromkeys(("checks", "no-preimage", "deficit", "full-rank", "cut-short"), 0)
     for index in range(300):
@@ -461,8 +464,20 @@ def test_compile_matches_reference_compile():
                    tuple(sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n))))
                    for _ in shifts]
         args = (plan, exprs, L, sampled, _spread_table(positions), shifts)
-        steps, contributions, nulls = attack._compile(*args)
-        assert (steps, contributions, nulls) == reference_compile(*args), index
+        steps, cells, above, free = attack._compile(*args)
+        expected, contributions, nulls = reference_compile(*args)
+        assert steps == expected, index
+        assert (len(cells), above, free) == (L, len(contributions), len(nulls)), index
+        for _ in range(8):
+            path, o = rng.getrandbits(above), rng.getrandbits(free)
+            state = 0
+            for label, contribution in enumerate(contributions):
+                state ^= contribution if path >> label & 1 else 0
+            for i, null in enumerate(nulls):
+                state ^= null if o >> i & 1 else 0
+            candidate = path | o << above
+            assert [(cell & candidate).bit_count() & 1 for cell in cells] == [
+                state >> p & 1 for p in range(L)], index
         seen["checks"] += any(step and step[1] for step in steps)
         seen["no-preimage"] += None in steps
         seen["deficit" if nulls else "full-rank"] += 1
@@ -473,10 +488,15 @@ def test_compile_matches_reference_compile():
 def test_recover_stops_replaying_after_the_first_verified_state(monkeypatch):
     # Short keystreams on rank-deficient greedy schedules: several states
     # regenerate the blocks. The search still visits and counts every leaf,
-    # but replays no candidate once one is verified.
+    # but replays no candidate once one is verified: neither another path's
+    # offsets nor a lone candidate's finish follow the first path that has
+    # a verified offset. Some runs sweep failing paths first, and the
+    # winner's sweep ends both ways: several offsets live at the last block,
+    # or a lone one finished.
     rng = random.Random(60)
     checked = 0
-    while checked < 5:
+    seen = dict.fromkeys(("failed-first", "lone", "several"), 0)
+    while checked < 12:
         n = rng.randint(3, 6)
         gen, state, schedule, blocks, deficit = _lfsr_reference_instance(
             rng, n, rng.randint(1, n - 1), "greedy")
@@ -485,19 +505,131 @@ def test_recover_stops_replaying_after_the_first_verified_state(monkeypatch):
         expected = reference_gfsga_recover(gen, blocks, schedule, deficit)
         if expected[4] < 2 or expected[1] < 2:
             continue
-        verdicts = []
+        events = []
 
-        def counting(*args, replay=attack._regenerates):
-            verdicts.append(replay(*args))
-            return verdicts[-1]
+        def finishing(*args, replay=attack._regenerates):
+            events.append(("lone", replay(*args)))
+            return events[-1][1]
+
+        def sweeping(*args, sweep=attack._first_offset):
+            offset = sweep(*args)
+            events.append(("sweep", offset is not None))
+            return offset
 
         with monkeypatch.context() as patch:
-            patch.setattr(attack, "_regenerates", counting)
+            patch.setattr(attack, "_regenerates", finishing)
+            patch.setattr(attack, "_first_offset", sweeping)
             result = gfsga_recover(gen, blocks, schedule, deficit)
         assert (result.recovered_state, result.systems_solved,
                 result.candidates_pruned) == expected[:3]
-        assert verdicts.index(True) == len(verdicts) - 1
+        first = [verdict for _, verdict in events].index(True)
+        assert events[first:] in ([("lone", True), ("sweep", True)], [("sweep", True)])
+        seen["failed-first"] += first > 0
+        seen["lone" if events[first][0] == "lone" else "several"] += 1
         checked += 1
+    assert all(seen.values()), seen
+
+
+def test_label_words_follow_the_state_timeline():
+    # gfsga_recover runs the compiled label-domain cells on the LFSR's
+    # timeline up to the keystream's last label. The map from a candidate
+    # to its state is linear, so label k's word must give the bit that
+    # label k's expression gives on the candidate's state, which the first
+    # form of the compilation decodes: for primitive and arbitrary feedback,
+    # schedules short of rank L by 1 to 8 bits and full-rank ones.
+    rng = random.Random(31)
+    seen = collections.Counter()
+    while sum(seen.values()) < 320:
+        L = rng.randint(8, 32)
+        n = rng.randint(2, 6)
+        positions = tuple(sorted(rng.sample(range(1, L + 1), n)))
+        shifts = list(itertools.accumulate(
+            (rng.randint(1, L) for _ in range(rng.randint(0, 14))), initial=0))
+        if rng.random() < 0.5:
+            reg = primitive_lfsr(L)
+        else:
+            reg = LfsrSpec(L, frozenset(rng.sample(range(1, L + 1), rng.randint(1, 4))))
+        plan = _sample_plan([[pos + shift for pos in positions] for shift in shifts])
+        exprs = label_expressions(reg, positions[-1] + shifts[-1])
+        args = (plan, exprs, L, [range(1 << n)] * len(shifts), _spread_table(positions), shifts)
+        _, words, above, free = attack._compile(*args)
+        if free > 8 or seen[free] >= 60:
+            continue
+        seen[free] += 1
+        _, contributions, nulls = reference_compile(*args)
+        last = positions[-1] + shifts[-1] + rng.randint(0, 2 * L)  # the keystream's last label
+        timeline_clock(reg)([words], last - L)
+        full = label_expressions(reg, last)
+        for _ in range(4):
+            path, o = rng.getrandbits(above), rng.getrandbits(free)
+            state = 0
+            for label, contribution in enumerate(contributions):
+                state ^= contribution if path >> label & 1 else 0
+            for i, null in enumerate(nulls):
+                state ^= null if o >> i & 1 else 0
+            candidate = path | o << above
+            assert [(candidate & word).bit_count() & 1 for word in words[:last]] == [
+                (expr & state).bit_count() & 1 for expr in full]
+    assert all(seen[free] for free in range(9)), seen
+
+
+def _deficient_lfsr_instance(rng):
+    """Planted LFSR instance whose greedy schedule leaves 3 to 6 of the L
+    label bits free, at candidate_log2 3 to 8 so that several paths often
+    reach the last sample, small enough for the per-branch reference, observed
+    for L to 2L blocks past the last sample. One instance in five observes
+    a flipped block. Returns (generator, state, schedule, blocks, free)."""
+    while True:
+        L = rng.randint(16, 32)
+        n = rng.randint(3, 6)
+        m = rng.randint(1, n - 1)
+        taps = TapSet(tuple(sorted(rng.sample(range(1, L + 1), n))), L)
+        schedule, prof = greedy_schedule(taps, RankStop())
+        if not 3 <= gfsga_variable_cost(prof, n, m, L).candidate_log2 <= 8:
+            continue
+        shifts = list(itertools.accumulate(schedule.steps, initial=0))
+        exprs = label_expressions(primitive_lfsr(L), taps.positions[-1] + shifts[-1])
+        free = L - rank_of([exprs[pos + s - 1] for s in shifts for pos in taps.positions], L)
+        if 3 <= free <= 6:
+            break
+    gen = GeneratorSpec(primitive_lfsr(L), taps,
+                        FilterSpec.uniform_random(n, m, rng.getrandbits(30)))
+    state = tuple(rng.getrandbits(1) for _ in range(L))
+    blocks = keystream(gen, state, shifts[-1] + rng.randint(L, 2 * L))
+    if rng.random() < 0.2:
+        blocks[rng.randrange(len(blocks))] ^= rng.randrange(1, 1 << m)
+    return gen, state, schedule, blocks, free
+
+
+@pytest.mark.parametrize("cap", [1, 3, 1024])
+def test_offset_filter_matches_per_branch_reference(monkeypatch, cap):
+    # With 3 or more free bits, a path's 2^free completion offsets are
+    # filtered a block at a time through tables of the index bits each
+    # offset adds. States and both counters must stay those of the
+    # per-branch search, which replays every completion in sweep order,
+    # whichever slices the frontier is cut into. A table built for a second
+    # block shows that several offsets outlived the first.
+    monkeypatch.setattr(attack, "_FRONTIER_CAP", cap)
+    fills = []
+
+    def counting(self, t, fill=attack._OffsetBits.__missing__):
+        fills.append(t)
+        return fill(self, t)
+
+    monkeypatch.setattr(attack._OffsetBits, "__missing__", counting)
+    rng = random.Random(32)
+    seen = dict.fromkeys(("past-first-block", "over-3-leaves", "recovered", "failed"), 0)
+    for index in range(16):
+        gen, state, schedule, blocks, free = _deficient_lfsr_instance(rng)
+        fills.clear()
+        expected = reference_gfsga_recover(gen, blocks, schedule, free)
+        result = gfsga_recover(gen, blocks, schedule, free)
+        assert (result.recovered_state, result.systems_solved,
+                result.candidates_pruned) == expected[:3], index
+        seen["past-first-block"] += len(fills) > 1
+        seen["over-3-leaves"] += expected[1] > 3  # sliced at caps 1 and 3
+        seen["recovered" if expected[0] == state else "failed"] += 1
+    assert seen["past-first-block"] >= 12 and all(seen.values()), seen
 
 
 def test_label_expression_replay_matches_keystream():
