@@ -704,17 +704,22 @@ def _first_completion(
 # then the blocks bit-packed LSB-first, z_1 in each block's lowest bit.
 
 _HEADER = struct.Struct("<4I")
+# The codec packs 64 blocks per int: they fill 8*m bytes, so every chunk
+# starts on a byte boundary, and no shift touches more than one chunk, which
+# keeps both directions linear in the block count.
+_CHUNK = 64
 
 
 def write_keystream_file(path, n: int, m: int, L: int, blocks: Sequence[int]) -> None:
     # Block t's bit j is payload bit t*m + j, least significant bit first.
     mask = (1 << m) - 1
-    acc = 0
-    for t, block in enumerate(blocks):
-        acc |= (block & mask) << (t * m)
-    body = acc.to_bytes((len(blocks) * m + 7) // 8, "little")
+    shifts = range(0, _CHUNK * m, m)
+    body = b"".join(
+        sum((block & mask) << s for block, s in zip(blocks[t:t + _CHUNK], shifts))
+        .to_bytes(8 * m, "little")
+        for t in range(0, len(blocks), _CHUNK))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(n, m, L, len(blocks)) + body)
+        fh.write(_HEADER.pack(n, m, L, len(blocks)) + body[:(len(blocks) * m + 7) // 8])
 
 
 def read_keystream_file(path) -> tuple[tuple[int, int, int, int], list[int]]:
@@ -731,7 +736,9 @@ def read_keystream_file(path) -> tuple[tuple[int, int, int, int], list[int]]:
         raise KeystreamFormatError(
             f"expected {expected} payload bytes for {count} blocks, found {len(body)}"
         )
-    acc = int.from_bytes(body, "little")
     mask = (1 << m) - 1
-    blocks = [(acc >> (t * m)) & mask for t in range(count)]
+    blocks = []
+    for t in range(0, count, _CHUNK):
+        acc = int.from_bytes(body[t // 8 * m:(t // 8 + 8) * m], "little")
+        blocks += [acc >> s & mask for s in range(0, min(count - t, _CHUNK) * m, m)]
     return (n, m, L, count), blocks

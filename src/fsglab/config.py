@@ -214,10 +214,13 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
     _known(obj, "generator", *_GENERATOR_KEYS[kind])
     filt = _section(obj, "filter", "generator")
     _known(filt, "generator.filter", "n", "m", "source", "hex", "seed")
+    source = filt.get("source")
+    if source not in (None, "hex", "random"):
+        raise ConfigError(f"generator.filter.source must be hex or random, not {source!r}")
     fcfg = FilterConfig(
         n=_int(filt, "n", "generator.filter"),
         m=_int(filt, "m", "generator.filter"),
-        source=filt.get("source"),
+        source=source,
         hex_table=_str(filt, "hex", "generator.filter"),
         seed=None if filt.get("seed") is None else _int(filt, "seed", "generator.filter"),
     )
@@ -325,12 +328,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     gen = _parse_generator(_section(raw, "generator", "config", required=True))
     analysis = _parse_analysis(_section(raw, "analysis", "config"), gen)
     attack_obj = _section(raw, "attack", "config")
-    _known(attack_obj, "attack", "keystream", "window_model")
-    if attack_obj.get("window_model", "per-register") != "per-register":
-        raise ConfigError(
-            "attack.window_model must be per-register (the merged model was removed: "
-            "it treats LFSR cell p and NFSR cell p as one bit)"
-        )
+    _known(attack_obj, "attack", "keystream")
     attack = AttackConfig(keystream=_str(attack_obj, "keystream", "attack"))
     opt_obj = _section(raw, "optimize", "config")
     _known(opt_obj, "optimize", "differences", "budget", "chunk_size", "retries")

@@ -101,7 +101,6 @@ EXAMPLE2_CYCLIC_TOTAL = 72
 EXAMPLE2_CYCLIC_SAMPLES = 22
 EXAMPLE2_CYCLIC_LOG2 = 59.97
 
-TABLE1_DIFFS = (2, 5, 4, 2)
 TABLE1_SCHEME = ((2, 5, 4, 2), (7, 9, 6), (11, 11), (13,))
 TABLE1_WORKED_STEPS = (5, 2)
 TABLE1_WORKED_Q = (1, 2)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import struct
+import time
 from functools import partial
 
 import pytest
@@ -1303,21 +1304,37 @@ def _per_bit_keystream_file(n, m, L, blocks):
 def test_keystream_codec_matches_per_bit_reference(tmp_path):
     rng = random.Random(8)
     path = tmp_path / "stream.ks"
-    for n in range(1, 9):
-        for m in range(1, n + 1):
-            for count in range(101):
-                # One bit above m, which both writers drop.
-                blocks = [rng.getrandbits(m + 1) for _ in range(count)]
-                raw = _per_bit_keystream_file(n, m, 4 * n, blocks)
-                write_keystream_file(path, n, m, 4 * n, blocks)
-                assert path.read_bytes() == raw
-                expected = ((n, m, 4 * n, count), [b & ((1 << m) - 1) for b in blocks])
-                assert read_keystream_file(path) == expected
-                if count < 8 and count * m % 8:
-                    # Padding bits of the last byte are ignored; counts up to
-                    # 7 leave every remainder that m can leave.
-                    path.write_bytes(raw[:-1] + bytes([raw[-1] | (0xFF << count * m % 8) & 0xFF]))
-                    assert read_keystream_file(path) == expected
+    cases = [(n, m, count) for n in range(1, 9) for m in range(1, n + 1) for count in range(101)]
+    # Long files cross many of the codec's 64-block chunks, the last one partial.
+    cases += [(8, m, count) for m in (1, 8) for count in (64 * 157 + 3, 10**5 - 3)]
+    for n, m, count in cases:
+        # One bit above m, which both writers drop.
+        blocks = [rng.getrandbits(m + 1) for _ in range(count)]
+        raw = _per_bit_keystream_file(n, m, 4 * n, blocks)
+        write_keystream_file(path, n, m, 4 * n, blocks)
+        assert path.read_bytes() == raw
+        expected = ((n, m, 4 * n, count), [b & ((1 << m) - 1) for b in blocks])
+        assert read_keystream_file(path) == expected
+        if count * m % 8 and (count < 8 or count > 100):
+            # Padding bits of the last byte are ignored; counts up to 7
+            # leave every remainder that m can leave, and the long counts
+            # leave one after a run of full chunks.
+            path.write_bytes(raw[:-1] + bytes([raw[-1] | (0xFF << count * m % 8) & 0xFF]))
+            assert read_keystream_file(path) == expected
+
+
+def test_keystream_file_of_a_million_blocks_round_trips_in_linear_time(tmp_path):
+    # One int for the whole payload made both directions quadratic: reading
+    # 4 * 10**5 blocks took 4.2 s.
+    path = tmp_path / "stream.ks"
+    blocks = [b & 1 for b in random.Random(3).randbytes(10**6)]
+    start = time.perf_counter()
+    write_keystream_file(path, 1, 1, 20, blocks)
+    back = read_keystream_file(path)
+    elapsed = time.perf_counter() - start
+    assert back == ((1, 1, 20, 10**6), blocks)
+    assert path.stat().st_size == 16 + 10**6 // 8
+    assert elapsed < 2.0, elapsed
 
 
 def test_keystream_file_truncation_detected(tmp_path):

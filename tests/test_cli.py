@@ -1,12 +1,8 @@
 import argparse
 import json
 import math
-import os
 import random
 import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,9 +22,9 @@ from fsglab import (
 from fsglab import cli, optimizer
 from fsglab.cli import main
 from fsglab.config import MAX_FILTER_INPUTS, load_config
-from fsglab.registers import NfsrSpec
+from conftest import ROOT, run_fsglab, run_python
 
-SHIPPED_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path, name, data):
@@ -157,12 +153,16 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys, where):
         lambda doc: doc["analysis"].update(m_calibration="false"),
         lambda doc: doc["analysis"].update(m_calibration=1),
         lambda doc: doc["generator"].update(taps=[True, 5, 10, 14, 16]),
+        lambda doc: doc["generator"]["filter"].update(source="bogus"),
+        lambda doc: doc["generator"]["filter"].update(source=5),
+        lambda doc: doc["generator"]["filter"].update(source=["hex"]),
     ],
     ids=["filter-n-null", "analysis-list", "attack-list", "report-string",
          "solver-exponent-null", "solver-exponent-bool", "solver-exponent-string",
          "solver-exponent-nan", "solver-exponent-inf", "solver-exponent-zero",
          "solver-exponent-negative", "filter-seed-string", "filter-seed-float",
-         "filter-seed-list", "m-calibration-string", "m-calibration-int", "taps-bool"],
+         "filter-seed-list", "m-calibration-string", "m-calibration-int", "taps-bool",
+         "filter-source-string", "filter-source-int", "filter-source-list"],
 )
 def test_malformed_config_is_exit_2(tmp_path, capsys, mutate):
     gen, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)
@@ -467,18 +467,11 @@ def test_attack_completion_cap_refuses_before_building_offsets(tmp_path):
         "analysis": {"mode": "custom", "schedule": [32] * 16},
         "attack": {"keystream": str(ks)},
     })
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    done = subprocess.run(
-        [sys.executable, "-m", "fsglab.cli", "attack", "--config", cfg],
-        env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
-        timeout=60,
-    )
+    done = run_fsglab("attack", "--config", cfg, preexec_fn=limit_address_space)
     assert done.returncode == 3, done.stderr
     assert done.stderr == (
         "error: labels read have rank 2 of 32: 30 free bits exceed the "
@@ -567,16 +560,6 @@ def test_analyze_prices_the_64_bit_nfsr_window(tmp_path, capsys):
     assert payload["estimate"]["log2_total"] == 32
     assert payload["profile"]["c"] == 32
     assert payload["notes"] == []
-
-
-def test_merged_window_model_is_exit_2(tmp_path, capsys):
-    with open(SHIPPED_CONFIGS / "hybrid_window.json") as fh:
-        doc = json.load(fh)
-    doc["attack"]["window_model"] = "merged"
-    cfg = write_config(tmp_path, "merged.json", doc)
-    for command in ("analyze", "attack"):
-        assert main([command, "--config", cfg]) == 2
-        assert "merged model was removed" in capsys.readouterr().err
 
 
 MUTANT_VALUES = (None, True, "false", 0, -1, 1.5, "x", [], {})
@@ -669,38 +652,6 @@ def test_attack_keystream_directory_is_exit_4(tmp_path, capsys):
     )
     assert main(["attack", "--config", cfg]) == 4
     assert capsys.readouterr().err.startswith("error: cannot read keystream file ")
-
-
-def test_attack_nfsr_window_via_cli(tmp_path, capsys):
-    rng = random.Random(8)
-    nfsr = NfsrSpec(16, 1, (frozenset({1}), frozenset({3, 5}), frozenset({2, 9})))
-    taps = TapSet((2, 5, 8, 10), 16)
-    filt = FilterSpec.uniform_random(4, 1, seed=44)
-    gen = GeneratorSpec(nfsr, taps, filt)
-    state = tuple(rng.getrandbits(1) for _ in range(16))
-    blocks = keystream(gen, state, 5 + 40)  # extra blocks pin uniqueness
-    ks = tmp_path / "stream.ks"
-    write_keystream_file(ks, 4, 1, 16, blocks)
-    cfg = write_config(
-        tmp_path,
-        "c.json",
-        {
-            "generator": {
-                "kind": "nfsr",
-                "length": 16,
-                "anf": {"constant": 1, "monomials": [[1], [3, 5], [2, 9]]},
-                "taps": [2, 5, 8, 10],
-                "filter": {"n": 4, "m": 1, "source": "hex", "hex": filt.to_hex()},
-            },
-            "attack": {"keystream": str(ks)},
-            "report": {"format": "structured"},
-        },
-    )
-    assert main(["attack", "--config", cfg]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    acc = sum(b << j for j, b in enumerate(state))
-    assert doc["payload"]["recovered_state"] == format(acc, "04x")
-    assert doc["payload"]["window"]["window_length"] == 5
 
 
 def test_analyze_m_calibration_sweep(tmp_path, capsys, monkeypatch):
@@ -878,6 +829,7 @@ NFSR_CONFIG = {
         ("example1_greedy", ("analysis",), "solver_exponnet"),
         ("example1_greedy", ("analysis", "stop"), "sample"),
         ("example1_greedy", ("attack",), "keystrem"),
+        ("hybrid_window", ("attack",), "window_model"),  # per-register was its only value
         ("example1_greedy", ("optimize",), "budgte"),
         ("example1_greedy", ("report",), "fromat"),
     ],
@@ -977,30 +929,6 @@ def test_short_keystream_is_exit_4_when_attack_loads_in_the_command(tmp_path):
         "assert 'fsglab.attack' not in sys.modules\n"
         f"sys.exit(main(['attack', '--config', {cfg!r}]))\n"
     )
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = run_python("-c", script)
     assert done.returncode == 4, done.stderr
     assert done.stderr == "error: keystream does not cover the sampling schedule\n"
-
-
-def test_readme_attack_demo_recovers_the_planted_state(tmp_path, capsys, monkeypatch):
-    readme = (SHIPPED_CONFIGS.parent / "README.md").read_text()
-    demo = readme.split("### End-to-end attack demo", 1)[1]
-    script = demo.split("python - <<'PY'\n", 1)[1].split("\nPY\n", 1)[0]
-    assert "fsglab attack --config configs/toy_attack_lfsr.json" in demo
-    (tmp_path / "configs").mkdir()
-    (tmp_path / "configs" / "toy_attack_lfsr.json").write_text(
-        (SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
-    src = str(SHIPPED_CONFIGS.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-"], input=script, text=True, cwd=tmp_path,
-                         env=env, capture_output=True, check=True)
-    planted = run.stdout.split("planted:", 1)[1].strip()
-    monkeypatch.chdir(tmp_path)
-    assert main(["attack", "--config", "configs/toy_attack_lfsr.json"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert f"recovered_state: {planted}" in lines

@@ -3,26 +3,19 @@ loads only the modules it runs. Module loading is checked in fresh
 interpreters, since the test session has imported everything already."""
 
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import fsglab
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
 
 
 def loaded_after(code: str) -> set[str]:
     """The ``fsglab.*`` submodules loaded after ``code`` runs in a fresh interpreter."""
     script = (code + "\nimport json, sys\n"
               "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fsglab.'))))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_python("-c", script, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     return {name.removeprefix("fsglab.")
             for name in json.loads(done.stdout.splitlines()[-1])}
