@@ -3,6 +3,7 @@ attack and report settings. Tap positions are 1-based everywhere."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -34,6 +35,13 @@ MAX_OPTIMIZE_BUDGET = 1000
 # input (at n = 27 the table alone needs over 1 GB).
 MAX_FILTER_INPUTS = 20
 
+# The longest register accepted, for each of generator.length,
+# generator.lfsr.length and generator.nfsr.length (the paper's largest is
+# 128). On a 2-core VM, analyze with m_calibration on a 7-tap LFSR with
+# spread taps took at most 0.19 s at L = 2048 (greedy and cyclic), 0.6 s at
+# 4096 and 6.3 s at 8192.
+MAX_REGISTER_LENGTH = 2048
+
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -51,12 +59,12 @@ class FilterConfig:
             )
         if self.source == "hex":
             if not self.hex_table:
-                raise ConfigError("filter.source=hex needs filter.hex")
+                raise ConfigError("generator.filter.hex is required by source hex")
             return FilterSpec.from_hex(self.n, self.m, self.hex_table)
         if self.source == "random":
             seed = self.seed if self.seed is not None else fallback_seed
             return FilterSpec.uniform_random(self.n, self.m, seed)
-        raise ConfigError("filter table required: set filter.source to hex or random")
+        raise ConfigError("generator.filter.source must be hex or random to build the filter")
 
 
 @dataclass(frozen=True)
@@ -119,175 +127,188 @@ class ScenarioConfig:
         ).hexdigest()
 
 
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise ConfigError(f"missing {context}.{key}")
-    return obj[key]
-
-
-def _section(obj: dict, key: str, context: str, required: bool = False) -> dict:
-    """obj[key], checked to be a JSON object; an absent optional one is empty."""
-    value = _require(obj, key, context) if required else obj.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context}.{key} must be an object")
-    return value
-
-
-def _known(obj: dict, context: str, *keys: str) -> None:
-    """Refuse a key of ``obj`` outside ``keys``, named with its dotted path,
-    so that a misspelled key exits 2 instead of being silently ignored."""
-    unknown = [key for key in obj if key not in keys]
-    if unknown:
-        names = ", ".join(f"{context}.{key}" if context else key for key in unknown)
-        raise ConfigError(
-            f"unknown config key {names}: {context or 'the config'} takes {', '.join(keys)}")
-
-
-def _int(obj: dict, key: str, context: str, default: int | None = None) -> int:
-    """obj[key] as an integer; required unless a default is given."""
-    value = _require(obj, key, context) if default is None else obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}.{key} must be an integer, not {value!r}")
-    return value
-
-
-def _float(obj: dict, key: str, context: str, default: float) -> float:
-    """obj[key] as a finite positive number; absent means the default."""
-    value = obj.get(key, default)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or value <= 0
-    ):
-        raise ConfigError(f"{context}.{key} must be a finite positive number, not {value!r}")
-    return float(value)
-
-
-def _str(obj: dict, key: str, context: str) -> str | None:
-    """obj[key] as a string; absent or null means None."""
-    value = obj.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{context}.{key} must be a string, not {value!r}")
-    return value
-
-
-def _bool(obj: dict, key: str, context: str, default: bool) -> bool:
-    """obj[key] as a JSON boolean; absent means the default."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{context}.{key} must be true or false, not {value!r}")
-    return value
-
-
-def _positions(values, context: str) -> tuple[int, ...]:
-    if not isinstance(values, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in values
-    ):
-        raise ConfigError(f"{context} must be a list of integers")
-    return tuple(values)
-
-
-def _parse_anf(obj: dict, length: int, context: str) -> NfsrSpec:
-    _known(obj, context, "constant", "monomials")
-    constant = _int(obj, "constant", context, 0)
-    monomials = obj.get("monomials", [])
-    if not isinstance(monomials, list):
-        raise ConfigError(f"{context}.monomials must be a list of position lists")
-    return NfsrSpec(
-        length, constant, tuple(frozenset(_positions(m, context)) for m in monomials)
-    )
-
-
-# The keys each generator kind reads.
-_GENERATOR_KEYS = {
-    "lfsr": ("kind", "length", "feedback", "taps", "filter"),
-    "nfsr": ("kind", "length", "anf", "taps", "filter"),
-    "hybrid": ("kind", "lfsr", "nfsr", "coupling", "taps", "filter"),
+# Every leaf key: (JSON type, default, allowed values or integer range
+# (lo, hi) where hi None is unbounded, generator kinds that take it). A
+# default of None also accepts null. The parse functions check what depends
+# on other keys: schedule steps and stop.samples in 1..L, filter.m at most
+# filter.n, filter.n equal to the tap count.
+REQUIRED = object()
+KEYS = {
+    "generator.kind": ("string", REQUIRED, ("lfsr", "nfsr", "hybrid"), "lfsr nfsr hybrid"),
+    "generator.length": ("integer", REQUIRED, (1, MAX_REGISTER_LENGTH), "lfsr nfsr"),
+    "generator.feedback": ("integers", REQUIRED, None, "lfsr"),
+    "generator.anf.constant": ("integer", 0, (0, 1), "nfsr"),
+    "generator.anf.monomials": ("integer lists", (), None, "nfsr"),
+    "generator.taps": ("integers", REQUIRED, None, "lfsr nfsr"),
+    "generator.lfsr.length": ("integer", REQUIRED, (1, MAX_REGISTER_LENGTH), "hybrid"),
+    "generator.lfsr.feedback": ("integers", REQUIRED, None, "hybrid"),
+    "generator.nfsr.length": ("integer", REQUIRED, (1, MAX_REGISTER_LENGTH), "hybrid"),
+    "generator.nfsr.anf.constant": ("integer", 0, (0, 1), "hybrid"),
+    "generator.nfsr.anf.monomials": ("integer lists", (), None, "hybrid"),
+    "generator.coupling": ("boolean", True, None, "hybrid"),
+    "generator.taps.lfsr": ("integers", REQUIRED, None, "hybrid"),
+    "generator.taps.nfsr": ("integers", REQUIRED, None, "hybrid"),
+    "generator.filter.n": ("integer", REQUIRED, (1, None), "lfsr nfsr hybrid"),
+    "generator.filter.m": ("integer", REQUIRED, (1, None), "lfsr nfsr hybrid"),
+    "generator.filter.source": ("string", None, ("hex", "random"), "lfsr nfsr hybrid"),
+    "generator.filter.hex": ("string", None, None, "lfsr nfsr hybrid"),
+    "generator.filter.seed": ("integer", None, None, "lfsr nfsr hybrid"),
+    "analysis.mode": ("string", "constant", ("constant", "greedy", "cyclic", "custom"), "lfsr"),
+    "analysis.sigma": ("integer", None, None, "lfsr"),
+    "analysis.schedule": ("integers", None, None, "lfsr"),
+    "analysis.solver_exponent": ("number", 3.0, None, "lfsr"),
+    "analysis.m_calibration": ("boolean", False, None, "lfsr"),
+    "analysis.stop.rank": ("boolean", True, None, "lfsr"),
+    "analysis.stop.samples": ("integer", REQUIRED, None, "lfsr"),  # read only when given
+    "attack.keystream": ("string", None, None, "lfsr nfsr hybrid"),
+    "optimize.differences": ("integers", None, None, "lfsr nfsr hybrid"),
+    "optimize.budget": ("integer", 12, (1, MAX_OPTIMIZE_BUDGET), "lfsr nfsr hybrid"),
+    "optimize.chunk_size": ("integer", 5, (1, None), "lfsr nfsr hybrid"),
+    "optimize.retries": ("integer", 6, (1, None), "lfsr nfsr hybrid"),
+    "report.format": ("string", "table", ("table", "structured"), "lfsr nfsr hybrid"),
 }
+
+# KEYS as _read takes it: the member name first, the generator kinds left out.
+_SPECS = {key: (key.rpartition(".")[2], *spec[:3]) for key, spec in KEYS.items()}
+
+
+def _read(obj: dict, key: str):
+    """The value of leaf ``key`` in its section ``obj``, checked against
+    ``KEYS``: absent means the default, null means None where the default is
+    None, and a list comes back as a tuple."""
+    name, typ, default, allowed = _SPECS[key]
+    value = obj.get(name, default)
+    if value is default:  # absent, or the default itself (null where that is None)
+        if value is REQUIRED:
+            raise ConfigError(f"{key} is required")
+        return value
+    if typ == "integer":
+        if type(value) is not int:
+            raise ConfigError(f"{key} must be an integer, not {value!r}")
+        lo, hi = allowed or (value, None)
+        if value < lo or hi is not None and value > hi:
+            raise ConfigError(f"{key} must be at least {lo}, not {value}" if hi is None
+                              else f"{key} must be between {lo} and {hi}, not {value}")
+    elif typ == "string":
+        if allowed and value not in allowed:
+            raise ConfigError(
+                f"{key} must be {', '.join(allowed[:-1])} or {allowed[-1]}, not {value!r}")
+        if type(value) is not str:
+            raise ConfigError(f"{key} must be a string, not {value!r}")
+    elif typ == "boolean":
+        if type(value) is not bool:
+            raise ConfigError(f"{key} must be true or false, not {value!r}")
+    elif typ == "number":
+        if type(value) not in (int, float) or not math.isfinite(value) or value <= 0:
+            raise ConfigError(f"{key} must be a finite positive number, not {value!r}")
+        return float(value)
+    elif typ == "integers":
+        if type(value) is not list or not {*map(type, value)} <= {int}:
+            raise ConfigError(f"{key} must be a list of integers")
+    elif type(value) is not list or any(  # integer lists
+            type(v) is not list or not {*map(type, v)} <= {int} for v in value):
+        raise ConfigError(f"{key} must be a list of lists of integers")
+    return tuple(value) if type(value) is list else value
+
+
+def _section(obj: dict, key: str, required: bool = False, known: bool = True) -> dict:
+    """The object at ``key`` in ``obj``, with ``known`` its keys checked with
+    ``_known``; an absent optional one is empty."""
+    value = obj.get(key.rpartition(".")[2], REQUIRED if required else {})
+    if value is REQUIRED:
+        raise ConfigError(f"{key} is required")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object")
+    if known and value:
+        _known(value, key)
+    return value
+
+
+@functools.cache
+def _children(section: str, kind: str | None):
+    """The names ``section`` takes for a generator of ``kind`` (None: any
+    kind), in ``KEYS`` order, as a set-like view."""
+    prefix = f"{section}." if section else ""
+    names = (key[len(prefix):].partition(".")[0] for key, spec in KEYS.items()
+             if key.startswith(prefix) and (kind is None or kind in spec[3].split()))
+    return dict.fromkeys(names).keys()
+
+
+def _known(obj: dict, section: str, kind: str | None = None) -> None:
+    """Refuse a key of ``obj`` that ``section`` does not take, named with its
+    dotted path, so that a misspelled key exits 2 instead of being silently
+    ignored."""
+    keys = _children(section, kind)
+    if not obj.keys() <= keys:
+        unknown = [key for key in obj if key not in keys]
+        names = ", ".join(f"{section}.{key}" if section else key for key in unknown)
+        raise ConfigError(
+            f"unknown config key {names}: {section or 'the config'} takes {', '.join(keys)}")
+
+
+def _parse_anf(obj: dict, key: str, length: int) -> NfsrSpec:
+    anf = _section(obj, key, required=True)
+    return NfsrSpec(length, _read(anf, f"{key}.constant"), _read(anf, f"{key}.monomials"))
 
 
 def _parse_generator(obj: dict) -> GeneratorConfig:
-    kind = _require(obj, "kind", "generator")
-    if not isinstance(kind, str) or kind not in _GENERATOR_KEYS:
-        raise ConfigError(f"unknown generator kind {kind!r}")
-    _known(obj, "generator", *_GENERATOR_KEYS[kind])
-    filt = _section(obj, "filter", "generator")
-    _known(filt, "generator.filter", "n", "m", "source", "hex", "seed")
-    source = filt.get("source")
-    if source not in (None, "hex", "random"):
-        raise ConfigError(f"generator.filter.source must be hex or random, not {source!r}")
+    kind = _read(obj, "generator.kind")
+    _known(obj, "generator", kind)
+    filt = _section(obj, "generator.filter")
     fcfg = FilterConfig(
-        n=_int(filt, "n", "generator.filter"),
-        m=_int(filt, "m", "generator.filter"),
-        source=source,
-        hex_table=_str(filt, "hex", "generator.filter"),
-        seed=None if filt.get("seed") is None else _int(filt, "seed", "generator.filter"),
+        n=_read(filt, "generator.filter.n"),
+        m=_read(filt, "generator.filter.m"),
+        source=_read(filt, "generator.filter.source"),
+        hex_table=_read(filt, "generator.filter.hex"),
+        seed=_read(filt, "generator.filter.seed"),
     )
     if kind == "hybrid":
-        lf = _section(obj, "lfsr", "generator", required=True)
-        nf = _section(obj, "nfsr", "generator", required=True)
-        _known(lf, "generator.lfsr", "length", "feedback")
-        _known(nf, "generator.nfsr", "length", "anf")
+        lf = _section(obj, "generator.lfsr", required=True)
+        nf = _section(obj, "generator.nfsr", required=True)
+        taps_obj = _section(obj, "generator.taps", required=True)
         lfsr = LfsrSpec(
-            _int(lf, "length", "generator.lfsr"),
-            frozenset(_positions(_require(lf, "feedback", "generator.lfsr"), "feedback")),
-        )
-        nfsr = _parse_anf(
-            _section(nf, "anf", "generator.nfsr", required=True),
-            _int(nf, "length", "generator.nfsr"),
-            "generator.nfsr.anf",
-        )
+            _read(lf, "generator.lfsr.length"), _read(lf, "generator.lfsr.feedback"))
+        nfsr = _parse_anf(nf, "generator.nfsr.anf", _read(nf, "generator.nfsr.length"))
         register: LfsrSpec | NfsrSpec | HybridSpec = HybridSpec(
-            lfsr, nfsr, _bool(obj, "coupling", "generator", True)
-        )
-        taps_obj = _section(obj, "taps", "generator", required=True)
-        _known(taps_obj, "generator.taps", "lfsr", "nfsr")
+            lfsr, nfsr, _read(obj, "generator.coupling"))
         taps: TapSet | HybridTaps = HybridTaps(
-            lfsr=TapSet(_positions(_require(taps_obj, "lfsr", "taps"), "taps.lfsr"), lfsr.length),
-            nfsr=TapSet(_positions(_require(taps_obj, "nfsr", "taps"), "taps.nfsr"), nfsr.length),
+            lfsr=TapSet(_read(taps_obj, "generator.taps.lfsr"), lfsr.length),
+            nfsr=TapSet(_read(taps_obj, "generator.taps.nfsr"), nfsr.length),
         )
     else:
-        length = _int(obj, "length", "generator")
+        length = _read(obj, "generator.length")
         if kind == "lfsr":
-            register = LfsrSpec(
-                length,
-                frozenset(_positions(_require(obj, "feedback", "generator"), "feedback")),
-            )
+            register = LfsrSpec(length, _read(obj, "generator.feedback"))
         else:
-            register = _parse_anf(
-                _section(obj, "anf", "generator", required=True), length, "generator.anf"
-            )
-        taps = TapSet(_positions(_require(obj, "taps", "generator"), "taps"), length)
+            register = _parse_anf(obj, "generator.anf", length)
+        taps = TapSet(_read(obj, "generator.taps"), length)
     cfg = GeneratorConfig(register, taps, fcfg)
     if fcfg.n != cfg.tap_count:
         raise ConfigError(
-            f"filter.n={fcfg.n} must equal the tap count {cfg.tap_count}"
-        )
-    if not 1 <= fcfg.m <= fcfg.n:
-        raise ConfigError("need 1 <= filter.m <= filter.n")
+            f"generator.filter.n must equal the tap count {cfg.tap_count}, not {fcfg.n}")
+    if fcfg.m > fcfg.n:
+        raise ConfigError(
+            f"generator.filter.m must be at most generator.filter.n = {fcfg.n}, not {fcfg.m}")
     return cfg
 
 
-def _parse_stop(obj, context: str, L: int) -> Stop:
-    if obj is None:
+def _parse_stop(analysis: dict, L: int) -> Stop:
+    if analysis["stop"] is None:
         return RankStop()
-    if isinstance(obj, dict):
-        _known(obj, f"{context}.stop", "rank", "samples")
-        if "rank" in obj and "samples" in obj:
+    obj = _section(analysis, "analysis.stop")
+    if "samples" in obj:
+        if "rank" in obj:
             raise ConfigError(
-                f"{context}.stop takes {context}.stop.rank or {context}.stop.samples, not both")
-        if "samples" in obj:
-            samples = _int(obj, "samples", f"{context}.stop")
-            # Every sample adds at least one distinct equation, so L - n + 2
-            # samples always overdefine the system; more only spend time.
-            if not 1 <= samples <= L:
-                raise ConfigError(
-                    f"{context}.stop.samples must lie in 1..L = {L}, not {samples}")
-            return SampleStop(samples)
-        if _bool(obj, "rank", f"{context}.stop", True):
-            return RankStop()
-    raise ConfigError(f"{context}.stop must be {{'rank': true}} or {{'samples': c}}")
+                "analysis.stop takes analysis.stop.rank or analysis.stop.samples, not both")
+        samples = _read(obj, "analysis.stop.samples")
+        # Every sample adds at least one distinct equation, so L - n + 2
+        # samples always overdefine the system; more only spend time.
+        if not 1 <= samples <= L:
+            raise ConfigError(f"analysis.stop.samples must lie in 1..L = {L}, not {samples}")
+        return SampleStop(samples)
+    if _read(obj, "analysis.stop.rank"):
+        return RankStop()
+    raise ConfigError("analysis.stop must be {'rank': true} or {'samples': c}")
 
 
 def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
@@ -297,26 +318,20 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
             f"{keys} not accepted: nfsr and hybrid generators take no analysis section "
             "(analyze and attack derive the distance-1 window from the register geometry)")
     # sigma and schedule are accepted in every mode, read or not.
-    _known(obj, "analysis", "mode", "sigma", "schedule", "solver_exponent", "m_calibration",
-           "stop")
-    mode = obj.get("mode", "constant")
-    if mode not in ("constant", "greedy", "cyclic", "custom"):
-        raise ConfigError(f"unknown analysis mode {mode!r}")
-    schedule = obj.get("schedule")
-    if schedule is not None:
-        schedule = _positions(schedule, "analysis.schedule")
-        if any(not 1 <= s <= gen.total_length for s in schedule):
-            raise ConfigError("schedule steps must lie in 1..L")
+    mode = _read(obj, "analysis.mode")
+    schedule = _read(obj, "analysis.schedule")
+    if schedule is not None and any(not 1 <= s <= gen.total_length for s in schedule):
+        raise ConfigError(f"analysis.schedule steps must lie in 1..L = {gen.total_length}")
     if mode == "custom" and not schedule:
         raise ConfigError("custom mode needs analysis.schedule")
-    stop = (_parse_stop(obj["stop"], "analysis", gen.total_length) if "stop" in obj
+    stop = (_parse_stop(obj, gen.total_length) if "stop" in obj
             else None if mode == "custom" else RankStop())
     return AnalysisConfig(
         mode=mode,
-        sigma=None if obj.get("sigma") is None else _int(obj, "sigma", "analysis"),
+        sigma=_read(obj, "analysis.sigma"),
         schedule=schedule,
-        solver_exponent=_float(obj, "solver_exponent", "analysis", 3.0),
-        m_calibration=_bool(obj, "m_calibration", "analysis", False),
+        solver_exponent=_read(obj, "analysis.solver_exponent"),
+        m_calibration=_read(obj, "analysis.m_calibration"),
         stop=stop,
     )
 
@@ -324,42 +339,26 @@ def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
 def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    _known(raw, "", "generator", "analysis", "attack", "optimize", "report")
-    gen = _parse_generator(_section(raw, "generator", "config", required=True))
-    analysis = _parse_analysis(_section(raw, "analysis", "config"), gen)
-    attack_obj = _section(raw, "attack", "config")
-    _known(attack_obj, "attack", "keystream")
-    attack = AttackConfig(keystream=_str(attack_obj, "keystream", "attack"))
-    opt_obj = _section(raw, "optimize", "config")
-    _known(opt_obj, "optimize", "differences", "budget", "chunk_size", "retries")
-    differences = opt_obj.get("differences")
+    _known(raw, "")
+    # The generator's keys depend on its kind: _parse_generator checks them.
+    gen = _parse_generator(_section(raw, "generator", required=True, known=False))
+    analysis = _parse_analysis(_section(raw, "analysis"), gen)
+    attack = AttackConfig(keystream=_read(_section(raw, "attack"), "attack.keystream"))
+    opt_obj = _section(raw, "optimize")
     optimize = OptimizeConfig(
-        differences=None if differences is None else tuple(_positions(differences, "optimize.differences")),
-        budget=_int(opt_obj, "budget", "optimize", 12),
-        chunk_size=_int(opt_obj, "chunk_size", "optimize", 5),
-        retries=_int(opt_obj, "retries", "optimize", 6),
+        differences=_read(opt_obj, "optimize.differences"),
+        budget=_read(opt_obj, "optimize.budget"),
+        chunk_size=_read(opt_obj, "optimize.chunk_size"),
+        retries=_read(opt_obj, "optimize.retries"),
     )
-    if not 1 <= optimize.budget <= MAX_OPTIMIZE_BUDGET:
+    differences = optimize.differences or ()
+    if min(differences, default=1) < 1:
         raise ConfigError(
-            f"optimize.budget must be between 1 and {MAX_OPTIMIZE_BUDGET}, not {optimize.budget}"
-        )
-    for key, value in (("chunk_size", optimize.chunk_size), ("retries", optimize.retries)):
-        if value < 1:
-            raise ConfigError(f"optimize.{key} must be at least 1, not {value}")
-    if optimize.differences is not None:
-        for value in optimize.differences:
-            if value < 1:
-                raise ConfigError(f"optimize.differences entries must be at least 1, not {value}")
-        span = sum(optimize.differences)
-        if span > gen.total_length - 1:
-            raise ConfigError(
-                f"optimize.differences sum to {span}, beyond L - 1 = {gen.total_length - 1}"
-            )
-    report_obj = _section(raw, "report", "config")
-    _known(report_obj, "report", "format")
-    fmt = report_obj.get("format", "table")
-    if fmt not in ("table", "structured"):
-        raise ConfigError("report.format must be table or structured")
+            f"optimize.differences entries must be at least 1, not {min(differences)}")
+    if sum(differences) > gen.total_length - 1:
+        raise ConfigError(f"optimize.differences sum to {sum(differences)}, "
+                          f"beyond L - 1 = {gen.total_length - 1}")
+    fmt = _read(_section(raw, "report"), "report.format")
     return ScenarioConfig(gen, analysis, attack, optimize, fmt, raw)
 
 
