@@ -709,6 +709,13 @@ _HEADER = struct.Struct("<4I")
 # keeps both directions linear in the block count.
 _CHUNK = 64
 
+# The most blocks a keystream file may hold; a longer one is refused from its
+# header. `attack` on configs/toy_attack_lfsr.json (m = 2) under a 1 GiB
+# address-space limit on a 2-core VM: 10**6 blocks took 1.24 s at a peak RSS
+# of 67 MiB, 4 * 10**6 blocks 5.0 s at 206 MiB, about 50 bytes a block, so
+# 4 * 10**7 blocks would end in a MemoryError.
+MAX_KEYSTREAM_BLOCKS = 4_000_000
+
 
 def write_keystream_file(path, n: int, m: int, L: int, blocks: Sequence[int]) -> None:
     # Block t's bit j is payload bit t*m + j, least significant bit first.
@@ -724,13 +731,16 @@ def write_keystream_file(path, n: int, m: int, L: int, blocks: Sequence[int]) ->
 
 def read_keystream_file(path) -> tuple[tuple[int, int, int, int], list[int]]:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise KeystreamFormatError("file shorter than its header")
-    n, m, L, count = _HEADER.unpack_from(raw, 0)
-    if not (1 <= m <= n):
-        raise KeystreamFormatError("header violates 1 <= m <= n")
-    body = raw[_HEADER.size:]
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise KeystreamFormatError("file shorter than its header")
+        n, m, L, count = _HEADER.unpack(raw)
+        if not (1 <= m <= n):
+            raise KeystreamFormatError("header violates 1 <= m <= n")
+        if count > MAX_KEYSTREAM_BLOCKS:
+            raise KeystreamFormatError(
+                f"header counts {count} blocks, more than the limit of {MAX_KEYSTREAM_BLOCKS}")
+        body = fh.read()
     expected = (count * m + 7) // 8
     if len(body) != expected:
         raise KeystreamFormatError(

@@ -60,7 +60,8 @@ def _profile(taps: TapSet, analysis: AnalysisConfig) -> RepetitionProfile:
         return repetition_profile(taps, analysis.schedule, stop=stop)
     if mode == "constant":
         if analysis.sigma is None:
-            raise ConfigError("constant mode needs analysis.sigma")
+            raise ConfigError(
+                "analysis.sigma is required by analysis.mode constant, the default mode")
         return constant_profile(taps, analysis.sigma, stop=stop)
     if mode == "greedy":
         return greedy_schedule(taps, stop)[1]

@@ -246,9 +246,19 @@ def _known(obj: dict, section: str, kind: str | None = None) -> None:
             f"unknown config key {names}: {section or 'the config'} takes {', '.join(keys)}")
 
 
+def _build(key: str, cls, *args):
+    """``cls(*args)``, with the message of a ValueError it raises named by
+    the config ``key`` whose value broke it."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _parse_anf(obj: dict, key: str, length: int) -> NfsrSpec:
     anf = _section(obj, key, required=True)
-    return NfsrSpec(length, _read(anf, f"{key}.constant"), _read(anf, f"{key}.monomials"))
+    return _build(f"{key}.monomials", NfsrSpec, length, _read(anf, f"{key}.constant"),
+                  _read(anf, f"{key}.monomials"))
 
 
 def _parse_generator(obj: dict) -> GeneratorConfig:
@@ -266,22 +276,25 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
         lf = _section(obj, "generator.lfsr", required=True)
         nf = _section(obj, "generator.nfsr", required=True)
         taps_obj = _section(obj, "generator.taps", required=True)
-        lfsr = LfsrSpec(
-            _read(lf, "generator.lfsr.length"), _read(lf, "generator.lfsr.feedback"))
+        lfsr = _build("generator.lfsr.feedback", LfsrSpec,
+                      _read(lf, "generator.lfsr.length"), _read(lf, "generator.lfsr.feedback"))
         nfsr = _parse_anf(nf, "generator.nfsr.anf", _read(nf, "generator.nfsr.length"))
-        register: LfsrSpec | NfsrSpec | HybridSpec = HybridSpec(
-            lfsr, nfsr, _read(obj, "generator.coupling"))
+        register: LfsrSpec | NfsrSpec | HybridSpec = _build(
+            "generator.coupling", HybridSpec, lfsr, nfsr, _read(obj, "generator.coupling"))
         taps: TapSet | HybridTaps = HybridTaps(
-            lfsr=TapSet(_read(taps_obj, "generator.taps.lfsr"), lfsr.length),
-            nfsr=TapSet(_read(taps_obj, "generator.taps.nfsr"), nfsr.length),
+            lfsr=_build("generator.taps.lfsr", TapSet,
+                        _read(taps_obj, "generator.taps.lfsr"), lfsr.length),
+            nfsr=_build("generator.taps.nfsr", TapSet,
+                        _read(taps_obj, "generator.taps.nfsr"), nfsr.length),
         )
     else:
         length = _read(obj, "generator.length")
         if kind == "lfsr":
-            register = LfsrSpec(length, _read(obj, "generator.feedback"))
+            register = _build("generator.feedback", LfsrSpec,
+                              length, _read(obj, "generator.feedback"))
         else:
             register = _parse_anf(obj, "generator.anf", length)
-        taps = TapSet(_read(obj, "generator.taps"), length)
+        taps = _build("generator.taps", TapSet, _read(obj, "generator.taps"), length)
     cfg = GeneratorConfig(register, taps, fcfg)
     if fcfg.n != cfg.tap_count:
         raise ConfigError(

@@ -1,8 +1,9 @@
 """Search for tap placements with high guessing-attack resistance.
 
 Two searches are provided: an exhaustive best-ordering search over a given
-difference multiset (feasible up to ten differences), and a staged search
-that grows the difference set chunk by chunk for larger inputs. Quality of an
+difference multiset (up to ten differences and two million orderings), and a
+staged search that grows the difference set chunk by chunk for larger
+inputs. Quality of an
 ordering is its constant-mode cost at the optimal sampling distance; exact
 cost ties prefer the ordering with the larger optimal distance, then the
 lexicographically smallest ordering.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from typing import Sequence
 
 from .complexity import (
@@ -21,6 +22,7 @@ from .complexity import (
     ComplexityEstimate,
     _constant_sweep,
     _sigma_exponent,
+    gfsga_constant_cost,
     gfsga_variable_cost,
     optimal_constant_sigma,
 )
@@ -28,18 +30,28 @@ from .sampling import (
     NoOverdefinedSystemError,
     RepetitionProfile,
     TapSet,
+    _label_mask,
     _pricing_profile,
+    constant_profile,
     is_fpds,
     lambda_order,
 )
 
 
 # The most differences step B orders exhaustively; `optimize` runs the staged
-# search above it. Step B lists every distinct ordering first: 10 distinct
-# differences give 3,628,800. At L = 128, m = 1 on a 2-core VM, step A+B took
-# 11.6-12.5 s (peak RSS 106 MiB) with n = 10 and budget 12, and 15.8 s (peak
-# RSS 323 MiB) with n = 11 and a single candidate.
+# search above it. Step B walks the distinct orderings one at a time, so its
+# memory does not grow with their number: at L = 128, m = 1 on a 2-core VM,
+# step A+B with n = 10 and budget 12 (1,557,360 orderings) took 8.8 s at a
+# peak RSS of 15 MiB.
 MAX_EXHAUSTIVE_DIFFERENCES = 10
+
+# The most distinct orderings, summed over the multisets, that step B prices;
+# above it the search is refused before it starts. Pricing takes about 5.7 us
+# an ordering (the n = 10 run above, and 243,600 orderings in 1.4 s at n = 9),
+# so the limit holds step B to about 11 s. It admits step A+B at n = 10 with
+# the default budget, and refuses n = 11 from a single candidate of distinct
+# differences (3,628,800) and step A at n = 11, budget 1000 (565,185,600).
+MAX_STEP_B_ORDERINGS = 2_000_000
 
 
 class FeasibilityError(ValueError):
@@ -98,7 +110,8 @@ def scorecard(taps: TapSet, n: int, m: int, L: int) -> Scorecard:
 
 def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
                 built: RepetitionProfile | None = None,
-                solver_exponent: float = DEFAULT_SOLVER_EXPONENT) -> list[Scorecard]:
+                solver_exponent: float = DEFAULT_SOLVER_EXPONENT,
+                sigma: int | None = None) -> list[Scorecard]:
     """One scorecard per filter width in ``ms``, every cost priced with the
     solver term ``solver_exponent * log2(L)``.
 
@@ -109,7 +122,9 @@ def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
     :func:`~fsglab.sampling.cyclic_schedule`. ``built``, when given, is one
     of them that the caller already has, and its mode is not run again; the
     others are run pricing-only (no repeated label sets), since the cost
-    formulas read only q.
+    formulas read only q. ``sigma``, when given, is the optimal constant
+    sigma that the caller already found for the one m in ``ms``, and the
+    sigma sweep is not run again.
     """
     if not ms:
         return []
@@ -124,12 +139,17 @@ def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
     cprof = profile("cyclic") if n >= 2 else None
     cards = []
     for m in ms:
-        sigma, const_est = optimal_constant_sigma(taps, n, m, L, solver_exponent)
+        if sigma is None:
+            opt_sigma, const_est = optimal_constant_sigma(taps, n, m, L, solver_exponent)
+        else:
+            opt_sigma = sigma
+            const_est = gfsga_constant_cost(
+                constant_profile(taps, sigma), n, m, L, solver_exponent)
         cards.append(Scorecard(
             taps=taps,
             lam=lam,
             fpds=fpds,
-            optimal_sigma=sigma,
+            optimal_sigma=opt_sigma,
             constant_cost=const_est,
             greedy_cost=gfsga_variable_cost(gprof, n, m, L, solver_exponent),
             cyclic_cost=None if cprof is None
@@ -252,59 +272,89 @@ def _to_front(probes: list[int], sigma: int) -> None:
     del probes[_PROBES:]
 
 
-def _bounded_search(orderings, n: int, m: int, L: int, best=None):
+def _orderings(values: Sequence[int], suffix: tuple[int, ...] = ()):
+    """Each distinct ordering of the multiset ``values``, followed by
+    ``suffix``, in lexicographic order: (ordering, tap mask, span).
+
+    The taps sit at the cumulative sums of the ordering from position 1, and
+    the mask has bit p-1 set for tap p, as :func:`_sigma_exponent` takes it.
+    ``permutations`` of the sorted values gives each distinct ordering first
+    where its equal values keep their input order, and these first
+    occurrences come in increasing order, so one that is not above the last
+    one kept is a repeat. Without a suffix, only the smaller of an ordering
+    and its reverse is given (see :func:`_best_ordering`). Every ordering has
+    the same span, and the suffix's mask is built once, above the span of
+    ``values``.
+    """
+    head = sum(values)
+    tail = _label_mask(accumulate(suffix, initial=head + 1)) | 1
+    span = head + sum(suffix)
+    last = None
+    for p in permutations(sorted(values)):
+        if last is not None and p <= last:
+            continue
+        last = p
+        if suffix or p <= p[::-1]:
+            mask, at = tail, 0
+            for d in p:
+                at += d
+                mask |= 1 << at
+            yield p + suffix, mask, span
+
+
+def _bounded_search(orderings, n: int, m: int, L: int, best=None, probes=None):
     """Branch and bound over orderings: the best (key, ordering, sigma).
 
-    ``orderings`` are orderings of one difference multiset, which is
-    checked once, with the messages of :class:`TapSet`; each ordering's
-    taps sit at the cumulative sums of its differences from position 1.
-    ``best`` is the incumbent or None.
+    ``orderings`` gives the (ordering, tap mask, span) triples of one
+    difference multiset, as :func:`_orderings` does; the first ordering is
+    checked, with the messages of :class:`TapSet`, and so is the multiset.
+    ``best`` is the incumbent or None. ``probes`` is the move-to-front list
+    of at most ``_PROBES`` sigmas, which one search carries from call to
+    call; None starts an empty one.
 
     An ordering's key is the largest key over its sigmas (its cheapest
     cost, then the smallest sigma that attains it), so any one sigma whose
     key reaches the incumbent's proves that the ordering cannot win. With
-    an incumbent in hand, the sigmas that cut earlier orderings in this
-    call are priced first, most recent first (a move-to-front list of at
-    most ``_PROBES``), each stopped at the ceiling of :func:`_ceiling`:
-    past it a sigma cannot cut. The ceiling depends only on the incumbent's
-    cost and this call's solver term, so it is worked out once per
-    incumbent. Only when no probe cuts does the full sweep run; it stops at
-    the first sigma whose running minimum keys the ordering no better than
-    the incumbent, and that sigma goes to the front of the list. Both cuts
-    are exact, so the result is the exact minimum by :func:`_ordering_key`.
-    Sigma 1 always reaches its rank stop, so every ordering has a cost.
+    an incumbent in hand, the sigmas that cut earlier orderings are priced
+    first, most recent first, each stopped at the ceiling of
+    :func:`_ceiling`: a sigma priced at or past it cannot cut, and no key is
+    built for it. The ceiling depends only on the incumbent's cost and this
+    call's solver term, so it is worked out once per incumbent. Only when no
+    probe cuts does the full sweep run; it stops at the first sigma whose
+    running minimum keys the ordering no better than the incumbent, and
+    that sigma goes to the front of the list. Both cuts are exact, so the
+    result is the exact minimum by :func:`_ordering_key`. Sigma 1 always
+    reaches its rank stop, so every ordering has a cost.
     """
-    if not orderings:
+    orderings = iter(orderings)
+    first = next(orderings, None)
+    if first is None:
         return best
-    first = TapSet.from_differences(orderings[0], L)
-    if n != first.n:
+    if n != TapSet.from_differences(first[0], L).n:
         raise ValueError("n must equal the tap count")
     solver = DEFAULT_SOLVER_EXPONENT * math.log2(L)  # the solver term of log2_total
-    probes: list[int] = []
+    if probes is None:
+        probes = []
     ceiling = None  # of the incumbent in hand; None once it changes
-    for ordering in orderings:
-        mask, span = 1, 0
-        for d in ordering:
-            span += d
-            mask |= 1 << span
+    for ordering, mask, span in chain((first,), orderings):
         cut = None
         if best is not None:
             bound = best[0]
             if ceiling is None:
                 ceiling = _ceiling(-bound[0], solver)
-            hit = next((
-                sigma for sigma in probes
-                if _ordering_key(
-                    _sigma_exponent(mask, span, L, n, m, sigma, ceiling) + solver,
-                    sigma, ordering) >= bound
-            ), None)
+            hit = None
+            for sigma in probes:
+                e = _sigma_exponent(mask, span, L, n, m, sigma, ceiling)
+                if e < ceiling and _ordering_key(e + solver, sigma, ordering) >= bound:
+                    hit = sigma
+                    break
             if hit is not None:
                 if hit != probes[0]:
                     _to_front(probes, hit)
                 continue
 
             def cut(sigma, e):
-                if _ordering_key(e + solver, sigma, ordering) < bound:
+                if e >= ceiling or _ordering_key(e + solver, sigma, ordering) < bound:
                     return False
                 _to_front(probes, sigma)
                 return True
@@ -317,26 +367,44 @@ def _bounded_search(orderings, n: int, m: int, L: int, best=None):
     return best
 
 
-def _best_ordering(multisets, n: int, m: int, L: int) -> tuple[int, ...]:
-    """The best ordering of any of the multisets, one incumbent across them.
+def _ordering_count(values: Sequence[int]) -> int:
+    """k!/prod(mult!): the number of distinct orderings of a multiset."""
+    count = math.factorial(len(values))
+    for v in set(values):
+        count //= math.factorial(values.count(v))
+    return count
+
+
+def _best_ordering(multisets, n: int, m: int, L: int):
+    """The best (key, ordering, sigma) over the orderings of the multisets,
+    with one incumbent and one probe list across them.
 
     A reversed ordering mirrors the taps and keeps every repetition count
     (each counts the gaps of at most c*sigma between taps of one residue
     class mod sigma), so it ties in full with the lexicographically smaller
-    of the pair, which alone is swept.
+    of the pair, which alone is swept. The search is refused before any
+    ordering is priced when the distinct orderings, summed over the
+    multisets, are more than ``MAX_STEP_B_ORDERINGS``.
     """
+    multisets = [tuple(values) for values in multisets]
+    if any(len(values) > MAX_EXHAUSTIVE_DIFFERENCES for values in multisets):
+        raise FeasibilityError(
+            f"more than {MAX_EXHAUSTIVE_DIFFERENCES} differences: exhaustive ordering "
+            "search is infeasible, use staged_search"
+        )
+    count = sum(map(_ordering_count, multisets))
+    if count > MAX_STEP_B_ORDERINGS:
+        raise FeasibilityError(
+            f"step B would price {count} orderings, more than the limit of "
+            f"{MAX_STEP_B_ORDERINGS}"
+        )
     best = None
+    probes: list[int] = []
     for values in multisets:
-        if len(values) > MAX_EXHAUSTIVE_DIFFERENCES:
-            raise FeasibilityError(
-                f"more than {MAX_EXHAUSTIVE_DIFFERENCES} differences: exhaustive ordering "
-                "search is infeasible, use staged_search"
-            )
-        orderings = [o for o in sorted(set(permutations(values))) if o <= o[::-1]]
-        best = _bounded_search(orderings, n, m, L, best)
+        best = _bounded_search(_orderings(values), n, m, L, best, probes)
     if best is None:
         raise NoOverdefinedSystemError("no feasible candidate difference set")
-    return best[1]
+    return best
 
 
 def step_b_best_ordering(
@@ -350,7 +418,8 @@ def step_b_best_ordering(
     sigma prices it below the best one so far. The few sigmas that dropped
     earlier orderings are tried first, each only up to the exponent where it
     can still drop one; the full sigma sweep, with its cut, runs only when
-    none of them does. Only the winner gets a scorecard."""
+    none of them does. Only the winner gets a scorecard, priced at the sigma
+    the search found."""
     values = tuple(
         diffs.differences if isinstance(diffs, CandidateDifferenceSet) else diffs
     )
@@ -362,8 +431,9 @@ def step_ab_best_ordering(
 ) -> tuple[tuple[int, ...], Scorecard]:
     """Step B over several multisets, such as the step-A candidates, with one
     incumbent carried across them: the best ordering and its scorecard."""
-    ordering = _best_ordering(multisets, n, m, L)
-    return ordering, scorecard(TapSet.from_differences(ordering, L), n, m, L)
+    _, ordering, sigma = _best_ordering(multisets, n, m, L)
+    taps = TapSet.from_differences(ordering, L)
+    return ordering, _scorecards(taps, n, (m,), L, sigma=sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -415,10 +485,11 @@ def staged_search(
     if not candidates:
         raise SearchExhaustedError("no feasible seed chunk")
     m_first = _stage_m(m, first, n)
-    current = _best_ordering([candidates[0].differences], first + 1, m_first, stage_span + 1)
+    _, current, _ = _best_ordering(
+        [candidates[0].differences], first + 1, m_first, stage_span + 1)
     # The trace prices the seed chunk on its own sub-register.
     (neg_cost, _, _), _, sigma = _bounded_search(
-        [current], first + 1, m_first, 1 + sum(current)
+        _orderings((), current), first + 1, m_first, 1 + sum(current)
     )
     trace.append(StageTrace(1, candidates[0].differences, current, sigma, -neg_cost, 1, 0))
 
@@ -434,6 +505,7 @@ def staged_search(
         joined_size = len(current) + size
         m_join = _stage_m(m, joined_size, n)
         best = None
+        probes: list[int] = []
         tried = 0
         rejections = 0
         for _ in range(params.retries):
@@ -448,8 +520,8 @@ def staged_search(
                     continue
                 # join_l sets the solver term, so the incumbent carried across
                 # candidates compares full log2 costs.
-                joins = [p + current for p in sorted(set(permutations(cand.differences)))]
-                best = _bounded_search(joins, joined_size + 1, m_join, join_l, best)
+                best = _bounded_search(_orderings(cand.differences, current),
+                                       joined_size + 1, m_join, join_l, best, probes)
             if best is not None:
                 break
         if best is None:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import resource
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -257,6 +258,19 @@ def test_optimize_cut_over_is_step_b_limit(tmp_path, capsys, monkeypatch):
         capsys.readouterr().err)
 
 
+def test_optimize_step_a_past_the_ordering_limit_is_exit_2(tmp_path, capsys, monkeypatch):
+    # n = 11 at budget 1000: step A's candidates have 565,185,600 orderings,
+    # refused before the first one is priced.
+    monkeypatch.setattr(optimizer, "_constant_sweep", None)  # a call would fail
+    taps = (1, 14, 27, 40, 53, 66, 79, 92, 105, 118, 128)
+    gen, _, _ = lfsr_generator_section(128, taps, 11, 1)
+    cfg = write_config(tmp_path, "c.json", {"generator": gen, "optimize": {"budget": 1000}})
+    assert main(["optimize", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: step B would price 565185600 orderings, more than the limit of "
+        f"{optimizer.MAX_STEP_B_ORDERINGS}\n")
+
+
 def test_optimize_rejects_workers_option(tmp_path, capsys):
     # The ordering search is serial; --workers is no longer an option.
     gen, _, _ = lfsr_generator_section(24, (1, 4, 9, 13, 20), 5, 2)
@@ -476,6 +490,32 @@ def test_attack_completion_cap_refuses_before_building_offsets(tmp_path):
     assert done.stderr == (
         "error: labels read have rank 2 of 32: 30 free bits exceed the "
         "completion cap of 14\n")
+
+
+def test_attack_keystream_longer_than_the_limit_is_refused_from_its_header(tmp_path):
+    # 10**6 blocks attack within a 1 GiB address space; a header past the
+    # limit exits 4 before a payload byte is read (this file has none).
+    from fsglab.attack import MAX_KEYSTREAM_BLOCKS
+
+    doc = json.loads((SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
+    gen = load_config(SHIPPED_CONFIGS / "toy_attack_lfsr.json").generator.build_generator()
+    state = tuple(random.Random(8).getrandbits(1) for _ in range(20))
+    ks = tmp_path / "long.ks"
+    write_keystream_file(ks, 5, 2, 20, keystream(gen, state, 10**6))
+    doc["attack"]["keystream"] = str(ks)
+    cfg = write_config(tmp_path, "c.json", doc)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = run_fsglab("attack", "--config", cfg, preexec_fn=limit_address_space)
+    assert done.returncode == 0, done.stderr
+    ks.write_bytes(struct.pack("<4I", 5, 2, 20, MAX_KEYSTREAM_BLOCKS + 1))
+    done = run_fsglab("attack", "--config", cfg, preexec_fn=limit_address_space)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr == (
+        f"error: header counts {MAX_KEYSTREAM_BLOCKS + 1} blocks, more than the limit "
+        f"of {MAX_KEYSTREAM_BLOCKS}\n")
 
 
 # Fields that only ``attack`` reads; the numbers cannot be live descriptors.

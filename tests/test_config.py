@@ -89,6 +89,38 @@ def test_load_error_names_its_dotted_key(tmp_path, capsys, base, command, key, v
     assert capsys.readouterr().err.startswith(f"error: {key} ")
 
 
+@pytest.mark.parametrize("base, key, value, message", [
+    ("example1_greedy", "generator.feedback", [1, 81], "feedback positions must lie in 1..L"),
+    ("hybrid_window", "generator.lfsr.feedback", [], "feedback_positions must be nonempty"),
+    ("nfsr", "generator.anf.monomials", [[1], [3, 17]], "monomial position outside 1..length"),
+    ("hybrid_window", "generator.nfsr.anf.monomials", [[]],
+     "empty monomial; fold constants into constant_term"),
+    ("example1_greedy", "generator.taps", [80, 1], "tap positions must be strictly increasing"),
+    ("hybrid_window", "generator.taps.nfsr", [0, 5], "tap positions are 1-based"),
+    ("hybrid_window", "generator.taps.lfsr", [8, 129], "tap position beyond register length"),
+    ("hybrid_window", "generator.nfsr.length", 127, "coupled registers must have equal length"),
+], ids=["LfsrSpec", "LfsrSpec-hybrid", "NfsrSpec", "NfsrSpec-hybrid", "TapSet",
+        "TapSet-hybrid-nfsr", "TapSet-hybrid-lfsr", "HybridSpec"])
+def test_register_constructor_error_names_its_key(tmp_path, capsys, base, key, value, message):
+    # The register and tap-set constructors check what the key table cannot;
+    # their messages are named by the key that broke them.
+    doc = shipped(base)
+    put(doc, key, value)
+    assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 2
+    named = "generator.coupling" if key == "generator.nfsr.length" else key
+    assert capsys.readouterr().err == f"error: {named}: {message}\n"
+
+
+def test_constant_mode_without_sigma_names_the_key_and_the_default(tmp_path, capsys):
+    # configs/optimize_step_b.json has no analysis section, so analyze runs
+    # the default mode, constant, which needs a sigma.
+    cfg = str(SHIPPED_CONFIGS / "optimize_step_b.json")
+    assert "analysis" not in shipped("optimize_step_b")
+    assert main(["analyze", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: analysis.sigma is required by analysis.mode constant, the default mode\n")
+
+
 @pytest.mark.parametrize("base, key", [
     ("example1_greedy", "generator.length"),
     ("nfsr", "generator.length"),

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 
@@ -139,6 +139,11 @@ def test_step_b_equals_unbounded_search():
     assert sigma_ties > 0
 
 
+def _triples(orderings):
+    """The (ordering, tap mask, span) triples that _bounded_search reads."""
+    return [(o, _label_mask(accumulate(o, initial=1)), sum(o)) for o in orderings]
+
+
 def _swept_best(orderings, n, m, L):
     """Every ordering swept in full, uncut, min by _ordering_key."""
     solver = 3.0 * math.log2(L)
@@ -189,7 +194,7 @@ def test_bounded_search_equals_unbounded_minimum(monkeypatch):
             incumbent = ((cost, sigma, tied), tied, s)
         rng.shuffle(orderings)
         sweeps.clear()
-        got = optimizer._bounded_search(orderings, n, m, L, incumbent)
+        got = optimizer._bounded_search(_triples(orderings), n, m, L, incumbent)
         assert got == min(r for r in (want, incumbent) if r is not None), (values, m, L, kind)
         probed += len(orderings) - len(sweeps)
         kinds += kind == 3 and got[1] == ()
@@ -218,7 +223,7 @@ def test_bounded_search_prices_one_ceiling_per_incumbent(monkeypatch):
     rng = random.Random(0xCE1)
     for values, L in (((5, 13, 7, 26, 11, 17), 80), ((3, 8, 2, 9, 4, 6), 40)):
         n = len(values) + 1
-        orderings = sorted(set(permutations(values)))
+        orderings = _triples(sorted(set(permutations(values))))
         rng.shuffle(orderings)
         for best in (None, optimizer._bounded_search(orderings[:3], n, 2, L + 7)):
             ceilings.clear()
@@ -230,11 +235,73 @@ def test_bounded_search_prices_one_ceiling_per_incumbent(monkeypatch):
 
 def test_bounded_search_checks_the_multiset_once():
     with pytest.raises(ValueError, match="strictly increasing"):
-        optimizer._bounded_search([(3, 0, 4)], 4, 1, 20)
+        optimizer._bounded_search(_triples([(3, 0, 4)]), 4, 1, 20)
     with pytest.raises(ValueError, match="beyond register length"):
-        optimizer._bounded_search([(3, 9, 4)], 4, 1, 16)
+        optimizer._bounded_search(_triples([(3, 9, 4)]), 4, 1, 16)
     with pytest.raises(ValueError, match="n must equal the tap count"):
-        optimizer._bounded_search([(3, 9, 4)], 5, 1, 20)
+        optimizer._bounded_search(iter(_triples([(3, 9, 4)])), 5, 1, 20)
+    assert optimizer._bounded_search(iter(()), 5, 1, 20, "incumbent") == "incumbent"
+
+
+def test_orderings_equal_the_sorted_distinct_permutations():
+    # Lexicographic, each distinct ordering once, reversals dropped only
+    # without a suffix; the masks and spans are those of the tap sets.
+    rng = random.Random(0x0DE5)
+    repeats = 0
+    for i in range(300):
+        k = rng.randint(0, 6)
+        values = [rng.randint(1, 3 if i % 2 else 9) for _ in range(k)]
+        suffix = tuple(rng.randint(1, 9) for _ in range(rng.choice((0, 0, 1, 3))))
+        got = list(optimizer._orderings(values, suffix))
+        if suffix:
+            want = [p + suffix for p in sorted(set(permutations(values)))]
+        else:
+            want = sorted(o for o in set(permutations(values)) if o <= o[::-1])
+        assert [o for o, _, _ in got] == want, (values, suffix)
+        L = sum(values) + sum(suffix) + 1
+        for ordering, mask, span in got:
+            taps = TapSet.from_differences(ordering, L)
+            assert (mask, span) == (_label_mask(taps.positions), taps.span)
+        assert optimizer._ordering_count(values) == len(set(permutations(values)))
+        repeats += len(set(values)) < len(values)
+    assert repeats > 100
+
+
+def test_step_b_prices_its_winner_without_another_sweep(monkeypatch):
+    # The search already found the winner's optimal sigma; its scorecard is
+    # priced at it, equal to the one a fresh sweep gives.
+    calls = Counter()
+
+    def counted(*args):
+        calls["optimal_constant_sigma"] += 1
+        return optimal_constant_sigma(*args)
+
+    monkeypatch.setattr(optimizer, "optimal_constant_sigma", counted)
+    for diffs, n, m, L in (((5, 13, 7, 26, 11, 17), 7, 2, 80), ((3, 5, 4, 7), 5, 2, 24)):
+        ordering, card = step_b_best_ordering(diffs, n, m, L)
+        assert calls["optimal_constant_sigma"] == 0
+        assert card == scorecard(TapSet.from_differences(ordering, L), n, m, L)
+        calls.clear()
+
+
+def test_step_b_refuses_too_many_orderings_before_pricing_one(monkeypatch):
+    # The count is k!/prod(mult!) summed over the multisets: 60 + 120 here.
+    multisets = [(2, 2, 3, 5, 7), (3, 4, 5, 6, 8)]
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args)
+        return _constant_sweep(*args)
+
+    monkeypatch.setattr(optimizer, "_constant_sweep", counted)
+    monkeypatch.setattr(optimizer, "MAX_STEP_B_ORDERINGS", 179)
+    with pytest.raises(FeasibilityError, match=r"^step B would price 180 orderings, "
+                       r"more than the limit of 179$"):
+        step_ab_best_ordering(multisets, 6, 2, 40)
+    assert sweeps == []
+    monkeypatch.setattr(optimizer, "MAX_STEP_B_ORDERINGS", 180)
+    step_ab_best_ordering(multisets, 6, 2, 40)
+    assert sweeps
 
 
 def test_mirrored_ordering_has_same_sweep():
