@@ -49,23 +49,26 @@ def _state_hex(state) -> str:
     return format(acc, f"0{width}x")
 
 
-def _profile(taps: TapSet, analysis: AnalysisConfig) -> RepetitionProfile:
+def _profile(taps: TapSet, analysis: AnalysisConfig,
+             materialize_sets: bool = True) -> RepetitionProfile:
     """The profile of the configured sampling mode, cut by ``analysis.stop``.
 
     ``analyze`` prices it and ``attack`` runs its steps, so both see the same
-    schedule.
+    schedule. ``attack`` reads only the steps and passes
+    ``materialize_sets=False``, so no repeated label sets are built.
     """
     mode, stop = analysis.mode, analysis.stop
     if mode == "custom":
-        return repetition_profile(taps, analysis.schedule, stop=stop)
+        return repetition_profile(taps, analysis.schedule, stop=stop,
+                                  materialize_sets=materialize_sets)
     if mode == "constant":
         if analysis.sigma is None:
             raise ConfigError(
                 "analysis.sigma is required by analysis.mode constant, the default mode")
         return constant_profile(taps, analysis.sigma, stop=stop)
     if mode == "greedy":
-        return greedy_schedule(taps, stop)[1]
-    return cyclic_schedule(taps, stop)[1]
+        return greedy_schedule(taps, stop, materialize_sets=materialize_sets)[1]
+    return cyclic_schedule(taps, stop, materialize_sets=materialize_sets)[1]
 
 
 def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
@@ -195,7 +198,7 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
     payload: dict = {"notes": []}
     started = time.perf_counter()
     if isinstance(gen.register, LfsrSpec):
-        profile = _profile(gen_cfg.taps, config.analysis)
+        profile = _profile(gen_cfg.taps, config.analysis, materialize_sets=False)
         if not profile.is_overdefined():
             raise NoOverdefinedSystemError(
                 f"system not overdefined: {profile.distinct_equations} "

@@ -65,7 +65,8 @@ class WindowCostEstimate:
 
 
 def _clamped(n: int, m: int, q: Sequence[int]) -> tuple[int, ...]:
-    return tuple(max(0, n - m - qj) for qj in q)
+    nm = n - m
+    return tuple([max(0, nm - qj) for qj in q])
 
 
 def fsga_cost(n: int, m: int, L: int, solver_exponent: float = DEFAULT_SOLVER_EXPONENT) -> ComplexityEstimate:
@@ -220,6 +221,19 @@ def _constant_sweep(
     return best_sigma, best_e
 
 
+def _optimal_sigma(taps: TapSet, n: int, m: int, L: int) -> int:
+    """The sigma of :func:`optimal_constant_sigma`, with its argument
+    checks, without building the winner's profile."""
+    if n != taps.n:
+        raise ValueError("n must equal the tap count")
+    if L > taps.register_length:
+        raise ValueError("L must not exceed the register length")
+    sigma, _ = _constant_sweep(
+        _label_mask(taps.positions), taps.span, taps.register_length, n, m, L
+    )
+    return sigma
+
+
 def optimal_constant_sigma(
     taps: TapSet,
     n: int,
@@ -239,13 +253,7 @@ def optimal_constant_sigma(
     orderings, each stopped at the exponent where it can no longer cut,
     and only when none of them cuts, this sweep with a cut.
     """
-    if n != taps.n:
-        raise ValueError("n must equal the tap count")
-    if L > taps.register_length:
-        raise ValueError("L must not exceed the register length")
-    sigma, _ = _constant_sweep(
-        _label_mask(taps.positions), taps.span, taps.register_length, n, m, L
-    )
+    sigma = _optimal_sigma(taps, n, m, L)
     profile = constant_profile(taps, sigma)
     return sigma, gfsga_constant_cost(profile, n, m, L, solver_exponent)
 

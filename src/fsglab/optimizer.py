@@ -21,10 +21,10 @@ from .complexity import (
     DEFAULT_SOLVER_EXPONENT,
     ComplexityEstimate,
     _constant_sweep,
+    _optimal_sigma,
     _sigma_exponent,
     gfsga_constant_cost,
     gfsga_variable_cost,
-    optimal_constant_sigma,
 )
 from .sampling import (
     NoOverdefinedSystemError,
@@ -33,7 +33,6 @@ from .sampling import (
     _label_mask,
     _pricing_profile,
     constant_profile,
-    is_fpds,
     lambda_order,
 )
 
@@ -116,9 +115,12 @@ def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
     solver term ``solver_exponent * log2(L)``.
 
     Lambda, the FPDS flag and the greedy and cyclic profiles do not depend
-    on m, so they are computed once per tap set; only the sigma sweep and
-    the pricing run per m. The profiles are the greedy and cyclic RankStop
-    profiles of :func:`~fsglab.sampling.greedy_schedule` and
+    on m, so they are computed once per tap set. The tap set is an FPDS
+    exactly when lambda <= 1, since the difference scheme's entries are
+    the pairwise differences. The sigma sweep runs per m, and one constant
+    profile is built per distinct winning sigma. The profiles are the
+    greedy and cyclic RankStop profiles of
+    :func:`~fsglab.sampling.greedy_schedule` and
     :func:`~fsglab.sampling.cyclic_schedule`. ``built``, when given, is one
     of them that the caller already has, and its mode is not run again; the
     others are run pricing-only (no repeated label sets), since the cost
@@ -128,7 +130,7 @@ def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
     """
     if not ms:
         return []
-    lam, fpds = lambda_order(taps), is_fpds(taps)
+    lam = lambda_order(taps)
 
     def profile(mode: str) -> RepetitionProfile:
         if built is not None and built.mode == mode:
@@ -137,20 +139,19 @@ def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
 
     gprof = profile("greedy")
     cprof = profile("cyclic") if n >= 2 else None
+    constant: dict[int, RepetitionProfile] = {}
     cards = []
     for m in ms:
-        if sigma is None:
-            opt_sigma, const_est = optimal_constant_sigma(taps, n, m, L, solver_exponent)
-        else:
-            opt_sigma = sigma
-            const_est = gfsga_constant_cost(
-                constant_profile(taps, sigma), n, m, L, solver_exponent)
+        opt_sigma = _optimal_sigma(taps, n, m, L) if sigma is None else sigma
+        if opt_sigma not in constant:
+            constant[opt_sigma] = constant_profile(taps, opt_sigma)
         cards.append(Scorecard(
             taps=taps,
             lam=lam,
-            fpds=fpds,
+            fpds=lam <= 1,
             optimal_sigma=opt_sigma,
-            constant_cost=const_est,
+            constant_cost=gfsga_constant_cost(
+                constant[opt_sigma], n, m, L, solver_exponent),
             greedy_cost=gfsga_variable_cost(gprof, n, m, L, solver_exponent),
             cyclic_cost=None if cprof is None
             else gfsga_variable_cost(cprof, n, m, L, solver_exponent),

@@ -221,13 +221,15 @@ def _run_steps(
     steps: list[int] = []
     total = 0
     c = 1
+    rank = isinstance(stop, RankStop)
+    samples = stop.samples if isinstance(stop, SampleStop) else None
     while True:
-        if isinstance(stop, RankStop):
+        if rank:
             if n * c - total > L:
                 if overshoot <= 0:
                     break
                 overshoot -= 1
-        elif isinstance(stop, SampleStop) and c >= stop.samples:
+        elif samples is not None and c >= samples:
             break
         step = choose(seen)
         if step is None:
@@ -241,10 +243,11 @@ def _run_steps(
         shift += step
         seen >>= step
         inter = seen & taps_mask
-        q.append(inter.bit_count())
+        r = inter.bit_count()
+        q.append(r)
         if materialize_sets:
             sets.append(_labels(inter << shift))
-        total += q[-1]
+        total += r
         seen |= taps_mask
         steps.append(step)
         c += 1
@@ -272,12 +275,16 @@ def repetition_profile(
     taps: TapSet,
     schedule: SamplingSchedule | Sequence[int],
     stop: Stop = None,
+    *,
+    materialize_sets: bool = True,
 ) -> RepetitionProfile:
     """Ground-truth profile by direct set intersections on the label timeline.
 
     With ``stop=None`` the whole schedule is consumed; a RankStop returns the
     minimal sample count c with n*c - R > L and raises
-    :class:`NoOverdefinedSystemError` if the schedule runs out first.
+    :class:`NoOverdefinedSystemError` if the schedule runs out first. With
+    ``materialize_sets=False`` the run is the same but ``repeated_sets`` is
+    left as None, as in the greedy and cyclic builders.
     """
     if isinstance(schedule, SamplingSchedule):
         steps, mode = schedule.steps, schedule.mode
@@ -285,7 +292,8 @@ def repetition_profile(
         steps, mode = tuple(schedule), "custom"
     sigma = steps[0] if mode == "constant" and steps else None
     k = taps.span // sigma if sigma else None
-    return _run_steps(taps, _replay(steps), stop, mode, sigma=sigma, k=k)
+    return _run_steps(taps, _replay(steps), stop, mode, sigma=sigma, k=k,
+                      materialize_sets=materialize_sets)
 
 
 def constant_profile(
@@ -367,6 +375,8 @@ def greedy_schedule(
     taps: TapSet,
     stop: Stop = RankStop(),
     overshoot: int = 1,
+    *,
+    materialize_sets: bool = True,
 ) -> tuple[SamplingSchedule, RepetitionProfile]:
     """Adaptive schedule maximizing each sample's repeated-bit count.
 
@@ -375,11 +385,14 @@ def greedy_schedule(
     :func:`_greedy_chooser`). Under a RankStop the run keeps ``overshoot``
     additional samples after the system first becomes overdefined (the
     reference runs of this mode include one such sample); pass overshoot=0
-    for the minimal schedule.
+    for the minimal schedule. ``materialize_sets=False`` leaves the
+    profile's ``repeated_sets`` as None, for callers that only read q and
+    the steps.
     """
     if stop is None:
         raise ValueError("greedy_schedule needs a RankStop or SampleStop")
-    profile = _run_steps(taps, _greedy_chooser(taps), stop, "greedy", overshoot=overshoot)
+    profile = _run_steps(taps, _greedy_chooser(taps), stop, "greedy",
+                         overshoot=overshoot, materialize_sets=materialize_sets)
     return SamplingSchedule(profile.steps, "greedy"), profile
 
 
@@ -389,13 +402,32 @@ def _greedy_chooser(taps: TapSet) -> Callable[[int], int]:
     All L overlap counts come from one big-int product (Kronecker
     substitution): ``seen`` spread to one lane per label, times the taps
     reversed, one lane each, holds |seen ^ (taps << s)| in lane top + s,
-    where top = l_n - 1 is the highest bit ``seen`` can hold. A lane is a
-    byte while n <= 255, so no count carries into its neighbour; wider tap
-    sets get 2-, 4- or 8-byte lanes. Shifts past l_n - l_1 meet nothing and
-    count 0.
+    where top = l_n - 1 is the highest bit ``seen`` can hold. No lane holds
+    more than n (lane top counts |seen ^ taps|), so while n <= 15 a lane is
+    one hex digit: ``int(format(seen, "b"), 16)`` spreads ``seen`` and the
+    counts are read off the product's hex string. Wider tap sets get 1-, 2-,
+    4- or 8-byte lanes. Shifts past l_n - l_1 meet nothing and count 0.
     """
     n = taps.n
     top = taps.positions[-1] - 1
+    if n < 16:
+        reversed_taps = sum(1 << 4 * (top - p + 1) for p in taps.positions)
+        counts_at = 4 * (top + 1)  # digit top + 1 holds shift 1
+        width = f"0{top}x"
+        # The top tap never meets seen, so counts run from n - 1 down.
+        digits = "0123456789abcdef"[n - 1:0:-1]
+
+        def most_overlap(seen: int) -> int:
+            # Big-endian: the digit at index i holds shift top - i, so the
+            # last match is the smallest sigma on ties.
+            counts = format(int(format(seen, "b"), 16) * reversed_taps >> counts_at, width)
+            for digit in digits:
+                i = counts.rfind(digit)
+                if i >= 0:
+                    return top - i
+            return 1
+
+        return most_overlap
     lane = next(b for b in (1, 2, 4, 8) if n < 1 << 8 * b)
     # a label bit 0/1 as one big-endian lane
     spread = str.maketrans({"0": "\0" * lane, "1": "\0" * (lane - 1) + "\1"})
@@ -420,23 +452,21 @@ def _greedy_chooser(taps: TapSet) -> Callable[[int], int]:
 
 
 def cyclic_schedule(
-    taps: TapSet, stop: Stop = RankStop()
+    taps: TapSet, stop: Stop = RankStop(), *, materialize_sets: bool = True
 ) -> tuple[SamplingSchedule, RepetitionProfile]:
     """Schedule cycling through the consecutive tap differences.
 
     Sampling distances follow d_1, .., d_{n-1}, d_1, .. indefinitely, which
     guarantees q_{i+p(n-1)} >= i repeated equations per position in the cycle.
+    ``materialize_sets`` is as for :func:`greedy_schedule`.
     """
     if taps.n < 2:
         raise ValueError("cyclic schedule needs at least two taps")
     if stop is None:
         raise ValueError("cyclic_schedule needs a RankStop or SampleStop")
-    profile = _run_steps(taps, _cyclic_chooser(taps), stop, "cyclic")
+    profile = _run_steps(taps, _replay(itertools.cycle(consecutive_differences(taps))),
+                         stop, "cyclic", materialize_sets=materialize_sets)
     return SamplingSchedule(profile.steps, "cyclic"), profile
-
-
-def _cyclic_chooser(taps: TapSet) -> Callable[[int], int | None]:
-    return _replay(itertools.cycle(consecutive_differences(taps)))
 
 
 def _pricing_profile(taps: TapSet, mode: str) -> RepetitionProfile:
@@ -444,18 +474,13 @@ def _pricing_profile(taps: TapSet, mode: str) -> RepetitionProfile:
     under a RankStop), with ``repeated_sets`` left as None.
 
     For callers that only price the profile: the cost formulas read q, never
-    the label sets. The run is the public builder's run (same chooser, stop,
-    overshoot and mode), minus the sets.
+    the label sets.
     """
     if mode == "greedy":
-        choose, overshoot = _greedy_chooser(taps), 1
-    elif mode == "cyclic":
-        choose, overshoot = _cyclic_chooser(taps), 0
-    else:
-        raise ValueError(f"no pricing profile for mode {mode!r}")
-    return _run_steps(
-        taps, choose, RankStop(), mode, overshoot=overshoot, materialize_sets=False
-    )
+        return greedy_schedule(taps, materialize_sets=False)[1]
+    if mode == "cyclic":
+        return cyclic_schedule(taps, materialize_sets=False)[1]
+    raise ValueError(f"no pricing profile for mode {mode!r}")
 
 
 def lambda_order(taps: TapSet) -> int:

@@ -20,7 +20,7 @@ from fsglab import (
     primitive_lfsr,
     write_keystream_file,
 )
-from fsglab import cli, optimizer
+from fsglab import cli, optimizer, sampling
 from fsglab.cli import main
 from fsglab.config import MAX_FILTER_INPUTS, load_config
 from conftest import ROOT, run_fsglab, run_python
@@ -438,6 +438,30 @@ def test_attack_runs_the_schedule_analyze_prices(tmp_path, capsys):
     assert len(priced) < len(analysis["schedule"])
     assert main(["attack", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["schedule"] == priced
+
+
+@pytest.mark.parametrize("analysis", [
+    {"mode": "greedy"},
+    {"mode": "greedy", "stop": {"samples": 9}},
+    {"mode": "cyclic"},
+    {"mode": "custom", "schedule": [1, 2, 3, 4, 5, 6, 7, 8, 9], "stop": {"rank": True}},
+])
+def test_attack_builds_no_repeated_label_sets(tmp_path, capsys, monkeypatch, analysis):
+    # attack reads only the steps; analyze prints the label sets of the same run.
+    calls = []
+
+    def labels(mask, original=sampling._labels):
+        calls.append(mask)
+        return original(mask)
+    monkeypatch.setattr(sampling, "_labels", labels)
+    cfg = planted_lfsr_attack(tmp_path, analysis)
+    assert main(["analyze", "--config", cfg]) == 0
+    profile = json.loads(capsys.readouterr().out)["payload"]["profile"]
+    assert len(calls) == len(profile["repeated_sets"]) == len(profile["steps"])
+    calls.clear()
+    assert main(["attack", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["schedule"] == profile["steps"]
+    assert calls == []
 
 
 def test_attack_short_custom_schedule_under_rank_stop_is_exit_3(tmp_path):

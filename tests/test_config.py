@@ -157,10 +157,40 @@ def test_anf_constant_outside_0_to_1_is_exit_2(tmp_path, capsys, base, key, cons
             f"error: {key} must be between 0 and 1, not {constant}\n")
 
 
-def test_readme_key_table_lists_every_config_key():
+def readme_key_rows():
+    """The README key table's rows: key, type, default, range and kinds."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("### Scenario configs")[1].split("\n### ")[0]
-    assert re.findall(r"^\| `([a-z_.]+)` \|", section, re.MULTILINE) == list(KEYS)
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_key_table_lists_every_config_key():
+    assert [row[0].strip("`") for row in readme_key_rows()] == list(KEYS)
+
+
+README_TYPES = {"integer": "integer", "integers": "list of integers",
+                "integer lists": "list of lists of integers", "string": "string",
+                "number": "number", "boolean": "boolean"}
+
+
+def test_readme_key_table_types_and_ranges_follow_the_key_table():
+    # An integer range (lo, hi) reads lo..hi, and one without hi "at least lo"
+    # or lo..n / lo..L, bounded by a check on another key; a string's values
+    # are listed in order.
+    for (key, typ, _default, cell, kinds), (spec_key, spec) in zip(
+            readme_key_rows(), KEYS.items()):
+        spec_typ, _, allowed, spec_kinds = spec
+        assert (key.strip("`"), typ) == (spec_key, README_TYPES[spec_typ])
+        assert kinds == ("all" if spec_kinds == "lfsr nfsr hybrid"
+                         else spec_kinds.replace(" ", ", ")), key
+        if spec_typ == "integer" and allowed:
+            lo, hi = allowed
+            stated = [f"{lo}..{hi}"] if hi is not None else [
+                f"at least {lo}", f"{lo}..n", f"{lo}..L"]
+            assert re.match(f"({'|'.join(map(re.escape, stated))})(?![0-9])", cell), key
+        elif spec_typ == "string" and allowed:
+            assert cell == ", ".join(f"`{value}`" for value in allowed), key
 
 
 # JSON type: values of another type (null too, which a key defaulting to None takes).

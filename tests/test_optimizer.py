@@ -11,6 +11,7 @@ from fsglab import (
     TapSet,
     RankStop,
     calibrate_filter_width,
+    constant_profile,
     cyclic_schedule,
     gfsga_variable_cost,
     greedy_schedule,
@@ -25,7 +26,7 @@ from fsglab import (
 )
 from fsglab.fixtures import GRAIN_LFSR_TAPS, GRAIN_NFSR_TAPS
 from fsglab import optimizer, sampling
-from fsglab.complexity import _constant_sweep
+from fsglab.complexity import _constant_sweep, _optimal_sigma
 from fsglab.optimizer import StageTrace, _ceiling, _ordering_key, _scorecards, _stage_m
 from fsglab.sampling import NoOverdefinedSystemError, _label_mask
 
@@ -273,13 +274,13 @@ def test_step_b_prices_its_winner_without_another_sweep(monkeypatch):
     calls = Counter()
 
     def counted(*args):
-        calls["optimal_constant_sigma"] += 1
-        return optimal_constant_sigma(*args)
+        calls["_optimal_sigma"] += 1
+        return _optimal_sigma(*args)
 
-    monkeypatch.setattr(optimizer, "optimal_constant_sigma", counted)
+    monkeypatch.setattr(optimizer, "_optimal_sigma", counted)
     for diffs, n, m, L in (((5, 13, 7, 26, 11, 17), 7, 2, 80), ((3, 5, 4, 7), 5, 2, 24)):
         ordering, card = step_b_best_ordering(diffs, n, m, L)
-        assert calls["optimal_constant_sigma"] == 0
+        assert calls["_optimal_sigma"] == 0
         assert card == scorecard(TapSet.from_differences(ordering, L), n, m, L)
         calls.clear()
 
@@ -417,8 +418,9 @@ def test_scorecard_reference_rows():
 
 
 def test_scorecards_compute_m_invariants_once(monkeypatch):
-    # One lambda/FPDS evaluation per tap set, no repeated label sets built,
-    # and every card priced from the public builders' profiles.
+    # One lambda evaluation per tap set, which also gives the FPDS flag, no
+    # repeated label sets built, and every card priced from the public
+    # builders' profiles.
     calls = Counter()
 
     def counted(module, name):
@@ -431,7 +433,6 @@ def test_scorecards_compute_m_invariants_once(monkeypatch):
 
     counted(sampling, "_labels")
     counted(optimizer, "lambda_order")
-    counted(optimizer, "is_fpds")
     rng = random.Random(31)
     for _ in range(12):
         L = rng.randint(20, 120)
@@ -440,13 +441,39 @@ def test_scorecards_compute_m_invariants_once(monkeypatch):
         ms = range(1, min(5, n))
         calls.clear()
         cards = _scorecards(taps, n, ms, L)
-        assert calls == {"lambda_order": 1, "is_fpds": 1}
+        assert calls == {"lambda_order": 1}
         _, gprof = greedy_schedule(taps, RankStop())
         _, cprof = cyclic_schedule(taps, RankStop())
         for m, card in zip(ms, cards):
             assert (card.lam, card.fpds) == (lambda_order(taps), is_fpds(taps))
             assert card.greedy_cost == gfsga_variable_cost(gprof, n, m, L)
             assert card.cyclic_cost == gfsga_variable_cost(cprof, n, m, L)
+
+
+def test_scorecards_build_one_constant_profile_per_winning_sigma(monkeypatch):
+    # The sweep runs per m, but the widths that share a winning sigma share
+    # its constant profile; each card matches optimal_constant_sigma.
+    built = []
+
+    def counted(taps, sigma, *args):
+        built.append(sigma)
+        return constant_profile(taps, sigma, *args)
+
+    monkeypatch.setattr(optimizer, "constant_profile", counted)
+    rng = random.Random(32)
+    shared = 0
+    for _ in range(40):
+        L = rng.randint(20, 160)
+        n = rng.randint(5, 12)
+        taps = TapSet(tuple(sorted(rng.sample(range(1, L + 1), n))), L)
+        built.clear()
+        cards = _scorecards(taps, n, range(1, 5), L)
+        want = [optimal_constant_sigma(taps, n, m, L) for m in range(1, 5)]
+        assert [(c.optimal_sigma, c.constant_cost) for c in cards] == want
+        winners = [sigma for sigma, _ in want]
+        assert sorted(built) == sorted(set(winners))
+        shared += len(set(winners)) < 4
+    assert shared >= 10
 
 
 def test_staged_search_small_case_deterministic():

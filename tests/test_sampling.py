@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from fsglab import (
     repetition_profile,
     scheme_q_sequence,
 )
-from fsglab.sampling import _pricing_profile
+from fsglab.sampling import _greedy_chooser, _pricing_profile
 from fsglab.fixtures import (
     EXAMPLE1_GREEDY_ROWS,
     EXAMPLE1_TAPS,
@@ -282,6 +283,55 @@ def test_greedy_counts_past_a_byte():
         _assert_greedy_steps_maximal(taps, prof)
     _, prof = greedy_schedule(wide[0], SampleStop(4))
     assert prof.q == (299, 299, 299)
+
+
+def test_greedy_steps_maximal_at_the_lane_boundary():
+    # Up to 15 taps a lane is one hex digit, lane top included, which counts
+    # |seen ^ taps| <= n; 16 taps are the first on byte lanes. Contiguous taps
+    # fill lane top and reach n - 1 at shift 1.
+    rng = random.Random(14)
+    for n in (1, 15, 16):
+        cases = [TapSet(tuple(range(1, n + 1)), n + 30)]
+        for _ in range(6):
+            L = rng.randint(n, 120)
+            cases.append(TapSet(tuple(sorted(rng.sample(range(1, L + 1), n))), L))
+        for taps in cases:
+            for overshoot in (0, 1):
+                _, prof = greedy_schedule(taps, RankStop(), overshoot=overshoot)
+                _assert_greedy_steps_maximal(taps, prof)
+
+
+def test_greedy_at_the_longest_register_under_the_int_string_limit():
+    # Binary and hex conversions are exempt from the interpreter's limit on
+    # int-string digits, so a tight limit does not stop a 2048-bit register.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    old = limit() if limit else None
+    if limit:
+        sys.set_int_max_str_digits(640)
+    try:
+        rng = random.Random(15)
+        for n in (12, 24):
+            taps = TapSet((1, *sorted(rng.sample(range(2, 2048), n - 2)), 2048), 2048)
+            _, prof = greedy_schedule(taps, SampleStop(100))
+            _assert_greedy_steps_maximal(taps, prof)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(old)
+
+
+def test_greedy_chooser_equals_a_direct_overlap_count():
+    # One step on a random seen, on both lane widths, against the overlap of
+    # seen with the taps at each shift up to the highest label seen holds.
+    rng = random.Random(16)
+    for _ in range(2000):
+        L = rng.randint(1, 2048 if rng.random() < 0.2 else 256)
+        n = rng.randint(1, min(40, L))
+        taps = TapSet(tuple(sorted(rng.sample(range(1, L + 1), n))), L)
+        top = taps.positions[-1]
+        taps_mask = sum(1 << p - 1 for p in taps.positions)
+        seen = taps_mask | rng.getrandbits(top) & rng.getrandbits(top)
+        counts = [(seen & taps_mask << s).bit_count() for s in range(1, top)] or [0]
+        assert _greedy_chooser(taps)(seen) == counts.index(max(counts)) + 1, taps
 
 
 def test_greedy_single_tap_ties_to_sigma_one():
