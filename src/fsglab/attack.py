@@ -30,6 +30,7 @@ from itertools import repeat
 from operator import eq, or_, xor
 from typing import Callable, Sequence
 
+from .config import COMPLETION_CAP_BITS, MAX_KEYSTREAM_BLOCKS
 from .registers import (
     GeneratorSpec,
     HybridSpec,
@@ -383,7 +384,6 @@ def gfsga_recover(
     gen: GeneratorSpec,
     blocks: Sequence[int],
     schedule: SamplingSchedule,
-    completion_cap_bits: int = 14,
 ) -> AttackResult:
     """Recover an LFSR filter generator's initial state from sampled blocks.
 
@@ -400,9 +400,9 @@ def gfsga_recover(
     The overdefined-count condition does not guarantee full rank, so a path
     that survives the schedule short of it sweeps the missing dimensions:
     the free bits, L minus the rank of every label the schedule reads,
-    refused before enumerating above ``completion_cap_bits``. A candidate
-    is the path's label bits with a completion offset above them. The
-    compiled label-domain cells, run on the LFSR's timeline up to the
+    refused before enumerating above ``config.COMPLETION_CAP_BITS``. A
+    candidate is the path's label bits with a completion offset above them.
+    The compiled label-domain cells, run on the LFSR's timeline up to the
     keystream's last label, give each label's bit as the parity of the
     candidate and the label's word, so no leaf builds a state. Each slice
     of leaves is replayed as it comes. Without free bits a path is one
@@ -436,10 +436,10 @@ def gfsga_recover(
     steps, words, above, free = _compile(
         plan, exprs, L, [table.get(blocks[shift]) for shift in shifts],
         _spread_table(positions), shifts)
-    if free > completion_cap_bits:
+    if free > COMPLETION_CAP_BITS:
         raise NoOverdefinedSystemError(
             f"labels read have rank {L - free} of {L}: {free} free bits "
-            f"exceed the completion cap of {completion_cap_bits}")
+            f"exceed the completion cap of {COMPLETION_CAP_BITS}")
     # The cells run on the LFSR's timeline up to the keystream's last label:
     # the map is linear, so label k's bit is parity(words[k - 1] & candidate).
     timeline_clock(gen.register)([words], positions[-1] + len(blocks) - 1 - L)
@@ -708,13 +708,6 @@ _HEADER = struct.Struct("<4I")
 # starts on a byte boundary, and no shift touches more than one chunk, which
 # keeps both directions linear in the block count.
 _CHUNK = 64
-
-# The most blocks a keystream file may hold; a longer one is refused from its
-# header. `attack` on configs/toy_attack_lfsr.json (m = 2) under a 1 GiB
-# address-space limit on a 2-core VM: 10**6 blocks took 1.24 s at a peak RSS
-# of 67 MiB, 4 * 10**6 blocks 5.0 s at 206 MiB, about 50 bytes a block, so
-# 4 * 10**7 blocks would end in a MemoryError.
-MAX_KEYSTREAM_BLOCKS = 4_000_000
 
 
 def write_keystream_file(path, n: int, m: int, L: int, blocks: Sequence[int]) -> None:

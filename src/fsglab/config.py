@@ -23,6 +23,9 @@ class ConfigError(ValueError):
     """Configuration file is missing fields or internally inconsistent."""
 
 
+# Every bound on a command's work, each checked before the work starts, with
+# its measured reason; the README's Limits table lists them.
+
 # The largest optimize.budget accepted. Step A draws up to 200 times the
 # budget: at 1000, step A+B on configs/optimize_step_b.json (without its
 # differences) takes about 2 s on a 2-core VM, and budget 10**30 was still
@@ -42,6 +45,42 @@ MAX_FILTER_INPUTS = 20
 # 4096 and 6.3 s at 8192.
 MAX_REGISTER_LENGTH = 2048
 
+# The most differences step B orders exhaustively; `optimize` runs the staged
+# search above it. Step B walks the distinct orderings one at a time, so its
+# memory does not grow with their number: at L = 128, m = 1 on a 2-core VM,
+# step A+B with n = 10 and budget 12 (1,557,360 orderings) took 8.8 s at a
+# peak RSS of 15 MiB.
+MAX_EXHAUSTIVE_DIFFERENCES = 10
+
+# The most distinct orderings, summed over the multisets, that step B prices;
+# above it the search is refused before it starts. Pricing takes about 5.7 us
+# an ordering (the n = 10 run above, and 243,600 orderings in 1.4 s at n = 9),
+# so the limit holds step B to about 11 s. It admits step A+B at n = 10 with
+# the default budget, and refuses n = 11 from a single candidate of distinct
+# differences (3,628,800) and step A at n = 11, budget 1000 (565,185,600).
+# The walk that yields the distinct orderings still steps through all k!
+# permutations of each multiset, at most 10! (MAX_EXHAUSTIVE_DIFFERENCES),
+# whatever their repeats: ten equal differences took 0.92 s to yield their
+# one ordering, time this limit does not count.
+MAX_STEP_B_ORDERINGS = 2_000_000
+
+# The most free bits the LFSR attack sweeps: L minus the rank of the labels
+# its schedule reads. Above it the attack is refused (exit 3) before any
+# completion offset exists. A path that reaches the last sample filters its
+# 2^free offsets through a 2^free-entry table per block it reads, so time
+# and memory double per bit. A 32-bit rotation register (taps 1, 2, m = 1,
+# a custom schedule) on a 2-core VM took 1.4 ms a path (at most 9.3 ms) at
+# a traced peak of 2.2 MiB with 14 free bits, and 28 ms a path (at most
+# 233 ms) at 41.7 MiB with 18, so 24 bits would need about 2.6 GiB.
+COMPLETION_CAP_BITS = 14
+
+# The most blocks a keystream file may hold; a longer one is refused from its
+# header. `attack` on configs/toy_attack_lfsr.json (m = 2) under a 1 GiB
+# address-space limit on a 2-core VM: 10**6 blocks took 1.24 s at a peak RSS
+# of 67 MiB, 4 * 10**6 blocks 5.0 s at 206 MiB, about 50 bytes a block, so
+# 4 * 10**7 blocks would end in a MemoryError.
+MAX_KEYSTREAM_BLOCKS = 4_000_000
+
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -60,7 +99,8 @@ class FilterConfig:
         if self.source == "hex":
             if not self.hex_table:
                 raise ConfigError("generator.filter.hex is required by source hex")
-            return FilterSpec.from_hex(self.n, self.m, self.hex_table)
+            return _build("generator.filter.hex", FilterSpec.from_hex,
+                          self.n, self.m, self.hex_table)
         if self.source == "random":
             seed = self.seed if self.seed is not None else fallback_seed
             return FilterSpec.uniform_random(self.n, self.m, seed)

@@ -26,31 +26,17 @@ from .complexity import (
     gfsga_constant_cost,
     gfsga_variable_cost,
 )
+from .config import MAX_EXHAUSTIVE_DIFFERENCES, MAX_STEP_B_ORDERINGS
 from .sampling import (
     NoOverdefinedSystemError,
     RepetitionProfile,
     TapSet,
     _label_mask,
-    _pricing_profile,
     constant_profile,
+    cyclic_schedule,
+    greedy_schedule,
     lambda_order,
 )
-
-
-# The most differences step B orders exhaustively; `optimize` runs the staged
-# search above it. Step B walks the distinct orderings one at a time, so its
-# memory does not grow with their number: at L = 128, m = 1 on a 2-core VM,
-# step A+B with n = 10 and budget 12 (1,557,360 orderings) took 8.8 s at a
-# peak RSS of 15 MiB.
-MAX_EXHAUSTIVE_DIFFERENCES = 10
-
-# The most distinct orderings, summed over the multisets, that step B prices;
-# above it the search is refused before it starts. Pricing takes about 5.7 us
-# an ordering (the n = 10 run above, and 243,600 orderings in 1.4 s at n = 9),
-# so the limit holds step B to about 11 s. It admits step A+B at n = 10 with
-# the default budget, and refuses n = 11 from a single candidate of distinct
-# differences (3,628,800) and step A at n = 11, budget 1000 (565,185,600).
-MAX_STEP_B_ORDERINGS = 2_000_000
 
 
 class FeasibilityError(ValueError):
@@ -132,13 +118,13 @@ def _scorecards(taps: TapSet, n: int, ms: Sequence[int], L: int,
         return []
     lam = lambda_order(taps)
 
-    def profile(mode: str) -> RepetitionProfile:
+    def profile(mode: str, build) -> RepetitionProfile:
         if built is not None and built.mode == mode:
             return built
-        return _pricing_profile(taps, mode)
+        return build(taps, materialize_sets=False)[1]
 
-    gprof = profile("greedy")
-    cprof = profile("cyclic") if n >= 2 else None
+    gprof = profile("greedy", greedy_schedule)
+    cprof = profile("cyclic", cyclic_schedule) if n >= 2 else None
     constant: dict[int, RepetitionProfile] = {}
     cards = []
     for m in ms:

@@ -111,6 +111,9 @@ class FilterSpec:
         text = text.strip().lower()
         if len(text) != width * (1 << n):
             raise ValueError("hex table length does not match n, m")
+        stray = text.translate(dict.fromkeys(map(ord, "0123456789abcdef")))
+        if stray:
+            raise ValueError(f"{stray[0]!r} is not a hex digit")
         entries = tuple(int(text[i * width:(i + 1) * width], 16) for i in range(1 << n))
         return cls(n, m, entries)
 

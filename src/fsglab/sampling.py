@@ -469,20 +469,6 @@ def cyclic_schedule(
     return SamplingSchedule(profile.steps, "cyclic"), profile
 
 
-def _pricing_profile(taps: TapSet, mode: str) -> RepetitionProfile:
-    """``greedy_schedule(taps)[1]`` or ``cyclic_schedule(taps)[1]`` (both
-    under a RankStop), with ``repeated_sets`` left as None.
-
-    For callers that only price the profile: the cost formulas read q, never
-    the label sets.
-    """
-    if mode == "greedy":
-        return greedy_schedule(taps, materialize_sets=False)[1]
-    if mode == "cyclic":
-        return cyclic_schedule(taps, materialize_sets=False)[1]
-    raise ValueError(f"no pricing profile for mode {mode!r}")
-
-
 def lambda_order(taps: TapSet) -> int:
     """max over shifts of |I_0 ^ (I_0 + sigma)|: the worst single-shift overlap."""
     if taps.n < 2:

@@ -252,7 +252,7 @@ def _lfsr_reference_instance(rng, n, m, mode):
     return gen, state, schedule, blocks, deficit
 
 
-def test_compiled_recover_matches_per_branch_reference():
+def test_compiled_recover_matches_per_branch_reference(monkeypatch):
     # Every (n, m) pair meets every schedule mode: 14 pairs and 3 modes are coprime.
     rng = random.Random(26)
     pairs = [(n, m) for n in range(3, 7) for m in range(1, n)]
@@ -263,14 +263,16 @@ def test_compiled_recover_matches_per_branch_reference():
         mode = ("greedy", "cyclic", "constant")[index % 3]
         gen, state, schedule, blocks, deficit = _lfsr_reference_instance(rng, n, m, mode)
         expected = reference_gfsga_recover(gen, blocks, schedule, deficit)
-        result = gfsga_recover(gen, blocks, schedule, deficit)
+        monkeypatch.setattr(attack, "COMPLETION_CAP_BITS", deficit)  # free == cap is admitted
+        result = gfsga_recover(gen, blocks, schedule)
         assert (result.recovered_state, result.systems_solved,
                 result.candidates_pruned) == expected[:3], index
         if deficit:  # one bit over the cap: both refuse before enumerating
             with pytest.raises(NoOverdefinedSystemError):
                 reference_gfsga_recover(gen, blocks, schedule, deficit - 1)
+            monkeypatch.setattr(attack, "COMPLETION_CAP_BITS", deficit - 1)
             with pytest.raises(NoOverdefinedSystemError):
-                gfsga_recover(gen, blocks, schedule, deficit - 1)
+                gfsga_recover(gen, blocks, schedule)
         seen[mode] += 1
         seen["deficient"] += deficit > 0
         seen["inconsistent"] += expected[3] > 0
@@ -293,8 +295,8 @@ def test_frontier_slices_keep_depth_first_order(monkeypatch, cap):
         n, m = pairs[index % len(pairs)]
         mode = ("greedy", "cyclic", "constant")[index % 3]
         gen, state, schedule, blocks, deficit = _lfsr_reference_instance(rng, n, m, mode)
-        expected = reference_gfsga_recover(gen, blocks, schedule, deficit)
-        result = gfsga_recover(gen, blocks, schedule, deficit)
+        expected = reference_gfsga_recover(gen, blocks, schedule)
+        result = gfsga_recover(gen, blocks, schedule)
         assert (result.recovered_state, result.systems_solved,
                 result.candidates_pruned) == expected[:3], index
         split += expected[1] > cap
@@ -321,8 +323,8 @@ def test_pair_pass_matches_per_branch_reference(monkeypatch, cap):
     for index in range(12):
         gen, state, schedule, blocks, deficit = _lfsr_reference_instance(rng, 5, 1, "greedy")
         before = len(fills)
-        expected = reference_gfsga_recover(gen, blocks, schedule, deficit)
-        result = gfsga_recover(gen, blocks, schedule, deficit)
+        expected = reference_gfsga_recover(gen, blocks, schedule)
+        result = gfsga_recover(gen, blocks, schedule)
         assert (result.recovered_state, result.systems_solved,
                 result.candidates_pruned) == expected[:3], index
         paired += len(fills) > before
@@ -503,7 +505,7 @@ def test_recover_stops_replaying_after_the_first_verified_state(monkeypatch):
             rng, n, rng.randint(1, n - 1), "greedy")
         if not deficit:
             continue
-        expected = reference_gfsga_recover(gen, blocks, schedule, deficit)
+        expected = reference_gfsga_recover(gen, blocks, schedule)
         if expected[4] < 2 or expected[1] < 2:
             continue
         events = []
@@ -520,7 +522,7 @@ def test_recover_stops_replaying_after_the_first_verified_state(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(attack, "_regenerates", finishing)
             patch.setattr(attack, "_first_offset", sweeping)
-            result = gfsga_recover(gen, blocks, schedule, deficit)
+            result = gfsga_recover(gen, blocks, schedule)
         assert (result.recovered_state, result.systems_solved,
                 result.candidates_pruned) == expected[:3]
         first = [verdict for _, verdict in events].index(True)
@@ -623,8 +625,8 @@ def test_offset_filter_matches_per_branch_reference(monkeypatch, cap):
     for index in range(16):
         gen, state, schedule, blocks, free = _deficient_lfsr_instance(rng)
         fills.clear()
-        expected = reference_gfsga_recover(gen, blocks, schedule, free)
-        result = gfsga_recover(gen, blocks, schedule, free)
+        expected = reference_gfsga_recover(gen, blocks, schedule)
+        result = gfsga_recover(gen, blocks, schedule)
         assert (result.recovered_state, result.systems_solved,
                 result.candidates_pruned) == expected[:3], index
         seen["past-first-block"] += len(fills) > 1
@@ -1248,6 +1250,65 @@ def test_split_minterm_test_matches_the_full_one():
                             full |= terms[x]
                         got = attack._preimage_lanes(values, alive, split[z])
                         assert got == full, (n, m, style, z)
+
+
+def _twin_instance(rng, case):
+    """An LFSR generator and its NFSR twin, the constant 0 and one monomial
+    {p} per feedback position p, which give the same keystream. L is 12-22,
+    n 3-5 and m any of 1..n-1; the feedback holds cell 1, the last tap
+    leaves a window that the window attack accepts, and the greedy or
+    cyclic schedule leaves at most COMPLETION_CAP_BITS free bits. The
+    keystream is just long enough for both attacks when ``case`` is
+    "short", L blocks longer otherwise, with one block flipped when it is
+    "corrupt". Returns (LFSR generator, NFSR generator, schedule, blocks,
+    free bits)."""
+    while True:
+        L = rng.randint(12, 22)
+        n = rng.randint(3, 5)
+        m = rng.randint(1, n - 1)
+        window = rng.randint(L // n + 1, L - 1 - n)  # window * n > L
+        top = L - 1 - window
+        taps = TapSet((*sorted(rng.sample(range(1, top), n - 1)), top), L)
+        build = rng.choice((greedy_schedule, cyclic_schedule))
+        schedule, _ = build(taps, RankStop())
+        lfsr = LfsrSpec(L, frozenset({1, *rng.sample(range(2, L + 1), rng.randint(1, 3))}))
+        shifts = list(itertools.accumulate(schedule.steps, initial=0))
+        exprs = label_expressions(lfsr, top + shifts[-1])
+        free = L - rank_of([exprs[pos + s - 1] for s in shifts for pos in taps.positions], L)
+        if free <= attack.COMPLETION_CAP_BITS:
+            break
+    filt = FilterSpec.uniform_random(n, m, rng.getrandbits(30))
+    nfsr = NfsrSpec(L, 0, tuple(frozenset({p}) for p in lfsr.feedback_positions))
+    gen, twin = GeneratorSpec(lfsr, taps, filt), GeneratorSpec(nfsr, taps, filt)
+    state = tuple(rng.getrandbits(1) for _ in range(L))
+    count = max(shifts[-1] + 1, window + -(-L // m)) + (0 if case == "short" else L)
+    blocks = keystream(gen, state, count)
+    assert keystream(twin, state, count) == blocks
+    if case == "corrupt":
+        blocks[rng.randrange(count)] ^= rng.randrange(1, 1 << m)
+    return gen, twin, schedule, blocks, free
+
+
+def test_lfsr_and_window_attacks_agree_on_an_lfsr_and_its_nfsr_twin():
+    # The two attacks share only the sample plan, the bucket builder, the
+    # walker and the clock: the GF(2) compile, the offset filter and the
+    # label words on one side, the bitsliced lane replay on the other. On a
+    # planted or short keystream both find a state, the same one or two
+    # that both regenerate the keystream; on a corrupt one neither does.
+    rng = random.Random(16)
+    swept = 0
+    for index in range(540):
+        case = ("planted", "corrupt", "short")[index % 3]
+        gen, twin, schedule, blocks, free = _twin_instance(rng, case)
+        state = gfsga_recover(gen, blocks, schedule).recovered_state
+        twin_state = nfsr_window_recover(twin, blocks)[1].recovered_state
+        if case == "corrupt":
+            assert state is None and twin_state is None, index
+        else:
+            for found in (state, twin_state):
+                assert found is not None and keystream(gen, found, len(blocks)) == blocks, index
+        swept += free > 0
+    assert swept >= 100  # instances whose paths sweep completion offsets
 
 
 def test_attacks_leave_no_reference_cycles(monkeypatch):

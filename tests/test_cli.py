@@ -730,11 +730,11 @@ def test_analyze_m_calibration_sweep(tmp_path, capsys, monkeypatch):
         },
     )
     priced = []
-
-    def pricing(taps, mode, original=optimizer._pricing_profile):
-        priced.append(mode)
-        return original(taps, mode)
-    monkeypatch.setattr(optimizer, "_pricing_profile", pricing)
+    for mode in ("greedy", "cyclic"):
+        def build(*args, mode=mode, original=getattr(optimizer, f"{mode}_schedule"), **kwargs):
+            priced.append(mode)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(optimizer, f"{mode}_schedule", build)
     assert main(["analyze", "--config", cfg]) == 0
     assert priced == ["cyclic"]  # the analyzed greedy profile is reused
     doc = json.loads(capsys.readouterr().out)

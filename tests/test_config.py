@@ -1,6 +1,6 @@
 """The scenario-config key table (``fsglab.config.KEYS``): load errors, the
-register length limit, the README's key table and a mutation run that draws
-every mutant from the table."""
+register length limit, the README's key and limits tables and a mutation run
+that draws every mutant from the table."""
 
 import json
 import random
@@ -10,6 +10,7 @@ import time
 import pytest
 
 from fsglab import keystream, write_keystream_file
+from fsglab import config
 from fsglab.cli import main
 from fsglab.config import KEYS, MAX_REGISTER_LENGTH, REQUIRED, load_config
 from conftest import ROOT
@@ -111,6 +112,20 @@ def test_register_constructor_error_names_its_key(tmp_path, capsys, base, key, v
     assert capsys.readouterr().err == f"error: {named}: {message}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda table: table[:-1], "hex table length does not match n, m"),
+    (lambda table: "g" + table[1:], "'g' is not a hex digit"),
+    (lambda table: "4" + table[1:], "truth table entry out of range"),  # m = 2: 0..3
+], ids=["length", "digit", "entry"])
+def test_filter_hex_error_names_its_key(tmp_path, capsys, edit, message):
+    doc = shipped("toy_attack_lfsr")
+    doc["attack"]["keystream"] = planted_toy_keystream(tmp_path)
+    filt = doc["generator"]["filter"]
+    filt["hex"] = edit(filt["hex"])
+    assert main(["attack", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: generator.filter.hex: {message}\n"
+
+
 def test_constant_mode_without_sigma_names_the_key_and_the_default(tmp_path, capsys):
     # configs/optimize_step_b.json has no analysis section, so analyze runs
     # the default mode, constant, which needs a sigma.
@@ -157,12 +172,29 @@ def test_anf_constant_outside_0_to_1_is_exit_2(tmp_path, capsys, base, key, cons
             f"error: {key} must be between 0 and 1, not {constant}\n")
 
 
-def readme_key_rows():
-    """The README key table's rows: key, type, default, range and kinds."""
+def readme_rows(heading):
+    """The cells of the table rows under README section ``heading``."""
     readme = (ROOT / "README.md").read_text()
-    section = readme.split("### Scenario configs")[1].split("\n### ")[0]
+    section = readme.split(f"### {heading}\n")[1].split("\n### ")[0]
     return [[cell.strip() for cell in line.strip("|").split("|")]
             for line in section.splitlines() if line.startswith("| `")]
+
+
+def readme_key_rows():
+    """The README key table's rows: key, type, default, range and kinds."""
+    return readme_rows("Scenario configs")
+
+
+def test_readme_limits_table_lists_every_bound_with_its_value():
+    # The bounds are config's upper-case integer constants; a row gives the
+    # constant, its value, what it bounds and the exit code of its refusal.
+    bounds = {name: value for name, value in vars(config).items()
+              if name.isupper() and type(value) is int}
+    rows = readme_rows("Limits")
+    assert len(rows) == len(bounds) == 7
+    assert {name.strip("`"): int(value.replace(",", ""))
+            for name, value, _, _ in rows} == bounds
+    assert {refusal for *_, refusal in rows} == {"exit 2", "exit 3", "exit 4"}
 
 
 def test_readme_key_table_lists_every_config_key():
@@ -174,14 +206,35 @@ README_TYPES = {"integer": "integer", "integers": "list of integers",
                 "number": "number", "boolean": "boolean"}
 
 
+def readme_default(default):
+    """How the README key table writes a default of ``KEYS``."""
+    if default is REQUIRED:
+        return "required"
+    if isinstance(default, bool):
+        return f"`{str(default).lower()}`"
+    if default == ():
+        return "`[]`"
+    if isinstance(default, str):
+        return f"`{default}`"
+    return str(default)
+
+
 def test_readme_key_table_types_and_ranges_follow_the_key_table():
     # An integer range (lo, hi) reads lo..hi, and one without hi "at least lo"
     # or lo..n / lo..L, bounded by a check on another key; a string's values
-    # are listed in order.
-    for (key, typ, _default, cell, kinds), (spec_key, spec) in zip(
+    # are listed in order. A null default may say what stands in for it, and
+    # analysis.stop.samples, required once its section names it, is absent
+    # from a rank stop.
+    for (key, typ, default, cell, kinds), (spec_key, spec) in zip(
             readme_key_rows(), KEYS.items()):
-        spec_typ, _, allowed, spec_kinds = spec
+        spec_typ, spec_default, allowed, spec_kinds = spec
         assert (key.strip("`"), typ) == (spec_key, README_TYPES[spec_typ])
+        if spec_key == "analysis.stop.samples":
+            assert default == "none (a rank stop)"
+        elif spec_default is None:
+            assert default.startswith("null"), key
+        else:
+            assert default == readme_default(spec_default), key
         assert kinds == ("all" if spec_kinds == "lfsr nfsr hybrid"
                          else spec_kinds.replace(" ", ", ")), key
         if spec_typ == "integer" and allowed:

@@ -25,7 +25,7 @@ from fsglab import (
     repetition_profile,
     scheme_q_sequence,
 )
-from fsglab.sampling import _greedy_chooser, _pricing_profile
+from fsglab.sampling import _greedy_chooser
 from fsglab.fixtures import (
     EXAMPLE1_GREEDY_ROWS,
     EXAMPLE1_TAPS,
@@ -376,8 +376,9 @@ def test_cyclic_single_tap_rejected():
 
 
 def test_pricing_profiles_equal_the_public_builders():
-    # The pricing-only profiles are the RankStop runs of the public builders
-    # in every field but repeated_sets, which they leave as None.
+    # A builder's pricing-only profile (materialize_sets=False) is its full
+    # RankStop profile in every field but repeated_sets, which it leaves as
+    # None.
     rng = random.Random(12)
     cases = [TapSet((1, 2), 4), TapSet((5, 60), 64), TapSet((1, 200), 200),
              TapSet((1, 2, 150), 150)]
@@ -394,11 +395,9 @@ def test_pricing_profiles_equal_the_public_builders():
     for taps in cases:
         for build in (greedy_schedule, cyclic_schedule):
             _, full = build(taps, RankStop())
-            priced = _pricing_profile(taps, full.mode)
+            _, priced = build(taps, materialize_sets=False)
             assert priced.repeated_sets is None
             assert priced == dataclasses.replace(full, repeated_sets=None)
-    with pytest.raises(ValueError):
-        _pricing_profile(WORKED_TAPS, "constant")
 
 
 def test_custom_schedule_exhaustion_raises():
