@@ -410,9 +410,11 @@ def gfsga_recover(
     filters all its offsets a block at a time and finishes a lone one the
     same way. Returns the first verified state in enumeration order (the
     lowest surviving offset of the first path that has one) or a failure
-    marker. The search still visits every path, since ``systems_solved``
-    and ``candidates_pruned`` count them all, but replays no candidate once
-    a state is verified. The blocks whose labels the compiled steps read
+    marker. The walk still runs to its end once a state is verified, so
+    that ``systems_solved`` counts every leaf (not its 2^free offsets), but
+    replays no candidate after it. ``candidates_pruned`` counts the paths
+    that reach a block without preimages and the preimages a parity check
+    rules out; a path that finds no bucket ends uncounted. The blocks whose labels the compiled steps read
     least are tested first (``_least_covered_order``), except by a first
     lone candidate, which is replayed in keystream order until one fails.
     """

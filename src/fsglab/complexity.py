@@ -66,7 +66,7 @@ class WindowCostEstimate:
 
 def _clamped(n: int, m: int, q: Sequence[int]) -> tuple[int, ...]:
     nm = n - m
-    return tuple([max(0, nm - qj) for qj in q])
+    return tuple([nm - qj if qj < nm else 0 for qj in q])
 
 
 def fsga_cost(n: int, m: int, L: int, solver_exponent: float = DEFAULT_SOLVER_EXPONENT) -> ComplexityEstimate:
@@ -205,12 +205,25 @@ def _constant_sweep(
     above the span repeats nothing and prices as sigma = span + 1 does, so
     the sweep ends there.
 
+    A sigma above half the span is priced once per overlap count
+    |T & (T << sigma)|: it has one shift inside the span, so its E depends
+    on that count alone (span + 1 is the count-0 class), and a smaller
+    sigma of the same class already priced it, or proved it no better
+    than a best E that ties keep.
+
     ``cut(sigma, E)`` is asked each time a sigma completes with a new
     minimum E; once it answers True the sweep stops and returns None.
     """
     best_sigma = None
     best_e = math.inf
+    half = span // 2
+    priced = set()  # overlap counts of the sigmas above half the span
     for sigma in range(1, min(L, span + 1) + 1):
+        if sigma > half:
+            overlap = (taps_mask & (taps_mask << sigma)).bit_count()
+            if overlap in priced:
+                continue
+            priced.add(overlap)
         e = _sigma_exponent(taps_mask, span, rank_bound, n, m, sigma, best_e)
         if e < best_e:
             best_sigma, best_e = sigma, e
@@ -246,7 +259,10 @@ def optimal_constant_sigma(
     :func:`_constant_sweep` finds sigma without building profiles, looping
     only inside each sigma's horizon and over sigma <= min(L, span + 1):
     a larger sigma repeats nothing and ties span + 1, and ties go to the
-    smallest sigma. Only the winner's profile and estimate are built, and
+    smallest sigma. A sigma above half the span is priced once per overlap
+    count |T & (T << sigma)|; the skip is exact, since such a sigma has one
+    shift inside the span and its cost depends on that count alone. Only
+    the winner's profile and estimate are built, and
     the tests hold this to a sweep that builds both for every sigma. The
     ordering search prices sigmas with the same kernel,
     :func:`_sigma_exponent`: first the few sigmas that cut earlier

@@ -182,11 +182,12 @@ def _label_mask(positions: Iterable[int]) -> int:
     return mask
 
 
-def _labels(mask: int) -> frozenset[int]:
+def _labels(mask: int, shift: int = 0) -> frozenset[int]:
+    """The labels of ``mask << shift``, decoded on the narrow ``mask``."""
     out = set()
     while mask:
         low = mask & -mask
-        out.add(low.bit_length())
+        out.add(low.bit_length() + shift)
         mask ^= low
     return frozenset(out)
 
@@ -246,7 +247,7 @@ def _run_steps(
         r = inter.bit_count()
         q.append(r)
         if materialize_sets:
-            sets.append(_labels(inter << shift))
+            sets.append(_labels(inter, shift))
         total += r
         seen |= taps_mask
         steps.append(step)

@@ -450,9 +450,9 @@ def test_attack_builds_no_repeated_label_sets(tmp_path, capsys, monkeypatch, ana
     # attack reads only the steps; analyze prints the label sets of the same run.
     calls = []
 
-    def labels(mask, original=sampling._labels):
-        calls.append(mask)
-        return original(mask)
+    def labels(*args, original=sampling._labels):
+        calls.append(args)
+        return original(*args)
     monkeypatch.setattr(sampling, "_labels", labels)
     cfg = planted_lfsr_attack(tmp_path, analysis)
     assert main(["analyze", "--config", cfg]) == 0

@@ -299,6 +299,95 @@ def test_constant_sweep_equals_per_sample_recurrence():
     assert min(seen_cases.values()) >= 20, seen_cases
 
 
+def _overlap(mask, sigma):
+    return (mask & (mask << sigma)).bit_count()
+
+
+def _class_heavy_instance(rng, i):
+    """Taps whose sigmas above half the span share few overlap counts: a
+    cluster and its copy shifted by D, which repeats D once per cluster tap
+    among the pairwise differences (odd i), or evenly spaced taps (even i),
+    on a register that reaches past span + 1 on most draws. Returns the
+    taps, n, m and a sweep length L that is at most half the span
+    (i % 3 == 0), at most span + 1 (i % 3 == 1) or above span + 1
+    (i % 3 == 2) whenever the register allows it."""
+    if i % 2:
+        width = rng.randint(1, 6)
+        cluster = {rng.randint(1, 1 + width) for _ in range(rng.randint(2, 5))}
+        shift = rng.randint(width + 1, 2 * width + 8)
+        spare = {rng.randint(1, width + shift) for _ in range(rng.randint(0, 1))}
+        positions = sorted(cluster | {p + shift for p in cluster} | spare)
+    else:
+        first, gap = rng.randint(1, 5), rng.randint(1, 8)
+        positions = [first + j * gap for j in range(rng.randint(2, 9))]
+    span = positions[-1] - positions[0]
+    R = positions[-1] + rng.randint(0, span + 4)
+    n = len(positions)
+    half = span // 2
+    if i % 3 == 0 and half >= 1:
+        L = rng.randint(1, half)
+    elif i % 3 == 2 and R > span + 1:
+        L = rng.randint(span + 2, R)
+    else:
+        L = rng.randint(half + 1, min(R, span + 1))
+    return TapSet(tuple(positions), R), n, rng.randint(1, n), L
+
+
+def test_constant_sweep_exact_on_shared_overlap_classes():
+    # A sigma above half the span is priced once per overlap count; on taps
+    # where many such sigmas share a count, the sweep must still return the
+    # per-sample sweep's (sigma, E) and ask the cut the same questions.
+    rng = random.Random(0xC1A5)
+    seen_cases = dict.fromkeys(("L <= span/2", "L > span + 1", "skipped", "cut"), 0)
+    for i in range(300):
+        taps, n, m, L = _class_heavy_instance(rng, i)
+        R, span = taps.register_length, taps.span
+        mask = _label_mask(taps.positions)
+        threshold = rng.randint(0, 2 * R) if i % 4 >= 2 else -1  # -1: never cut
+        logs = ([], [])
+
+        def recording(log):
+            return lambda sigma, e: log.append((sigma, e)) or e <= threshold
+
+        for cut in (None, recording):
+            got = _constant_sweep(mask, span, R, n, m, L, cut and recording(logs[0]))
+            want = _per_sample_sweep(taps, n, m, L, cut and recording(logs[1]))
+            assert got == want, (taps.positions, R, n, m, L)
+        assert logs[0] == logs[1], (taps.positions, R, n, m, L)
+        upper = range(span // 2 + 1, min(L, span + 1) + 1)
+        seen_cases["skipped"] += len(upper) - len({_overlap(mask, s) for s in upper})
+        seen_cases["L <= span/2"] += L <= span // 2
+        seen_cases["L > span + 1"] += L > span + 1
+        seen_cases["cut"] += logs[0][-1][1] <= threshold
+    assert min(seen_cases.values()) >= 40, seen_cases
+
+
+def test_constant_sweep_prices_each_upper_overlap_class_once(monkeypatch):
+    # Guard on the skip: of the sigmas above half the span, at most one per
+    # overlap count reaches the kernel.
+    import fsglab.complexity as complexity
+
+    priced = []
+
+    def counted(*args):
+        priced.append(args[5])
+        return _sigma_exponent(*args)
+
+    monkeypatch.setattr(complexity, "_sigma_exponent", counted)
+    rng = random.Random(0xC0DE)
+    repeats = 0
+    for i in range(200):
+        taps, n, m, L = _class_heavy_instance(rng, i)
+        mask = _label_mask(taps.positions)
+        priced.clear()
+        complexity._constant_sweep(mask, taps.span, taps.register_length, n, m, L)
+        upper = [_overlap(mask, s) for s in priced if s > taps.span // 2]
+        assert len(upper) == len(set(upper)), (taps.positions, L, priced)
+        top = range(taps.span // 2 + 1, min(L, taps.span + 1) + 1)
+        repeats += len(top) - len(upper)
+    assert repeats >= 500, repeats
+
+
 def test_optimal_sigma_builds_one_profile(monkeypatch):
     import fsglab.complexity as complexity
 
