@@ -414,8 +414,8 @@ def gfsga_recover(
     that ``systems_solved`` counts every leaf (not its 2^free offsets), but
     replays no candidate after it. ``candidates_pruned`` counts the paths
     that reach a block without preimages and the preimages a parity check
-    rules out; a path that finds no bucket ends uncounted. The blocks whose labels the compiled steps read
-    least are tested first (``_least_covered_order``), except by a first
+    rules out; a path that finds no bucket ends uncounted. The blocks
+    whose labels the compiled steps read least are tested first (``_least_covered_order``), except by a first
     lone candidate, which is replayed in keystream order until one fails.
     """
     if not isinstance(gen.register, LfsrSpec):

@@ -262,12 +262,12 @@ def optimal_constant_sigma(
     smallest sigma. A sigma above half the span is priced once per overlap
     count |T & (T << sigma)|; the skip is exact, since such a sigma has one
     shift inside the span and its cost depends on that count alone. Only
-    the winner's profile and estimate are built, and
-    the tests hold this to a sweep that builds both for every sigma. The
-    ordering search prices sigmas with the same kernel,
-    :func:`_sigma_exponent`: first the few sigmas that cut earlier
-    orderings, each stopped at the exponent where it can no longer cut,
-    and only when none of them cuts, this sweep with a cut.
+    the winner's profile and estimate are built, and the tests hold this
+    to a sweep that builds both for every sigma. The ordering search
+    prices sigmas with the same kernel, :func:`_sigma_exponent`: first the
+    few sigmas that cut earlier orderings, each stopped at the exponent
+    where it can no longer cut, and only when none of them cuts, this
+    sweep with a cut.
     """
     sigma = _optimal_sigma(taps, n, m, L)
     profile = constant_profile(taps, sigma)

@@ -305,12 +305,12 @@ def _overlap(mask, sigma):
 
 def _class_heavy_instance(rng, i):
     """Taps whose sigmas above half the span share few overlap counts: a
-    cluster and its copy shifted by D, which repeats D once per cluster tap
-    among the pairwise differences (odd i), or evenly spaced taps (even i),
-    on a register that reaches past span + 1 on most draws. Returns the
-    taps, n, m and a sweep length L that is at most half the span
-    (i % 3 == 0), at most span + 1 (i % 3 == 1) or above span + 1
-    (i % 3 == 2) whenever the register allows it."""
+    cluster and its copy shifted past the cluster's width, which puts that
+    shift once per cluster tap among the pairwise differences (odd i), or
+    evenly spaced taps (even i), on a register that reaches past span + 1
+    on most draws. Returns the taps, n, m and a sweep length L that is at
+    most half the span (i % 3 == 0), at most span + 1 (i % 3 == 1) or
+    above span + 1 (i % 3 == 2) whenever the register allows it."""
     if i % 2:
         width = rng.randint(1, 6)
         cluster = {rng.randint(1, 1 + width) for _ in range(rng.randint(2, 5))}
