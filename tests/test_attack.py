@@ -952,8 +952,9 @@ def test_window_level_walk_matches_depth_first_reference(monkeypatch, cap):
 
 
 def test_bitsliced_sweep_chunks_keep_enumeration_order():
-    # 14 free cells: 16 chunks of 2^10 completions. A bijective filter leaves
-    # one joint, and the planted state is completion 1029, in the second chunk.
+    # 14 free cells: 2^(14 - _LANE_BITS) chunks of 2^_LANE_BITS completions. A
+    # bijective filter leaves one joint, and the planted state is completion
+    # 2^_LANE_BITS + 5, in the second chunk.
     L = 24
     nfsr = NfsrSpec(L, 1, (frozenset({1}), frozenset({4, 17}), frozenset({9, 22})))
     taps = TapSet((13, 14, 15, 16, 17, 18), L)
@@ -1048,11 +1049,13 @@ class _CountedTable(tuple):
 
 
 def test_single_lane_finish_keeps_enumeration_order(monkeypatch):
-    # 1023 bases fail block 0 and a slow loser regenerates the next blocks,
-    # so block 0 leaves one lane in the chunk of the first 1024 bases. The
-    # loser fails later; the planted state, second in the next chunk, wins.
-    # At 1 and 3 lane bits the same happens in smaller chunks. Only a chunk
-    # cut down to one lane reads the truth table.
+    # The chunk of the first 2^_LANE_BITS bases holds dead ones, which fail
+    # block 0, and ends with a slow loser, which regenerates the next blocks,
+    # so block 0 leaves it the one lane. The loser fails later; the planted
+    # state, second in the next chunk, wins. At 1 and 3 lane bits the same
+    # happens in smaller chunks. Only a chunk cut down to one lane reads the
+    # truth table.
+    chunk = 1 << attack._LANE_BITS
     L = 12
     nfsr = NfsrSpec(L, 0, (frozenset({4}), frozenset({6, 9}), frozenset({5, 11})))
     taps = TapSet((4, 5, 6), L)
@@ -1062,7 +1065,7 @@ def test_single_lane_finish_keeps_enumeration_order(monkeypatch):
     table = preimage_table(gen.filter)
     rng = random.Random(63)
     dead, slow = [], None
-    while len(dead) < 1024 or slow is None:
+    while len(dead) < chunk or slow is None:
         value = rng.getrandbits(L)
         stream = keystream(gen, attack._state(value, [L]), len(blocks))
         if stream[0] != blocks[0]:
@@ -1071,7 +1074,7 @@ def test_single_lane_finish_keeps_enumeration_order(monkeypatch):
             slow = value
     fails_at = next(t for t, z in enumerate(keystream(gen, attack._state(slow, [L]), len(blocks)))
                     if z != blocks[t])
-    bases = dead[:1023] + [slow, dead[1023], _cells(state)]
+    bases = dead[:chunk - 1] + [slow, dead[chunk - 1], _cells(state)]
     assert _scalar_first_completion(gen, blocks, bases, [], [L]) == _cells(state)
     counted = FilterSpec(3, 1, gen.filter.truth_table)
     object.__setattr__(counted, "truth_table", _CountedTable(gen.filter.truth_table))
