@@ -509,7 +509,8 @@ def nfsr_window_recover(
     2^free completions of their uncovered cells are replayed bitsliced
     against the keystream past the window (``_first_completion``): a lane
     int holds the completions of as many consecutive joints as fit in its
-    2^_LANE_BITS lanes, lane completion * joints + joint. The first
+    2^_LANE_BITS = 4096 lanes, lane completion * joints + joint, so a job
+    of at most 4096 candidates is one chunk. The first
     surviving completion of the first joint that has one is the recovered
     state, as if every completion were replayed one at a time in enumeration
     order.
@@ -566,8 +567,8 @@ def nfsr_window_recover(
 # recover-window pass on a 2-core VM, 12 bits replays 110 chunks with 942
 # block tests, against 175 and 1,438 at 10 bits. Over three runs of 41
 # interleaved in-process passes (seeds 0, 4242, 0), the median pass took
-# 0.90-0.94 of its time at 10 bits; 11 and 13 bits took 0.94-0.96 and
-# 0.95-0.97.
+# 0.90-0.92 of its time at 10 bits; 11 bits took 0.92-0.95, and 13 bits
+# 0.91-0.92 with twice the lanes past the winner.
 _LANE_BITS = 12
 
 
@@ -621,11 +622,13 @@ def _first_completion(
     preimage at all.
 
     The candidates are replayed bitsliced (Biham, FSE 1997): each cell is one
-    lane int with one bit per candidate, at most 2^_LANE_BITS lanes per
-    chunk, chunks in ascending order. The first f = min(free, _LANE_BITS)
-    free cells vary inside a chunk: with ``size`` bases in the chunk, lane
-    k * size + i is base i with those cells set as in k, so a cell's lane int
-    is its column of base bits times a repeat of ones. A chunk holds
+    lane int with one bit per candidate, at most 2^_LANE_BITS = 4096 lanes
+    per chunk, chunks in ascending order; each chunk pays one transposition,
+    one clock through the window and one test per block. The first
+    f = min(free, _LANE_BITS) free cells vary inside a chunk: with ``size``
+    bases in the chunk, lane k * size + i is base i with those cells set as
+    in k, so a base cell's lane int is its column of base bits times a
+    repeat of ones, and only base cells are transposed. A chunk holds
     2^(_LANE_BITS - f) consecutive bases when free <= _LANE_BITS; otherwise
     it holds one base, with the other free cells fixed per chunk. Each
     register keeps a timeline of lane ints, so cell p at time t is
@@ -655,7 +658,7 @@ def _first_completion(
     f = min(len(free_cells), _LANE_BITS)
     per_chunk = 1 << (_LANE_BITS - f)  # 1 when free > _LANE_BITS
     high = free_cells[f:]  # constant within a chunk
-    based = [j for j in range(width) if j not in free_cells]
+    base_cells = [j for j in range(width) if j not in free_cells]
     for start in range(0, len(bases), per_chunk):
         joints = bases[start:start + per_chunk]
         size = len(joints)
@@ -668,12 +671,16 @@ def _first_completion(
         # k * size + i. The free cells' lanes are set below instead.
         rows = "".join(map(bin, map(top.__or__, reversed(joints))))
         cells = [0] * width
-        for j in based:
+        for j in base_cells:
             cells[j] = int(rows[width + 2 - j::width + 3], 2) * copies
-        # Free cell i < f: lane k * size + joint set iff bit i of k is.
-        for i, j in enumerate(free_cells[:f]):
-            run = size << i
-            cells[j] = ((1 << run) - 1 << run) * (full // ((1 << 2 * run) - 1))
+        # Free cell i < f: lane k * size + joint set iff bit i of k is. Adding
+        # 2^i to k flips bit i + 1 exactly when bit i is set, so cell i's
+        # lanes are cell i + 1's XOR those shifted down by size * 2^i lanes,
+        # starting from all lanes in place of a cell f.
+        pattern = full
+        for i in reversed(range(f)):
+            pattern ^= pattern >> (size << i)
+            cells[free_cells[i]] = pattern
         for chunk in range(1 << len(high)):
             for i, j in enumerate(high):
                 cells[j] = full if chunk >> i & 1 else 0
