@@ -6,18 +6,19 @@ once, and a path picks its preimages with one lookup in a bucket table of
 the sample. Every sample reads the first sample's labels shifted, so each
 attack spreads the preimages over those labels once (``_spread_table``) and
 shifts the table per sample. A path is a label bitset of its guessed bits.
-``_buckets`` is the only code that groups a sample's preimages: the key is
-the fixed labels' bits, followed by one syndrome bit per parity check when
-the LFSR attack, which compiles its GF(2) elimination once per schedule
-(``_compile``), has checks at that sample. ``_walk`` is the only frontier
+Both attacks plan through ``_compile``, the window attack with identity
+label expressions (label j is cell j - 1), so only the LFSR attack gets
+parity checks. ``_buckets``, which only ``_compile`` calls, groups a
+sample's preimages: the key is the fixed labels' bits, followed by one
+syndrome bit per parity check at that sample. ``_walk`` is the only frontier
 loop: each sample's step maps the ordered list of live paths to the next
 one, in slices of at most ``_FRONTIER_CAP`` paths, which yields the leaves
-in the same order as a depth-first walk. The LFSR attack expands two
-consecutive check-free one-label samples in one step (``_PairChildren``),
-and replays a leaf's candidates, its label bits with each completion
-offset, on a timeline of label-domain words, so no leaf builds a state.
-Samples are processed in schedule order and preimages in truth-table index
-order, which makes every run deterministic.
+in the same order as a depth-first walk. The LFSR attack expands two consecutive check-free
+one-label samples in one step (``_PairChildren``), and replays a leaf's
+candidates, its label bits with each completion offset, on a timeline of
+label-domain words, so no leaf builds a state. Samples are processed in
+schedule order and preimages in truth-table index order, which makes every
+run deterministic.
 """
 
 from __future__ import annotations
@@ -215,9 +216,11 @@ def _first_offset(path: int, words: Sequence[int], positions: Sequence[int],
 
 def _compile(plan: Sequence[tuple], exprs: Sequence[int], L: int, sampled,
              spreads: Sequence[int], shifts: Sequence[int]) -> tuple:
-    """The guess-independent part of ``gfsga_recover``: (steps, cells,
-    above, free), given each sample's preimages ``sampled[s]``, the
-    ``_spread_table`` of the tap positions and each sample's shift.
+    """The guess-independent part of both attacks: (steps, cells, above,
+    free), given each sample's preimages ``sampled[s]``, the ``_spread_table``
+    of the tap positions and each sample's shift. Under the window attack's
+    identity expressions (label j is cell j - 1) every fresh label is a
+    pivot, no step has a check, and the free columns are the unread cells.
 
     Fresh label rows are reduced once, in plan order, each tracking the
     labels whose expressions it combines, up to the sample that reaches rank
@@ -415,8 +418,9 @@ def gfsga_recover(
     replays no candidate after it. ``candidates_pruned`` counts the paths
     that reach a block without preimages and the preimages a parity check
     rules out; a path that finds no bucket ends uncounted. The blocks
-    whose labels the compiled steps read least are tested first (``_least_covered_order``), except by a first
-    lone candidate, which is replayed in keystream order until one fails.
+    whose labels the compiled steps read least are tested first
+    (``_least_covered_order``), except by a first lone candidate, which is
+    replayed in keystream order until one fails.
     """
     if not isinstance(gen.register, LfsrSpec):
         raise ValueError("gfsga_recover handles LFSR generators")
@@ -505,19 +509,19 @@ def nfsr_window_recover(
     All tap reads inside the window land on original state cells, so joint
     candidates for the covered bits are enumerated directly from the filtered
     preimage spaces. Cell ``pos`` of register r carries label
-    ``offset_r + pos``, the registers laid end to end. The joints and the
-    2^free completions of their uncovered cells are replayed bitsliced
-    against the keystream past the window (``_first_completion``): a lane
-    int holds the completions of as many consecutive joints as fit in its
-    2^_LANE_BITS = 4096 lanes, lane completion * joints + joint, so a job
-    of at most 4096 candidates is one chunk. The first
-    surviving completion of the first joint that has one is the recovered
-    state, as if every completion were replayed one at a time in enumeration
-    order.
-
-    The joints are collected from ``_walk``, in depth-first order, before
-    the replay starts. ``systems_solved`` counts every completion of every
-    joint, and ``candidates_pruned`` every path that finds no preimage.
+    ``offset_r + pos``, the registers laid end to end. The plan goes
+    through ``_compile`` with identity label expressions, each compiled step
+    is walked as a ``_counting_step``, and the joints are collected from
+    ``_walk``, in depth-first order, before the replay starts. The joints
+    and the 2^free completions of their free cells are replayed bitsliced
+    against the keystream past the compiled samples (``_first_completion``):
+    a lane int holds the completions of as many consecutive joints as fit
+    in its 2^_LANE_BITS = 4096 lanes, lane completion * joints + joint, so a
+    job of at most 4096 candidates is one chunk. The first surviving
+    completion of the first joint that has one is the recovered state, as if
+    every completion were replayed one at a time in enumeration order.
+    ``systems_solved`` counts every completion of every joint, and
+    ``candidates_pruned`` every path that finds no preimage.
     """
     families, total_bits, window = window_geometry(gen.register, gen.taps)
     n, m = gen.filter.n, gen.filter.m
@@ -531,27 +535,22 @@ def nfsr_window_recover(
     offsets = [sum(lengths[:r]) for r in range(len(lengths))]
     labels = [off + pos for off, (_, ts) in zip(offsets, families) for pos in ts.positions]
     plan = _sample_plan([[label + s for label in labels] for s in range(window)])
-    spreads = _spread_table(labels)
-    steps = []
-    for sample, (mask, _, _) in enumerate(plan):
-        members = table.get(blocks[sample])
-        steps.append(None if members is None else
-                     partial(_counting_step, mask, _buckets(members, spreads, mask, sample)))
+    steps, cells, above, _ = _compile(
+        plan, [1 << j for j in range(total_bits)], total_bits,
+        [table.get(blocks[s]) for s in range(window)], _spread_table(labels), range(window))
     joints: list[int] = []
-    pruned = _walk(steps, joints.extend)
+    pruned = _walk([None if step is None else partial(_counting_step, step[0], step[2])
+                    for step in steps], joints.extend)
 
-    # Covered labels are the plan's fresh labels; every joint fixes them all.
-    # Label j is cell j - 1, so a joint's cell bitset is joint >> 1.
-    covered = sum(1 << label for *_, fresh in plan for _, label in fresh)
-    free_cells = [cell for cell in range(total_bits) if not covered >> (cell + 1) & 1]
-    # A joint reproduces the window's blocks whatever its free cells hold.
+    # A joint's cell bitset is joint >> 1; its free cells never change the checked blocks.
+    free_cells = [cell for cell in range(total_bits) if cells[cell] >> above]
     value = _first_completion(
-        gen, blocks, table, [joint >> 1 for joint in joints], free_cells, window)
+        gen, blocks, table, [joint >> 1 for joint in joints], free_cells, len(steps))
 
     # A sample's q, its taps that reread a cell of the window, is len(fixed).
     recovery = WindowRecovery(
         window_length=window,
-        recovered_bit_count=covered.bit_count(),
+        recovered_bit_count=total_bits - len(free_cells),
         remaining_guess=len(free_cells),
         per_sample_sizes=tuple(1 << max(0, n - m - len(fixed)) for _, fixed, _ in plan),
     )

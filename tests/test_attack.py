@@ -448,8 +448,12 @@ def test_compile_matches_reference_compile():
     # the first form, and a candidate path | o << above must decode through
     # the label-domain cells to the first form's state: the XOR of the
     # path's label contributions and of the null vectors at the bits of o.
+    # The window attack's plans on NFSRs and both kinds of hybrid, with
+    # identity expressions, must compile whole, with no check, and leave
+    # exactly the cells that no sample reads free.
     rng = random.Random(27)
-    seen = dict.fromkeys(("checks", "no-preimage", "deficit", "full-rank", "cut-short"), 0)
+    seen = dict.fromkeys(
+        ("checks", "no-preimage", "deficit", "full-rank", "cut-short", "window"), 0)
     for index in range(300):
         L = rng.randint(8, 32)
         n = rng.randint(2, 6)
@@ -485,6 +489,28 @@ def test_compile_matches_reference_compile():
         seen["no-preimage"] += None in steps
         seen["deficit" if nulls else "full-rank"] += 1
         seen["cut-short"] += len(steps) < len(plan)
+    for index in range(60):
+        gen, _, blocks, _ = _window_instance(rng, ("nfsr", "coupled", "uncoupled")[index % 3])
+        families, total, window = window_geometry(gen.register, gen.taps)
+        labels, offset = [], 0
+        for _, ts in families:
+            labels += [offset + pos for pos in ts.positions]
+            offset += ts.register_length
+        reads = [[label + s for label in labels] for s in range(window)]
+        plan = _sample_plan(reads)
+        table = preimage_table(gen.filter)
+        args = (plan, [1 << j for j in range(total)], total,
+                [table.get(blocks[s]) for s in range(window)], _spread_table(labels),
+                range(window))
+        steps, cells, above, free = attack._compile(*args)
+        assert steps == reference_compile(*args)[0], index
+        assert not any(step and step[1] for step in steps), index
+        assert len(steps) == len(plan), index
+        read = sum({1 << label for labels_read in reads for label in labels_read})
+        unread = [cell for cell in range(total) if not read >> (cell + 1) & 1]
+        assert [cell for cell in range(total) if cells[cell] >> above] == unread, index
+        assert free == len(unread), index
+        seen["window"] += 1
     assert all(count >= 20 for count in seen.values()), seen
 
 
@@ -1293,11 +1319,12 @@ def _twin_instance(rng, case):
 
 
 def test_lfsr_and_window_attacks_agree_on_an_lfsr_and_its_nfsr_twin():
-    # The two attacks share only the sample plan, the bucket builder, the
-    # walker and the clock: the GF(2) compile, the offset filter and the
-    # label words on one side, the bitsliced lane replay on the other. On a
-    # planted or short keystream both find a state, the same one or two
-    # that both regenerate the keystream; on a corrupt one neither does.
+    # The two attacks share the sample plan, the compile (the window attack
+    # with identity label expressions), the bucket builder, the walker and
+    # the clock; the pairing rule, the offset filter and the label words sit
+    # on one side, the counting step and the bitsliced lane replay on the
+    # other. On a planted or short keystream both find a state, the same one
+    # or two that both regenerate the keystream; on a corrupt one neither does.
     rng = random.Random(16)
     swept = 0
     for index in range(540):
