@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 configuration error (an unreadable config or an
 unwritable ``--out`` included), 3 no overdefined system, 4 attack failure
 (missing, unreadable or corrupt keystream, or unrecovered state).
 
+``main`` parses argv with the subparser of the command it names and falls
+back to the full two-level parser only when that could differ (no command
+named, or a token left over), so every usage error, ``-h`` and exit code is
+the full parser's; the parsers are built once per process.
+
 Only what parsing and dispatch need is imported here. Each command imports
 the modules it runs when it runs, so ``optimize`` never loads ``attack`` and
 ``attack`` never loads ``optimizer``. The imports sit inside the functions and
@@ -244,28 +249,57 @@ def cmd_report_tables(fixture_id: str, seed: int | None) -> Report:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after it.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subparser for each command, built on
+    the first call and shared after it.
 
-    Nothing in it depends on the input, and ``parse_args`` returns a fresh
-    namespace each time, so repeated in-process ``main`` calls reuse it.
+    Nothing in them depends on the input, and ``parse_args`` returns a fresh
+    namespace each time, so repeated in-process ``main`` calls reuse them.
     """
     parser = argparse.ArgumentParser(
         prog="fsglab",
         description="Guess-and-determine workbench for shift-register filter generators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="scenario config (JSON)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="scenario config (JSON)")
     common.add_argument("--seed", type=int, default=None, help="seed for randomized parts")
     common.add_argument("--format", choices=("table", "structured"), default=None)
     common.add_argument("--out", default=None, help="write the report to this path")
-    sub.add_parser("analyze", parents=[common], help="profile and cost a sampling mode")
-    sub.add_parser("optimize", parents=[common], help="search for resistant tap placements")
-    sub.add_parser("attack", parents=[common], help="run a state-recovery attack")
-    rep = sub.add_parser("report", parents=[common], help="recompute a reference table")
+    commands = {
+        name: sub.add_parser(name, parents=[config, common], help=text)
+        for name, text in (
+            ("analyze", "profile and cost a sampling mode"),
+            ("optimize", "search for resistant tap placements"),
+            ("attack", "run a state-recovery attack"),
+        )
+    }
+    rep = commands["report"] = sub.add_parser(
+        "report", parents=[common], help="recompute a reference table")
     rep.add_argument("fixture", help="fixture id (e.g. table3, example1)")
-    return parser
+    return parser, commands
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it, through the named
+    command's subparser alone when that gives the same result.
+
+    The full parser hands every token after the command name to that
+    command's subparser, which is about half the cost of a parse. Only the
+    full parser reports tokens the subparser leaves over, and only it knows
+    the commands, so it parses anything else: no command or an unknown one,
+    ``-h`` first, or a token left over. The subparser's own usage errors and
+    ``-h`` are the ones the full parse would reach, and exit the same way.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _exit_code(exc: Exception) -> int | None:
@@ -289,8 +323,13 @@ def _exit_code(exc: Exception) -> int | None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run the command ``argv`` names (``sys.argv[1:]`` by default) and
+    return its exit code; usage errors and ``-h`` exit through argparse.
+
+    ``argv`` is parsed by :func:`_parse_args`: by the command's own
+    subparser, and by the full parser only when that would differ.
+    """
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command == "report":
             report = cmd_report_tables(args.fixture, args.seed)

@@ -64,6 +64,16 @@ MAX_EXHAUSTIVE_DIFFERENCES = 10
 # one ordering, time this limit does not count.
 MAX_STEP_B_ORDERINGS = 2_000_000
 
+# The most chunk permutations that the staged search's later stages may step
+# through: stage_budget times k! for each stage after the first, k its chunk
+# size (at most one retry per stage prices its candidates); above it
+# `optimize` is refused before stage 1 is priced. At L = 128, 21 taps, m = 3,
+# chunk_size 9 (9! + 2! a candidate) on a 2-core VM, budget 12 (4,354,584)
+# took 1.7 s, budget 60 (21,772,920) 4.1 s, budget 120 8.1 s and budget 300
+# (108,864,600) 20 s, about 0.2 us a permutation, so the limit holds the
+# search to about 5 s and admits budget 68 there.
+MAX_STAGED_PERMUTATIONS = 25_000_000
+
 # The most free bits the LFSR attack sweeps: L minus the rank of the labels
 # its schedule reads. Above it the attack is refused (exit 3) before any
 # completion offset exists. A path that reaches the last sample filters its
@@ -417,7 +427,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
@@ -425,4 +435,6 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from None
     return parse_config(raw)

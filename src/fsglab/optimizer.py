@@ -3,7 +3,7 @@
 Two searches are provided: an exhaustive best-ordering search over a given
 difference multiset (up to ten differences and two million orderings), and a
 staged search that grows the difference set chunk by chunk for larger
-inputs. Quality of an
+inputs (its later stages up to 25 million chunk permutations). Quality of an
 ordering is its constant-mode cost at the optimal sampling distance; exact
 cost ties prefer the ordering with the larger optimal distance, then the
 lexicographically smallest ordering.
@@ -26,7 +26,7 @@ from .complexity import (
     gfsga_constant_cost,
     gfsga_variable_cost,
 )
-from .config import MAX_EXHAUSTIVE_DIFFERENCES, MAX_STEP_B_ORDERINGS
+from .config import MAX_EXHAUSTIVE_DIFFERENCES, MAX_STAGED_PERMUTATIONS, MAX_STEP_B_ORDERINGS
 from .sampling import (
     NoOverdefinedSystemError,
     RepetitionProfile,
@@ -447,6 +447,24 @@ def _stage_m(m: int, size: int, n: int) -> int:
     return max(1, min(scaled, size))  # keep 1 <= m_X <= n_X - 1
 
 
+def _staged_permutations(target: int, params: StagedSearchParams) -> int:
+    """The most permutations that the stages after the first step through
+    when :func:`staged_search` places ``target`` differences.
+
+    A later stage of k differences walks all k! permutations of each of at
+    most ``stage_budget`` candidates. Only one of its retries prices them:
+    the first that has a candidate fitting the register ends the stage. The
+    params fix every stage's k before any draw.
+    """
+    count = 0
+    placed = min(params.chunk_size, target)
+    while placed < target:
+        size = min(params.chunk_size, target - placed)
+        count += params.stage_budget * math.factorial(size)
+        placed += size
+    return count
+
+
 def staged_search(
     L: int,
     n: int,
@@ -457,11 +475,20 @@ def staged_search(
 
     Each stage draws fresh difference chunks, tries every ordering joined in
     front of the current set, and keeps the join with the best quality at the
-    join's own sub-register size. Stops when n-1 differences are placed.
+    join's own sub-register size. Stops when n-1 differences are placed. The
+    search is refused before anything is drawn or priced when the later
+    stages could step through more than ``MAX_STAGED_PERMUTATIONS``
+    permutations.
     """
     if n < 3:
         raise ValueError("staged search needs n >= 3; use step_b_best_ordering")
     target = n - 1
+    count = _staged_permutations(target, params)
+    if count > MAX_STAGED_PERMUTATIONS:
+        raise FeasibilityError(
+            f"the staged search would step through {count} permutations, more than "
+            f"the limit of {MAX_STAGED_PERMUTATIONS}"
+        )
     rng = random.Random(params.seed)
     trace: list[StageTrace] = []
 

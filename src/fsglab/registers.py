@@ -96,9 +96,10 @@ class FilterSpec:
             raise ValueError("need 1 <= m <= n")
         if len(self.truth_table) != 1 << self.n:
             raise ValueError("truth table must have 2^n entries")
-        if any(not 0 <= v < (1 << self.m) for v in self.truth_table):
+        table = tuple(self.truth_table)
+        if min(table) < 0 or max(table) >= 1 << self.m:
             raise ValueError("truth table entry out of range")
-        object.__setattr__(self, "truth_table", tuple(self.truth_table))
+        object.__setattr__(self, "truth_table", table)
 
     def to_hex(self) -> str:
         """Lowercase hex, one zero-padded entry per table slot, entry 0 first."""

@@ -111,13 +111,20 @@ def test_analyze_rank_stop_exhaustion_is_exit_3(tmp_path):
     assert main(["analyze", "--config", cfg]) == 3
 
 
-def test_config_errors_are_exit_2(tmp_path):
+def test_config_errors_are_exit_2(tmp_path, capsys):
     assert main(["analyze", "--config", str(tmp_path / "missing.json")]) == 2
     gen, _, _ = lfsr_generator_section(20, (3, 5, 10, 14, 16), 5, 2)
     gen["filter"]["n"] = 4  # tap-count mismatch
     cfg = write_config(tmp_path, "bad.json", {"generator": gen})
     assert main(["analyze", "--config", cfg]) == 2
     assert main(["analyze"]) == 2  # --config required
+    capsys.readouterr()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff{}")
+    assert main(["analyze", "--config", str(latin1)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte\n")
 
 
 def test_config_directory_is_exit_2(tmp_path, capsys):
@@ -281,6 +288,31 @@ def test_optimize_rejects_workers_option(tmp_path, capsys):
         main(["optimize", "--config", cfg, "--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_report_rejects_config_option(capsys):
+    # report reads no config; --config there is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "table1", "--config", "/nonexistent.json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "fsglab: error: unrecognized arguments: --config /nonexistent.json\n")
+
+
+def test_staged_search_past_the_permutation_limit_is_exit_2(tmp_path, capsys, monkeypatch):
+    # 21 taps in chunks of 9: each later-stage candidate walks 9! + 2!
+    # permutations, so budget 1000 is refused before step A draws stage 1.
+    monkeypatch.setattr(optimizer, "step_a_candidates", None)  # a call would fail
+    cfg = write_config(tmp_path, "c.json", {
+        "generator": {"kind": "lfsr", "length": 128, "feedback": [1, 2],
+                      "taps": [1 + round(i * 127 / 20) for i in range(21)],
+                      "filter": {"n": 21, "m": 3}},
+        "optimize": {"budget": 1000, "chunk_size": 9},
+    })
+    assert main(["optimize", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: the staged search would step through 362882000 permutations, more than "
+        f"the limit of {optimizer.MAX_STAGED_PERMUTATIONS}\n")
 
 
 @pytest.mark.parametrize(

@@ -191,7 +191,7 @@ def test_readme_limits_table_lists_every_bound_with_its_value():
     bounds = {name: value for name, value in vars(config).items()
               if name.isupper() and type(value) is int}
     rows = readme_rows("Limits")
-    assert len(rows) == len(bounds) == 7
+    assert len(rows) == len(bounds) == 8
     assert {name.strip("`"): int(value.replace(",", ""))
             for name, value, _, _ in rows} == bounds
     assert {refusal for *_, refusal in rows} == {"exit 2", "exit 3", "exit 4"}

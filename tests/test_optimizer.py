@@ -540,3 +540,54 @@ def test_calibration_sweep_reports_best_m():
     assert best_row.cyclic_log2 == pytest.approx(118.0, abs=0.01)
     nfsr = calibrate_filter_width(TapSet(GRAIN_NFSR_TAPS, 128), 128, (114.0, 125.0, 122.0))
     assert nfsr.best_m == 1
+
+
+def test_staged_search_steps_through_at_most_its_permutation_bound(monkeypatch):
+    # Every stage after the first walks all k! permutations of at most
+    # stage_budget candidates, in one retry; stage 1 walks its one
+    # candidate's orderings and prices its trace row through the empty one.
+    stepped = [0]
+
+    def counted(values):
+        for p in permutations(values):
+            stepped[0] += 1
+            yield p
+
+    monkeypatch.setattr(optimizer, "permutations", counted)
+    rng = random.Random(0x57A9)
+    reached = 0
+    for _ in range(60):
+        L = rng.randint(30, 90)
+        n = rng.randint(4, 12)
+        params = StagedSearchParams(chunk_size=rng.randint(1, 4),
+                                    stage_budget=rng.randint(1, 6),
+                                    retries=rng.randint(1, 3), seed=rng.getrandbits(16))
+        stepped[0] = 0
+        staged_search(L, n, rng.randint(1, 3), params)
+        first = min(params.chunk_size, n - 1)
+        bound = math.factorial(first) + 1 + optimizer._staged_permutations(n - 1, params)
+        assert stepped[0] <= bound
+        reached += stepped[0] == bound
+    assert reached > 10  # the bound is tight
+
+
+def test_staged_search_refuses_too_many_permutations_before_drawing(monkeypatch):
+    # Chunks of 3 for 8 differences: stages of 3, 3 and 2, so the later two
+    # walk 5 * (3! + 2!) = 40 permutations at budget 5.
+    params = StagedSearchParams(chunk_size=3, stage_budget=5, retries=2, seed=4)
+    assert optimizer._staged_permutations(8, params) == 40
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return step_a_candidates(*args)
+
+    monkeypatch.setattr(optimizer, "step_a_candidates", counted)
+    monkeypatch.setattr(optimizer, "MAX_STAGED_PERMUTATIONS", 39)
+    with pytest.raises(FeasibilityError, match=r"^the staged search would step through "
+                       r"40 permutations, more than the limit of 39$"):
+        staged_search(60, 9, 2, params)
+    assert draws == []
+    monkeypatch.setattr(optimizer, "MAX_STAGED_PERMUTATIONS", 40)
+    staged_search(60, 9, 2, params)
+    assert draws
