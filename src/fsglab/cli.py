@@ -282,15 +282,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed as the full parser parses it, through the named
-    command's subparser alone when that gives the same result.
+    """``argv`` parsed as the full parser parses it.
 
-    The full parser hands every token after the command name to that
-    command's subparser, which is about half the cost of a parse. Only the
-    full parser reports tokens the subparser leaves over, and only it knows
-    the commands, so it parses anything else: no command or an unknown one,
-    ``-h`` first, or a token left over. The subparser's own usage errors and
-    ``-h`` are the ones the full parse would reach, and exit the same way.
+    The full parser hands every token after a command name to that command's
+    subparser, so the subparser alone gives the same namespace, help and
+    usage errors at about half the cost. The full parser parses the rest: no
+    command or an unknown one, and a token the subparser leaves over, which
+    only the full parser reports.
     """
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None

@@ -91,13 +91,11 @@ def differences():
 
 def test_main_parses_argv_as_the_full_parser_does():
     assert differences() == []
-
-
-def test_every_kind_of_outcome_is_in_the_table():
+    # The table reaches help (every -h), usage errors and parsed argvs.
     parser, _ = cli._build_parser()
     codes = [outcome(parser.parse_args, argv)[1] for argv in ARGVS]
-    assert codes.count(0) == 2 + len(COMMANDS) + 2  # every -h
-    assert set(codes) == {0, 2, None}  # help, usage errors, parsed argvs
+    assert codes.count(0) == 2 + len(COMMANDS) + 2
+    assert set(codes) == {0, 2, None}
 
 
 def test_a_named_command_parses_without_the_full_parser(monkeypatch):
