@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from operator import eq, or_, xor
@@ -42,7 +41,7 @@ from .registers import (
     timeline_clock,
     window_geometry,
 )
-from .sampling import NoOverdefinedSystemError, SamplingSchedule
+from .sampling import NoOverdefinedSystemError, SamplingSchedule, _Frozen, _set
 
 
 class KeystreamFormatError(ValueError):
@@ -50,19 +49,26 @@ class KeystreamFormatError(ValueError):
     too short for the attack."""
 
 
-@dataclass(frozen=True)
-class AttackResult:
-    recovered_state: tuple | None
-    systems_solved: int
-    candidates_pruned: int
+class AttackResult(_Frozen):
+    __slots__ = ("recovered_state", "systems_solved", "candidates_pruned")
+
+    def __init__(self, recovered_state: tuple | None, systems_solved: int,
+                 candidates_pruned: int):
+        _set(self, "recovered_state", recovered_state)
+        _set(self, "systems_solved", systems_solved)
+        _set(self, "candidates_pruned", candidates_pruned)
 
 
-@dataclass(frozen=True)
-class WindowRecovery:
-    window_length: int
-    recovered_bit_count: int
-    remaining_guess: int
-    per_sample_sizes: tuple[int, ...]
+class WindowRecovery(_Frozen):
+    __slots__ = ("window_length", "recovered_bit_count", "remaining_guess",
+                 "per_sample_sizes")
+
+    def __init__(self, window_length: int, recovered_bit_count: int, remaining_guess: int,
+                 per_sample_sizes: tuple[int, ...]):
+        _set(self, "window_length", window_length)
+        _set(self, "recovered_bit_count", recovered_bit_count)
+        _set(self, "remaining_guess", remaining_guess)
+        _set(self, "per_sample_sizes", per_sample_sizes)
 
 
 def _sample_plan(reads: Sequence[Sequence[int]]) -> list[tuple]:

@@ -22,9 +22,8 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import asdict
 
-from .config import AnalysisConfig, ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, load_config
 from .registers import HybridSpec, LfsrSpec, window_geometry
 from .report import Report, emit, make_provenance
 from .sampling import (
@@ -54,23 +53,24 @@ def _state_hex(state) -> str:
     return format(acc, f"0{width}x")
 
 
-def _profile(taps: TapSet, analysis: AnalysisConfig,
+def _profile(taps: TapSet, analysis: dict,
              materialize_sets: bool = True) -> RepetitionProfile:
-    """The profile of the configured sampling mode, cut by ``analysis.stop``.
+    """The profile of the configured sampling mode, cut by the analysis
+    section's stop.
 
     ``analyze`` prices it and ``attack`` runs its steps, so both see the same
     schedule. ``attack`` reads only the steps and passes
     ``materialize_sets=False``, so no repeated label sets are built.
     """
-    mode, stop = analysis.mode, analysis.stop
+    mode, stop = analysis["mode"], analysis["stop"]
     if mode == "custom":
-        return repetition_profile(taps, analysis.schedule, stop=stop,
+        return repetition_profile(taps, analysis["schedule"], stop=stop,
                                   materialize_sets=materialize_sets)
     if mode == "constant":
-        if analysis.sigma is None:
+        if analysis["sigma"] is None:
             raise ConfigError(
                 "analysis.sigma is required by analysis.mode constant, the default mode")
-        return constant_profile(taps, analysis.sigma, stop=stop)
+        return constant_profile(taps, analysis["sigma"], stop=stop)
     if mode == "greedy":
         return greedy_schedule(taps, stop, materialize_sets=materialize_sets)[1]
     return cyclic_schedule(taps, stop, materialize_sets=materialize_sets)[1]
@@ -85,7 +85,7 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
 
     gen = config.generator
     analysis = config.analysis
-    n, m = gen.filter.n, gen.filter.m
+    n, m = gen.filter["n"], gen.filter["m"]
     L = gen.total_length
     payload: dict = {"notes": []}
     if not isinstance(gen.register, LfsrSpec):
@@ -105,9 +105,9 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
     overdefined = n * profile.samples - profile.total > L
     if m < n and overdefined:
         if profile.mode == "constant":
-            est = gfsga_constant_cost(profile, n, m, L, analysis.solver_exponent)
+            est = gfsga_constant_cost(profile, n, m, L, analysis["solver_exponent"])
         else:
-            est = gfsga_variable_cost(profile, n, m, L, analysis.solver_exponent)
+            est = gfsga_variable_cost(profile, n, m, L, analysis["solver_exponent"])
         payload["estimate"] = est.to_dict()
     else:
         payload["estimate"] = None
@@ -116,14 +116,14 @@ def cmd_analyze(config: ScenarioConfig, seed: int | None) -> Report:
                 f"system not overdefined: {n * profile.samples - profile.total} "
                 f"distinct equations for {L} unknowns"
             )
-    if analysis.m_calibration:
+    if analysis["m_calibration"]:
         from .optimizer import _calibration_widths, _scorecards
 
         ms = _calibration_widths(n)
         # The scorecards price the RankStop greedy and cyclic schedules: a
         # profile of either, built above under a RankStop, is reused.
-        built = profile if isinstance(analysis.stop, RankStop) else None
-        cards = _scorecards(gen.taps, n, ms, L, built, analysis.solver_exponent)
+        built = profile if isinstance(analysis["stop"], RankStop) else None
+        cards = _scorecards(gen.taps, n, ms, L, built, analysis["solver_exponent"])
         payload["calibration_sweep"] = [
             card.to_dict() | {"m": m_try} for m_try, card in zip(ms, cards)]
     return Report("analyze", payload, make_provenance(config.sha256(), seed))
@@ -141,31 +141,28 @@ def cmd_optimize(config: ScenarioConfig, seed: int | None) -> Report:
 
     gen = config.generator
     opt = config.optimize
-    n, m = gen.filter.n, gen.filter.m
+    n, m = gen.filter["n"], gen.filter["m"]
     L = gen.total_length
     seed = 0 if seed is None else seed
     payload: dict = {"notes": []}
-    if opt.differences is not None:
-        ordering, card = step_b_best_ordering(opt.differences, n, m, L)
+    if opt["differences"] is not None:
+        ordering, card = step_b_best_ordering(opt["differences"], n, m, L)
         payload["method"] = "step_b"
     elif n - 1 <= MAX_EXHAUSTIVE_DIFFERENCES:
-        candidates = step_a_candidates(L, n, opt.budget, seed)
+        candidates = step_a_candidates(L, n, opt["budget"], seed)
         ordering, card = step_ab_best_ordering([c.differences for c in candidates], n, m, L)
         payload["method"] = "step_a+step_b"
         payload["candidates_tried"] = len(candidates)
     else:
         params = StagedSearchParams(
-            chunk_size=opt.chunk_size,
-            stage_budget=opt.budget,
-            retries=opt.retries,
+            chunk_size=opt["chunk_size"],
+            stage_budget=opt["budget"],
+            retries=opt["retries"],
             seed=seed,
         )
         ordering, card, trace = staged_search(L, n, m, params)
         payload["method"] = "staged"
-        payload["trace"] = [
-            {**asdict(t), "chunk": list(t.chunk), "ordering": list(t.ordering)}
-            for t in trace
-        ]
+        payload["trace"] = [t.to_dict() for t in trace]
     payload["differences"] = sorted(ordering)
     payload["ordering"] = list(ordering)
     payload["optimal_sigma"] = card.optimal_sigma
@@ -181,21 +178,21 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
     from .attack import gfsga_recover, nfsr_window_recover, read_keystream_file
 
     gen_cfg = config.generator
-    if not gen_cfg.filter.source:
+    if not gen_cfg.filter["source"]:
         raise ConfigError("attack needs a concrete filter (source hex or random)")
-    if not config.attack.keystream:
+    if not config.keystream:
         raise ConfigError("attack.keystream path is required")
     try:
-        header, blocks = read_keystream_file(config.attack.keystream)
+        header, blocks = read_keystream_file(config.keystream)
     except FileNotFoundError:
-        raise AttackFailure(f"keystream file not found: {config.attack.keystream}")
+        raise AttackFailure(f"keystream file not found: {config.keystream}")
     except OSError as exc:
         raise AttackFailure(
-            f"cannot read keystream file {config.attack.keystream}: {exc.strerror}")
+            f"cannot read keystream file {config.keystream}: {exc.strerror}")
     n, m, L, _count = header
     # Checked before the filter is built: a random filter's 2^n table can
     # take seconds to build.
-    if (n, m, L) != (gen_cfg.filter.n, gen_cfg.filter.m, gen_cfg.total_length):
+    if (n, m, L) != (gen_cfg.filter["n"], gen_cfg.filter["m"], gen_cfg.total_length):
         raise AttackFailure(
             f"keystream header (n={n}, m={m}, L={L}) does not match the configuration"
         )
@@ -243,9 +240,7 @@ def cmd_attack(config: ScenarioConfig, seed: int | None) -> Report:
 def cmd_report_tables(fixture_id: str, seed: int | None) -> Report:
     from .fixtures import run_fixture
 
-    fx = run_fixture(fixture_id)
-    payload = fx.to_dict()
-    return Report("report", payload, make_provenance(None, seed))
+    return Report("report", run_fixture(fixture_id), make_provenance(None, seed))
 
 
 @functools.cache

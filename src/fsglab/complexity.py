@@ -9,14 +9,15 @@ preimage contributes factor 1 (exponent 0), never a negative power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .sampling import (
     NoOverdefinedSystemError,
     RepetitionProfile,
     TapSet,
+    _Frozen,
     _label_mask,
+    _set,
     constant_profile,
 )
 
@@ -24,17 +25,22 @@ DEFAULT_SOLVER_EXPONENT = 3.0
 GAUSS_OMEGA = 2.807
 
 
-@dataclass(frozen=True)
-class ComplexityEstimate:
+class ComplexityEstimate(_Frozen):
     """log2 attack cost with its exponent breakdown."""
 
-    log2_total: float
-    first_sample_exponent: float
-    per_sample_exponents: tuple[float, ...]
-    solver_log2: float
-    samples_used: int
-    R_used: int | None
-    sigma_or_schedule: str
+    __slots__ = ("log2_total", "first_sample_exponent", "per_sample_exponents",
+                 "solver_log2", "samples_used", "R_used", "sigma_or_schedule")
+
+    def __init__(self, log2_total: float, first_sample_exponent: float,
+                 per_sample_exponents: tuple[float, ...], solver_log2: float,
+                 samples_used: int, R_used: int | None, sigma_or_schedule: str):
+        _set(self, "log2_total", log2_total)
+        _set(self, "first_sample_exponent", first_sample_exponent)
+        _set(self, "per_sample_exponents", per_sample_exponents)
+        _set(self, "solver_log2", solver_log2)
+        _set(self, "samples_used", samples_used)
+        _set(self, "R_used", R_used)
+        _set(self, "sigma_or_schedule", sigma_or_schedule)
 
     @property
     def candidate_log2(self) -> float:
@@ -53,15 +59,18 @@ class ComplexityEstimate:
         }
 
 
-@dataclass(frozen=True)
-class WindowCostEstimate:
+class WindowCostEstimate(_Frozen):
     """Window-attack cost, the state bits R_p the window reads, and the
     memory and data budgets (in bits)."""
 
-    estimate: ComplexityEstimate
-    recovered_bits: int
-    memory_bits: int
-    data_bits: int
+    __slots__ = ("estimate", "recovered_bits", "memory_bits", "data_bits")
+
+    def __init__(self, estimate: ComplexityEstimate, recovered_bits: int,
+                 memory_bits: int, data_bits: int):
+        _set(self, "estimate", estimate)
+        _set(self, "recovered_bits", recovered_bits)
+        _set(self, "memory_bits", memory_bits)
+        _set(self, "data_bits", data_bits)
 
 
 def _clamped(n: int, m: int, q: Sequence[int]) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+
 from .registers import (
     FilterSpec,
     GeneratorSpec,
@@ -16,7 +16,7 @@ from .registers import (
     LfsrSpec,
     NfsrSpec,
 )
-from .sampling import RankStop, SampleStop, Stop, TapSet
+from .sampling import RankStop, SampleStop, Stop, TapSet, _Frozen, _set
 
 
 class ConfigError(ValueError):
@@ -92,36 +92,18 @@ COMPLETION_CAP_BITS = 14
 MAX_KEYSTREAM_BLOCKS = 4_000_000
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    n: int
-    m: int
-    source: str | None  # "hex" | "random" | None (analysis only)
-    hex_table: str | None
-    seed: int | None
+class GeneratorConfig(_Frozen):
+    """The generator section: the register and taps it builds, and the
+    values of its filter section, keyed by member name as in ``KEYS``; the
+    filter itself is built only by :meth:`build_generator`."""
 
-    def build(self, fallback_seed: int = 0) -> FilterSpec:
-        if self.source in ("hex", "random") and self.n > MAX_FILTER_INPUTS:
-            raise ConfigError(
-                f"generator.filter.n must be at most {MAX_FILTER_INPUTS} for a concrete "
-                f"filter (source {self.source}), not {self.n}"
-            )
-        if self.source == "hex":
-            if not self.hex_table:
-                raise ConfigError("generator.filter.hex is required by source hex")
-            return _build("generator.filter.hex", FilterSpec.from_hex,
-                          self.n, self.m, self.hex_table)
-        if self.source == "random":
-            seed = self.seed if self.seed is not None else fallback_seed
-            return FilterSpec.uniform_random(self.n, self.m, seed)
-        raise ConfigError("generator.filter.source must be hex or random to build the filter")
+    __slots__ = ("register", "taps", "filter")
 
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    register: LfsrSpec | NfsrSpec | HybridSpec
-    taps: TapSet | HybridTaps
-    filter: FilterConfig
+    def __init__(self, register: LfsrSpec | NfsrSpec | HybridSpec,
+                 taps: TapSet | HybridTaps, filter: dict):
+        _set(self, "register", register)
+        _set(self, "taps", taps)
+        _set(self, "filter", filter)
 
     @property
     def tap_count(self) -> int:
@@ -136,40 +118,40 @@ class GeneratorConfig:
         return self.register.length
 
     def build_generator(self, fallback_seed: int = 0) -> GeneratorSpec:
-        return GeneratorSpec(self.register, self.taps, self.filter.build(fallback_seed))
+        n, m, source = self.filter["n"], self.filter["m"], self.filter["source"]
+        if source in ("hex", "random") and n > MAX_FILTER_INPUTS:
+            raise ConfigError(
+                f"generator.filter.n must be at most {MAX_FILTER_INPUTS} for a concrete "
+                f"filter (source {source}), not {n}"
+            )
+        if source == "hex":
+            if not self.filter["hex"]:
+                raise ConfigError("generator.filter.hex is required by source hex")
+            filt = _build("generator.filter.hex", FilterSpec.from_hex, n, m, self.filter["hex"])
+        elif source == "random":
+            seed = self.filter["seed"]
+            filt = FilterSpec.uniform_random(n, m, fallback_seed if seed is None else seed)
+        else:
+            raise ConfigError(
+                "generator.filter.source must be hex or random to build the filter")
+        return GeneratorSpec(self.register, self.taps, filt)
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    mode: str  # constant | greedy | cyclic | custom
-    sigma: int | None
-    schedule: tuple[int, ...] | None
-    solver_exponent: float
-    m_calibration: bool
-    stop: Stop
+class ScenarioConfig(_Frozen):
+    """A parsed config. ``analysis`` and ``optimize`` hold the values of
+    their sections keyed by member name as in ``KEYS``, ``analysis`` with
+    its parsed ``stop``; ``keystream`` is attack.keystream."""
 
+    __slots__ = ("generator", "analysis", "optimize", "keystream", "report_format", "raw")
 
-@dataclass(frozen=True)
-class AttackConfig:
-    keystream: str | None
-
-
-@dataclass(frozen=True)
-class OptimizeConfig:
-    differences: tuple[int, ...] | None
-    budget: int
-    chunk_size: int
-    retries: int
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    generator: GeneratorConfig
-    analysis: AnalysisConfig
-    attack: AttackConfig
-    optimize: OptimizeConfig
-    report_format: str
-    raw: dict
+    def __init__(self, generator: GeneratorConfig, analysis: dict, optimize: dict,
+                 keystream: str | None, report_format: str, raw: dict):
+        _set(self, "generator", generator)
+        _set(self, "analysis", analysis)
+        _set(self, "optimize", optimize)
+        _set(self, "keystream", keystream)
+        _set(self, "report_format", report_format)
+        _set(self, "raw", raw)
 
     def sha256(self) -> str:
         return hashlib.sha256(
@@ -213,7 +195,7 @@ KEYS = {
     "attack.keystream": ("string", None, None, "lfsr nfsr hybrid"),
     "optimize.differences": ("integers", None, None, "lfsr nfsr hybrid"),
     "optimize.budget": ("integer", 12, (1, MAX_OPTIMIZE_BUDGET), "lfsr nfsr hybrid"),
-    "optimize.chunk_size": ("integer", 5, (1, None), "lfsr nfsr hybrid"),
+    "optimize.chunk_size": ("integer", 5, (1, MAX_EXHAUSTIVE_DIFFERENCES), "lfsr nfsr hybrid"),
     "optimize.retries": ("integer", 6, (1, None), "lfsr nfsr hybrid"),
     "report.format": ("string", "table", ("table", "structured"), "lfsr nfsr hybrid"),
 }
@@ -259,6 +241,20 @@ def _read(obj: dict, key: str):
             type(v) is not list or not {*map(type, v)} <= {int} for v in value):
         raise ConfigError(f"{key} must be a list of lists of integers")
     return tuple(value) if type(value) is list else value
+
+
+@functools.cache
+def _leaves(section: str) -> tuple[tuple[str, str], ...]:
+    """(member name, key) of each leaf directly under ``section``, in
+    ``KEYS`` order."""
+    return tuple((key.rpartition(".")[2], key) for key in KEYS
+                 if key.rpartition(".")[0] == section)
+
+
+def _values(obj: dict, section: str) -> dict:
+    """The leaves directly under ``section``, each read from the section's
+    object ``obj`` by ``_read``, keyed by member name."""
+    return {name: _read(obj, key) for name, key in _leaves(section)}
 
 
 def _section(obj: dict, key: str, required: bool = False, known: bool = True) -> dict:
@@ -314,14 +310,7 @@ def _parse_anf(obj: dict, key: str, length: int) -> NfsrSpec:
 def _parse_generator(obj: dict) -> GeneratorConfig:
     kind = _read(obj, "generator.kind")
     _known(obj, "generator", kind)
-    filt = _section(obj, "generator.filter")
-    fcfg = FilterConfig(
-        n=_read(filt, "generator.filter.n"),
-        m=_read(filt, "generator.filter.m"),
-        source=_read(filt, "generator.filter.source"),
-        hex_table=_read(filt, "generator.filter.hex"),
-        seed=_read(filt, "generator.filter.seed"),
-    )
+    filt = _values(_section(obj, "generator.filter"), "generator.filter")
     if kind == "hybrid":
         lf = _section(obj, "generator.lfsr", required=True)
         nf = _section(obj, "generator.nfsr", required=True)
@@ -345,13 +334,14 @@ def _parse_generator(obj: dict) -> GeneratorConfig:
         else:
             register = _parse_anf(obj, "generator.anf", length)
         taps = _build("generator.taps", TapSet, _read(obj, "generator.taps"), length)
-    cfg = GeneratorConfig(register, taps, fcfg)
-    if fcfg.n != cfg.tap_count:
+    cfg = GeneratorConfig(register, taps, filt)
+    n, m = filt["n"], filt["m"]
+    if n != cfg.tap_count:
         raise ConfigError(
-            f"generator.filter.n must equal the tap count {cfg.tap_count}, not {fcfg.n}")
-    if fcfg.m > fcfg.n:
+            f"generator.filter.n must equal the tap count {cfg.tap_count}, not {n}")
+    if m > n:
         raise ConfigError(
-            f"generator.filter.m must be at most generator.filter.n = {fcfg.n}, not {fcfg.m}")
+            f"generator.filter.m must be at most generator.filter.n = {n}, not {m}")
     return cfg
 
 
@@ -374,29 +364,22 @@ def _parse_stop(analysis: dict, L: int) -> Stop:
     raise ConfigError("analysis.stop must be {'rank': true} or {'samples': c}")
 
 
-def _parse_analysis(obj: dict, gen: GeneratorConfig) -> AnalysisConfig:
+def _parse_analysis(obj: dict, gen: GeneratorConfig) -> dict:
     if obj and not isinstance(gen.register, LfsrSpec):
         keys = ", ".join(f"analysis.{key}" for key in obj)
         raise ConfigError(
             f"{keys} not accepted: nfsr and hybrid generators take no analysis section "
             "(analyze and attack derive the distance-1 window from the register geometry)")
     # sigma and schedule are accepted in every mode, read or not.
-    mode = _read(obj, "analysis.mode")
-    schedule = _read(obj, "analysis.schedule")
+    analysis = _values(obj, "analysis")
+    mode, schedule = analysis["mode"], analysis["schedule"]
     if schedule is not None and any(not 1 <= s <= gen.total_length for s in schedule):
         raise ConfigError(f"analysis.schedule steps must lie in 1..L = {gen.total_length}")
     if mode == "custom" and not schedule:
         raise ConfigError("custom mode needs analysis.schedule")
-    stop = (_parse_stop(obj, gen.total_length) if "stop" in obj
-            else None if mode == "custom" else RankStop())
-    return AnalysisConfig(
-        mode=mode,
-        sigma=_read(obj, "analysis.sigma"),
-        schedule=schedule,
-        solver_exponent=_read(obj, "analysis.solver_exponent"),
-        m_calibration=_read(obj, "analysis.m_calibration"),
-        stop=stop,
-    )
+    analysis["stop"] = (_parse_stop(obj, gen.total_length) if "stop" in obj
+                        else None if mode == "custom" else RankStop())
+    return analysis
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -406,15 +389,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
     # The generator's keys depend on its kind: _parse_generator checks them.
     gen = _parse_generator(_section(raw, "generator", required=True, known=False))
     analysis = _parse_analysis(_section(raw, "analysis"), gen)
-    attack = AttackConfig(keystream=_read(_section(raw, "attack"), "attack.keystream"))
-    opt_obj = _section(raw, "optimize")
-    optimize = OptimizeConfig(
-        differences=_read(opt_obj, "optimize.differences"),
-        budget=_read(opt_obj, "optimize.budget"),
-        chunk_size=_read(opt_obj, "optimize.chunk_size"),
-        retries=_read(opt_obj, "optimize.retries"),
-    )
-    differences = optimize.differences or ()
+    keystream = _read(_section(raw, "attack"), "attack.keystream")
+    optimize = _values(_section(raw, "optimize"), "optimize")
+    differences = optimize["differences"] or ()
     if min(differences, default=1) < 1:
         raise ConfigError(
             f"optimize.differences entries must be at least 1, not {min(differences)}")
@@ -422,7 +399,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"optimize.differences sum to {sum(differences)}, "
                           f"beyond L - 1 = {gen.total_length - 1}")
     fmt = _read(_section(raw, "report"), "report.format")
-    return ScenarioConfig(gen, analysis, attack, optimize, fmt, raw)
+    return ScenarioConfig(gen, analysis, optimize, keystream, fmt, raw)
 
 
 def load_config(path) -> ScenarioConfig:

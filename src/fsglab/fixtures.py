@@ -8,8 +8,6 @@ rather than silently corrected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexity import (
     fsga_cost,
     gfsga_constant_cost,
@@ -177,20 +175,9 @@ SINGLE_OUTPUT_FSGA = (6, 1, 87)  # n, m, L
 SINGLE_OUTPUT_FSGA_REFERENCE_LOG2 = 87.0  # coarse figure quoted with a different solver term
 
 
-@dataclass(frozen=True)
-class FixtureReport:
-    fixture: str
-    title: str
-    rows: tuple[dict, ...]
-    notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "fixture": self.fixture,
-            "title": self.title,
-            "rows": [dict(r) for r in self.rows],
-            "notes": list(self.notes),
-        }
+def _report(fixture: str, title: str, rows: list[dict], notes=()) -> dict:
+    """A fixture's report: its id, title, delta rows and notes."""
+    return {"fixture": fixture, "title": title, "rows": rows, "notes": list(notes)}
 
 
 def _delta_row(label: str, reference, computed) -> dict:
@@ -208,7 +195,7 @@ def _scorecard_rows(label: str, card, ref_const, ref_greedy, ref_cyclic) -> list
     ]
 
 
-def fixture_table1() -> FixtureReport:
+def fixture_table1() -> dict:
     taps = TapSet(TABLE1_TAPS, TABLE1_L)
     scheme = difference_scheme(taps)
     rows = [
@@ -224,37 +211,36 @@ def fixture_table1() -> FixtureReport:
             [sorted(s) for s in prof.repeated_sets],
         )
     )
-    return FixtureReport(
+    return _report(
         "table1",
         "Scheme of all differences for D=(2,5,4,2) and the two-step walkthrough",
-        tuple(rows),
-        (),
+        rows,
     )
 
 
-def _difference_table_fixture(fixture: str, title: str, table_rows) -> FixtureReport:
+def _difference_table_fixture(fixture: str, title: str, table_rows) -> dict:
     rows = []
     for L, n, m, diffs, ref_c, ref_g, ref_y in table_rows:
         taps = TapSet.from_differences(diffs, L)
         card = scorecard(taps, n, m, L)
         label = f"L={L} (n,m)=({n},{m})"
         rows.extend(_scorecard_rows(label, card, ref_c, ref_g, ref_y))
-    return FixtureReport(fixture, title, tuple(rows), ())
+    return _report(fixture, title, rows)
 
 
-def fixture_table2() -> FixtureReport:
+def fixture_table2() -> dict:
     return _difference_table_fixture(
         "table2", "Attack complexities for poorly spread tap choices", TABLE2_ROWS
     )
 
 
-def fixture_table3() -> FixtureReport:
+def fixture_table3() -> dict:
     return _difference_table_fixture(
         "table3", "Attack complexities for algorithmically chosen taps", TABLE3_ROWS
     )
 
 
-def fixture_table4() -> FixtureReport:
+def fixture_table4() -> dict:
     rows = []
     for L, n, m, taps_pos, ref_c, ref_g, ref_y in TABLE4_FPDS_ROWS:
         taps = TapSet(taps_pos, L)
@@ -268,15 +254,14 @@ def fixture_table4() -> FixtureReport:
         label = f"algo L={L} (n,m)=({n},{m})"
         rows.append(_delta_row(f"{label} lambda", ref_lam, card.lam))
         rows.extend(_scorecard_rows(label, card, ref_c, ref_g, ref_y))
-    return FixtureReport(
+    return _report(
         "table4",
         "Full positive difference sets versus algorithmic tap choice",
-        tuple(rows),
-        (),
+        rows,
     )
 
 
-def fixture_example1() -> FixtureReport:
+def fixture_example1() -> dict:
     n, m, L = EXAMPLE1_PARAMS
     taps = TapSet(EXAMPLE1_TAPS, L)
     _, prof = greedy_schedule(taps, RankStop())
@@ -339,15 +324,15 @@ def fixture_example1() -> FixtureReport:
         "optimum membership reduces to {13, 37}",
         f"sweep minimizer: sigma={sigma_star} (smallest-sigma tie-break)",
     ]
-    return FixtureReport(
+    return _report(
         "example1",
         "Greedy-mode walkthrough and constant-mode comparison on taps {1,6,19,26,52,63,80}",
-        tuple(rows),
-        tuple(notes),
+        rows,
+        notes,
     )
 
 
-def fixture_example2() -> FixtureReport:
+def fixture_example2() -> dict:
     n, m, L = EXAMPLE1_PARAMS
     taps = TapSet(EXAMPLE1_TAPS, L)
     _, prof = cyclic_schedule(taps, RankStop())
@@ -364,11 +349,10 @@ def fixture_example2() -> FixtureReport:
         _delta_row("cyclic c*", EXAMPLE2_CYCLIC_SAMPLES, prof.samples),
         _delta_row("cyclic log2 cost", EXAMPLE2_CYCLIC_LOG2, round(est.log2_total, 2)),
     ]
-    return FixtureReport(
+    return _report(
         "example2",
         "Cyclic-mode walkthrough on taps {1,6,19,26,52,63,80}",
-        tuple(rows),
-        (),
+        rows,
     )
 
 
@@ -378,7 +362,7 @@ def example3_window_profile() -> RepetitionProfile:
     return repetition_profile(taps, [1] * len(EXAMPLE3_Q))
 
 
-def fixture_example3() -> FixtureReport:
+def fixture_example3() -> dict:
     n, m, L = EXAMPLE3_PARAMS
     prof = example3_window_profile()
     cost = internal_state_recovery_cost(prof, n, m, L)
@@ -399,10 +383,10 @@ def fixture_example3() -> FixtureReport:
         _delta_row("data bits", EXAMPLE3_DATA_BITS, cost.data_bits),
         _delta_row("memory bits < 2^15", True, cost.memory_bits < (1 << 15)),
     ]
-    return FixtureReport(
+    return _report(
         "example3",
         "Distance-1 window analysis of the 128-bit nonlinear register",
-        tuple(rows),
+        rows,
         (f"memory bound {cost.memory_bits} bits",),
     )
 
@@ -427,7 +411,7 @@ def example4_fixture_profile() -> RepetitionProfile:
     )
 
 
-def fixture_example4() -> FixtureReport:
+def fixture_example4() -> dict:
     n, m, L = EXAMPLE4_PARAMS
     fixture_prof = example4_fixture_profile()
     cost = internal_state_recovery_cost(fixture_prof, n, m, L)
@@ -458,11 +442,11 @@ def fixture_example4() -> FixtureReport:
         "NFSR taps are set A = {2,..,95}, LFSR taps set B = {8,..,95}; both "
         "recorded explicitly because the source tables reuse the letter A",
     ]
-    return FixtureReport(
+    return _report(
         "example4",
         "256-bit hybrid window fixture and both counting models",
-        tuple(rows),
-        tuple(notes),
+        rows,
+        notes,
     )
 
 
@@ -478,7 +462,7 @@ def grain_calibration(which: str):
     return calibrate_filter_width(taps, GRAIN_REGISTER_LENGTH, targets)
 
 
-def _grain_fixture(which: str, title: str) -> FixtureReport:
+def _grain_fixture(which: str, title: str) -> dict:
     cal = grain_calibration(which)
     rows = [
         _delta_row(
@@ -493,18 +477,18 @@ def _grain_fixture(which: str, title: str) -> FixtureReport:
         "the reference omits the filter output width m; the sweep reports "
         f"m={cal.best_m} as the closest fit",
     )
-    return FixtureReport(which, title, tuple(rows), notes)
+    return _report(which, title, rows, notes)
 
 
-def fixture_table6() -> FixtureReport:
+def fixture_table6() -> dict:
     return _grain_fixture("table6", "Mode costs on the 128-bit linear register tap set")
 
 
-def fixture_table7() -> FixtureReport:
+def fixture_table7() -> dict:
     return _grain_fixture("table7", "Mode costs on the 128-bit nonlinear register tap set")
 
 
-def fixture_annihilator() -> FixtureReport:
+def fixture_annihilator() -> dict:
     est = restricted_annihilator_cost(
         ANNIHILATOR_SIZES, ANNIHILATOR_COUNTS, ANNIHILATOR_L, ANNIHILATOR_OMEGA
     )
@@ -528,10 +512,10 @@ def fixture_annihilator() -> FixtureReport:
         "the reference quotes 'about 2^87' for plain FSGA using a coarser "
         "solver term; the L^3 convention gives the computed value",
     )
-    return FixtureReport(
+    return _report(
         "annihilator",
         "Single-output combination arithmetic (restricted preimage sizes)",
-        tuple(rows),
+        rows,
         notes,
     )
 
@@ -551,7 +535,7 @@ FIXTURES = {
 }
 
 
-def run_fixture(fixture_id: str) -> FixtureReport:
+def run_fixture(fixture_id: str) -> dict:
     try:
         builder = FIXTURES[fixture_id]
     except KeyError:

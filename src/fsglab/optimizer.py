@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, permutations
 from typing import Sequence
 
@@ -31,7 +30,9 @@ from .sampling import (
     NoOverdefinedSystemError,
     RepetitionProfile,
     TapSet,
+    _Frozen,
     _label_mask,
+    _set,
     constant_profile,
     cyclic_schedule,
     greedy_schedule,
@@ -47,33 +48,37 @@ class SearchExhaustedError(RuntimeError):
     """Retry budget ran out."""
 
 
-@dataclass(frozen=True)
-class CandidateDifferenceSet:
+class CandidateDifferenceSet(_Frozen):
     """Multiset of consecutive tap differences; taps fit a register of length L."""
 
-    differences: tuple[int, ...]
-    register_length: int
+    __slots__ = ("differences", "register_length")
 
-    def __post_init__(self):
-        d = tuple(sorted(self.differences))
+    def __init__(self, differences: Sequence[int], register_length: int):
+        d = tuple(sorted(differences))
         if any(x < 1 for x in d):
             raise ValueError("differences must be positive")
-        if sum(d) + 1 > self.register_length:
+        if sum(d) + 1 > register_length:
             raise ValueError("differences overflow the register")
-        object.__setattr__(self, "differences", d)
+        _set(self, "differences", d)
+        _set(self, "register_length", register_length)
 
 
-@dataclass(frozen=True)
-class Scorecard:
+class Scorecard(_Frozen):
     """One comparison row: resistance of a tap set under all three attack modes."""
 
-    taps: TapSet
-    lam: int
-    fpds: bool
-    optimal_sigma: int
-    constant_cost: ComplexityEstimate
-    greedy_cost: ComplexityEstimate
-    cyclic_cost: ComplexityEstimate | None
+    __slots__ = ("taps", "lam", "fpds", "optimal_sigma", "constant_cost", "greedy_cost",
+                 "cyclic_cost")
+
+    def __init__(self, taps: TapSet, lam: int, fpds: bool, optimal_sigma: int,
+                 constant_cost: ComplexityEstimate, greedy_cost: ComplexityEstimate,
+                 cyclic_cost: ComplexityEstimate | None):
+        _set(self, "taps", taps)
+        _set(self, "lam", lam)
+        _set(self, "fpds", fpds)
+        _set(self, "optimal_sigma", optimal_sigma)
+        _set(self, "constant_cost", constant_cost)
+        _set(self, "greedy_cost", greedy_cost)
+        _set(self, "cyclic_cost", cyclic_cost)
 
     def to_dict(self) -> dict:
         return {
@@ -423,23 +428,42 @@ def step_ab_best_ordering(
     return ordering, _scorecards(taps, n, (m,), L, sigma=sigma)[0]
 
 
-@dataclass(frozen=True)
-class StagedSearchParams:
-    chunk_size: int = 5
-    stage_budget: int = 12
-    retries: int = 6
-    seed: int = 0
+class StagedSearchParams(_Frozen):
+    __slots__ = ("chunk_size", "stage_budget", "retries", "seed")
+
+    def __init__(self, chunk_size: int = 5, stage_budget: int = 12, retries: int = 6,
+                 seed: int = 0):
+        _set(self, "chunk_size", chunk_size)
+        _set(self, "stage_budget", stage_budget)
+        _set(self, "retries", retries)
+        _set(self, "seed", seed)
 
 
-@dataclass
-class StageTrace:
-    stage: int
-    chunk: tuple[int, ...]
-    ordering: tuple[int, ...]
-    optimal_sigma: int
-    cost_log2: float
-    candidates_tried: int
-    rejections: int
+class StageTrace(_Frozen):
+    __slots__ = ("stage", "chunk", "ordering", "optimal_sigma", "cost_log2",
+                 "candidates_tried", "rejections")
+
+    def __init__(self, stage: int, chunk: tuple[int, ...], ordering: tuple[int, ...],
+                 optimal_sigma: int, cost_log2: float, candidates_tried: int,
+                 rejections: int):
+        _set(self, "stage", stage)
+        _set(self, "chunk", chunk)
+        _set(self, "ordering", ordering)
+        _set(self, "optimal_sigma", optimal_sigma)
+        _set(self, "cost_log2", cost_log2)
+        _set(self, "candidates_tried", candidates_tried)
+        _set(self, "rejections", rejections)
+
+    def to_dict(self) -> dict:
+        return {
+            "stage": self.stage,
+            "chunk": list(self.chunk),
+            "ordering": list(self.ordering),
+            "optimal_sigma": self.optimal_sigma,
+            "cost_log2": self.cost_log2,
+            "candidates_tried": self.candidates_tried,
+            "rejections": self.rejections,
+        }
 
 
 def _stage_m(m: int, size: int, n: int) -> int:
@@ -552,24 +576,30 @@ def staged_search(
     return current, card, trace
 
 
-@dataclass(frozen=True)
-class CalibrationRow:
-    m: int
-    constant_log2: float
-    greedy_log2: float
-    cyclic_log2: float
-    deltas: tuple[float, float, float]
+class CalibrationRow(_Frozen):
+    __slots__ = ("m", "constant_log2", "greedy_log2", "cyclic_log2", "deltas")
+
+    def __init__(self, m: int, constant_log2: float, greedy_log2: float, cyclic_log2: float,
+                 deltas: tuple[float, float, float]):
+        _set(self, "m", m)
+        _set(self, "constant_log2", constant_log2)
+        _set(self, "greedy_log2", greedy_log2)
+        _set(self, "cyclic_log2", cyclic_log2)
+        _set(self, "deltas", deltas)
 
     @property
     def total_abs_delta(self) -> float:
         return sum(abs(d) for d in self.deltas)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    best_m: int
-    rows: tuple[CalibrationRow, ...]
-    targets: tuple[float, float, float]
+class CalibrationResult(_Frozen):
+    __slots__ = ("best_m", "rows", "targets")
+
+    def __init__(self, best_m: int, rows: tuple[CalibrationRow, ...],
+                 targets: tuple[float, float, float]):
+        _set(self, "best_m", best_m)
+        _set(self, "rows", rows)
+        _set(self, "targets", targets)
 
     def to_dict(self) -> dict:
         return {

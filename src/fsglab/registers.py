@@ -22,30 +22,29 @@ Conventions (used everywhere in this package):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .sampling import TapSet
+from .sampling import TapSet, _Frozen, _set
 
-@dataclass(frozen=True)
-class LfsrSpec:
+
+class LfsrSpec(_Frozen):
     """Linear register: the new bit is the XOR of ``feedback_positions``."""
 
-    length: int
-    feedback_positions: frozenset[int]
+    __slots__ = ("length", "feedback_positions")
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __init__(self, length: int, feedback_positions: Iterable[int]):
+        if length < 1:
             raise ValueError("register length must be positive")
-        fb = frozenset(self.feedback_positions)
+        fb = frozenset(feedback_positions)
         if not fb:
             raise ValueError("feedback_positions must be nonempty")
-        if not all(1 <= p <= self.length for p in fb):
+        if not all(1 <= p <= length for p in fb):
             raise ValueError("feedback positions must lie in 1..L")
-        object.__setattr__(self, "feedback_positions", fb)
+        _set(self, "length", length)
+        _set(self, "feedback_positions", fb)
 
 
-@dataclass(frozen=True)
-class NfsrSpec:
+class NfsrSpec(_Frozen):
     """Nonlinear register: update bit given in algebraic normal form.
 
     ``monomials`` is a tuple of position sets; each set is one product term
@@ -53,53 +52,52 @@ class NfsrSpec:
     with the sum of all products.
     """
 
-    length: int
-    constant_term: int
-    monomials: tuple[frozenset[int], ...]
+    __slots__ = ("length", "constant_term", "monomials")
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __init__(self, length: int, constant_term: int,
+                 monomials: Iterable[Iterable[int]]):
+        if length < 1:
             raise ValueError("register length must be positive")
-        monos = tuple(dict.fromkeys(frozenset(m) for m in self.monomials))
+        monos = tuple(dict.fromkeys(frozenset(m) for m in monomials))
         for mono in monos:
             if not mono:
                 raise ValueError("empty monomial; fold constants into constant_term")
-            if not all(1 <= p <= self.length for p in mono):
+            if not all(1 <= p <= length for p in mono):
                 raise ValueError("monomial position outside 1..length")
-        object.__setattr__(self, "monomials", monos)
-        object.__setattr__(self, "constant_term", self.constant_term & 1)
+        _set(self, "length", length)
+        _set(self, "constant_term", constant_term & 1)
+        _set(self, "monomials", monos)
 
 
-@dataclass(frozen=True)
-class HybridSpec:
+class HybridSpec(_Frozen):
     """LFSR/NFSR pair; with ``coupling`` the LFSR output enters the NFSR update."""
 
-    lfsr: LfsrSpec
-    nfsr: NfsrSpec
-    coupling: bool = True
+    __slots__ = ("lfsr", "nfsr", "coupling")
 
-    def __post_init__(self):
-        if self.coupling and self.lfsr.length != self.nfsr.length:
+    def __init__(self, lfsr: LfsrSpec, nfsr: NfsrSpec, coupling: bool = True):
+        if coupling and lfsr.length != nfsr.length:
             raise ValueError("coupled registers must have equal length")
+        _set(self, "lfsr", lfsr)
+        _set(self, "nfsr", nfsr)
+        _set(self, "coupling", coupling)
 
 
-@dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(_Frozen):
     """Filtering function F: GF(2)^n -> GF(2)^m as a full truth table."""
 
-    n: int
-    m: int
-    truth_table: tuple[int, ...]
+    __slots__ = ("n", "m", "truth_table")
 
-    def __post_init__(self):
-        if not 1 <= self.m <= self.n:
+    def __init__(self, n: int, m: int, truth_table: Sequence[int]):
+        if not 1 <= m <= n:
             raise ValueError("need 1 <= m <= n")
-        if len(self.truth_table) != 1 << self.n:
+        if len(truth_table) != 1 << n:
             raise ValueError("truth table must have 2^n entries")
-        table = tuple(self.truth_table)
-        if min(table) < 0 or max(table) >= 1 << self.m:
+        table = tuple(truth_table)
+        if min(table) < 0 or max(table) >= 1 << m:
             raise ValueError("truth table entry out of range")
-        object.__setattr__(self, "truth_table", table)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "truth_table", table)
 
     def to_hex(self) -> str:
         """Lowercase hex, one zero-padded entry per table slot, entry 0 first."""
@@ -126,41 +124,44 @@ class FilterSpec:
         return cls(n, m, tuple(values))
 
 
-@dataclass(frozen=True)
-class HybridTaps:
+class HybridTaps(_Frozen):
     """Tap sets for a register pair; filter inputs read LFSR taps first."""
 
-    lfsr: TapSet
-    nfsr: TapSet
+    __slots__ = ("lfsr", "nfsr")
+
+    def __init__(self, lfsr: TapSet, nfsr: TapSet):
+        _set(self, "lfsr", lfsr)
+        _set(self, "nfsr", nfsr)
 
     @property
     def total(self) -> int:
         return len(self.lfsr.positions) + len(self.nfsr.positions)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    register: LfsrSpec | NfsrSpec | HybridSpec
-    taps: TapSet | HybridTaps
-    filter: FilterSpec
+class GeneratorSpec(_Frozen):
+    __slots__ = ("register", "taps", "filter")
 
-    def __post_init__(self):
-        if isinstance(self.register, HybridSpec):
-            if not isinstance(self.taps, HybridTaps):
+    def __init__(self, register: LfsrSpec | NfsrSpec | HybridSpec,
+                 taps: TapSet | HybridTaps, filter: FilterSpec):
+        if isinstance(register, HybridSpec):
+            if not isinstance(taps, HybridTaps):
                 raise ValueError("hybrid register needs per-register tap sets")
-            if self.taps.lfsr.register_length != self.register.lfsr.length:
+            if taps.lfsr.register_length != register.lfsr.length:
                 raise ValueError("LFSR tap set does not match register length")
-            if self.taps.nfsr.register_length != self.register.nfsr.length:
+            if taps.nfsr.register_length != register.nfsr.length:
                 raise ValueError("NFSR tap set does not match register length")
-            count = self.taps.total
+            count = taps.total
         else:
-            if not isinstance(self.taps, TapSet):
+            if not isinstance(taps, TapSet):
                 raise ValueError("single register needs a single tap set")
-            if self.taps.register_length != self.register.length:
+            if taps.register_length != register.length:
                 raise ValueError("tap set does not match register length")
-            count = len(self.taps.positions)
-        if self.filter.n != count:
+            count = len(taps.positions)
+        if filter.n != count:
             raise ValueError("filter arity must equal tap count")
+        _set(self, "register", register)
+        _set(self, "taps", taps)
+        _set(self, "filter", filter)
 
 
 # Maximal-length feedback tap tables for test registers, keyed by length.

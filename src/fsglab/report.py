@@ -8,20 +8,22 @@ form carries full precision.
 
 from __future__ import annotations
 
-import platform
 import sys
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 
 
-@dataclass
 class Report:
-    command: str
-    payload: dict
-    provenance: dict
-    timing: dict = field(default_factory=dict)
+    """One command's result; only ``timing`` may differ between runs."""
+
+    __slots__ = ("command", "payload", "provenance", "timing")
+
+    def __init__(self, command: str, payload: dict, provenance: dict):
+        self.command = command
+        self.payload = payload
+        self.provenance = provenance
+        self.timing: dict = {}
 
     def to_dict(self) -> dict:
         return {
@@ -107,7 +109,7 @@ def make_provenance(config_sha256: str | None, seed: int | None) -> dict:
         "config_sha256": config_sha256,
         "seed": seed,
         "package_version": __version__,
-        "python_version": platform.python_version(),
+        "python_version": sys.version.split()[0],
     }
 
 

@@ -16,32 +16,72 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+# Sets a field of a frozen value inside its own ``__init__``.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of fsglab's frozen value types.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    sets each one in ``__init__`` with ``_set``. Instances of one type are
+    equal when their fields are, hash by their fields, repr as
+    ``Name(field=value, ...)`` and refuse assignment and deletion.
+    ``__reduce__`` hands back the class and the fields, so ``copy`` and
+    ``pickle`` rebuild an instance through ``__init__``; without it they
+    would set the slots with the refused ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class NoOverdefinedSystemError(RuntimeError):
     """Sampling ended without producing an overdefined system."""
 
 
-@dataclass(frozen=True)
-class TapSet:
+class TapSet(_Frozen):
     """Ordered tap positions l_1 < ... < l_n on a register of length L."""
 
-    positions: tuple[int, ...]
-    register_length: int
+    __slots__ = ("positions", "register_length")
 
-    def __post_init__(self):
-        pos = tuple(self.positions)
+    def __init__(self, positions: Iterable[int], register_length: int):
+        pos = tuple(positions)
         if not pos:
             raise ValueError("need at least one tap")
         if any(p < 1 for p in pos):
             raise ValueError("tap positions are 1-based")
         if any(a >= b for a, b in zip(pos, pos[1:])):
             raise ValueError("tap positions must be strictly increasing")
-        if pos[-1] > self.register_length:
+        if pos[-1] > register_length:
             raise ValueError("tap position beyond register length")
-        object.__setattr__(self, "positions", pos)
+        _set(self, "positions", pos)
+        _set(self, "register_length", register_length)
 
     @property
     def n(self) -> int:
@@ -61,15 +101,17 @@ class TapSet:
         return cls(tuple(positions), register_length)
 
 
-@dataclass(frozen=True)
-class DifferenceScheme:
+class DifferenceScheme(_Frozen):
     """Triangular table of all tap differences l_{j+k} - l_j.
 
     Row k (1-based) holds l_{j+k} - l_j for j = 1..n-k; row 1 is the set of
     consecutive differences D.
     """
 
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("table",)
+
+    def __init__(self, table: tuple[tuple[int, ...], ...]):
+        _set(self, "table", table)
 
     @classmethod
     def from_differences(cls, diffs: Sequence[int]) -> "DifferenceScheme":
@@ -83,45 +125,45 @@ class DifferenceScheme:
         return tuple(v for row in self.table for v in row)
 
 
-@dataclass(frozen=True)
-class SamplingSchedule:
+class SamplingSchedule(_Frozen):
     """Concrete sampling distances with a mode tag."""
 
-    steps: tuple[int, ...]
-    mode: str = "custom"  # constant | greedy | cyclic | custom
+    __slots__ = ("steps", "mode")
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
+    def __init__(self, steps: Iterable[int], mode: str = "custom"):
+        # mode: constant | greedy | cyclic | custom
+        steps = tuple(steps)
         if any(s < 1 for s in steps):
             raise ValueError("sampling distances must be >= 1")
-        if self.mode == "constant" and len(set(steps)) > 1:
+        if mode == "constant" and len(set(steps)) > 1:
             raise ValueError("constant mode requires equal steps")
-        if self.mode not in ("constant", "greedy", "cyclic", "custom"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        object.__setattr__(self, "steps", steps)
+        if mode not in ("constant", "greedy", "cyclic", "custom"):
+            raise ValueError(f"unknown schedule mode {mode!r}")
+        _set(self, "steps", steps)
+        _set(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class RankStop:
+class RankStop(_Frozen):
     """Stop at the minimal sample count c with n*c - R > L."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class SampleStop:
+
+class SampleStop(_Frozen):
     """Stop after exactly ``samples`` observed outputs."""
 
-    samples: int
+    __slots__ = ("samples",)
 
-    def __post_init__(self):
-        if self.samples < 1:
+    def __init__(self, samples: int):
+        if samples < 1:
             raise ValueError("need at least one sample")
+        _set(self, "samples", samples)
 
 
 Stop = RankStop | SampleStop | None
 
 
-@dataclass(frozen=True)
-class RepetitionProfile:
+class RepetitionProfile(_Frozen):
     """Per-sample repeated-bit counts for a sampling run.
 
     ``q[j]`` is the number of bits of sample j+2 already seen in samples
@@ -130,16 +172,23 @@ class RepetitionProfile:
     constant-mode shift horizon floor((l_n-l_1)/sigma).
     """
 
-    q: tuple[int, ...]
-    samples: int
-    total: int
-    n: int
-    register_length: int
-    mode: str
-    steps: tuple[int, ...]
-    sigma: int | None = None
-    k: int | None = None
-    repeated_sets: tuple[frozenset, ...] | None = None
+    __slots__ = ("q", "samples", "total", "n", "register_length", "mode", "steps",
+                 "sigma", "k", "repeated_sets")
+
+    def __init__(self, q: tuple[int, ...], samples: int, total: int, n: int,
+                 register_length: int, mode: str, steps: tuple[int, ...],
+                 sigma: int | None = None, k: int | None = None,
+                 repeated_sets: tuple[frozenset, ...] | None = None):
+        _set(self, "q", q)
+        _set(self, "samples", samples)
+        _set(self, "total", total)
+        _set(self, "n", n)
+        _set(self, "register_length", register_length)
+        _set(self, "mode", mode)
+        _set(self, "steps", steps)
+        _set(self, "sigma", sigma)
+        _set(self, "k", k)
+        _set(self, "repeated_sets", repeated_sets)
 
     @property
     def distinct_equations(self) -> int:

@@ -333,6 +333,43 @@ def test_optimize_search_size_out_of_range_is_exit_2(tmp_path, capsys, key, valu
     assert str(value) in err
 
 
+def test_chunk_size_above_the_exhaustive_limit_is_exit_2(tmp_path, capsys, monkeypatch):
+    # Stage 1 of the staged search orders its chunk exhaustively, so a chunk
+    # of 12 differences used to fail inside the search with a message that
+    # named no key; it is now refused on load.
+    monkeypatch.setattr(optimizer, "step_a_candidates", None)  # a call would fail
+    cfg = write_config(tmp_path, "c.json", {
+        "generator": {"kind": "lfsr", "length": 128, "feedback": [1, 2],
+                      "taps": [1 + round(i * 127 / 20) for i in range(21)],
+                      "filter": {"n": 21, "m": 3}},
+        "optimize": {"budget": 1, "chunk_size": 12},
+    })
+    assert main(["optimize", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: optimize.chunk_size must be between 1 and "
+        f"{optimizer.MAX_EXHAUSTIVE_DIFFERENCES}, not 12\n")
+
+
+def test_staged_optimize_table_renders_the_search_trace(tmp_path, capsys):
+    gen, _, _ = lfsr_generator_section(64, range(1, 61, 5), 12, 2)
+    cfg = write_config(tmp_path, "c.json", {
+        "generator": gen, "optimize": {"budget": 2, "chunk_size": 4, "retries": 2}})
+    assert main(["optimize", "--config", cfg, "--format", "structured"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["method"] == "staged"
+    trace = payload["trace"]
+    assert [stage["stage"] for stage in trace] == [1, 2, 3]
+    assert {len(stage) for stage in trace} == {7}
+    assert trace[-1]["ordering"] == payload["ordering"]
+    assert main(["optimize", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("search trace:")
+    assert lines[at + 1:at + 4] == [
+        f"  stage {t['stage']}: chunk={t['chunk']} tried={t['candidates_tried']}"
+        f" rejected={t['rejections']} sigma*={t['optimal_sigma']} cost={t['cost_log2']:.2f}"
+        for t in trace]
+
+
 @pytest.mark.parametrize("differences,named", [
     ([5, 13, 7, 0, 11, 17], "not 0"),
     ([5, 13, -2, 26, 11, 17], "not -2"),
@@ -633,6 +670,51 @@ def test_window_generator_analysis_key_is_exit_2(tmp_path, capsys, command, kind
     doc = {"generator": generator, "analysis": {key: value}}
     assert main([command, "--config", write_config(tmp_path, "c.json", doc)]) == 2
     assert capsys.readouterr().err == f"error: analysis.{key} " + WINDOW_ANALYSIS_ERROR
+
+
+def _state_bits(text: str, length: int) -> tuple[int, ...]:
+    value = int(text, 16)
+    return tuple((value >> j) & 1 for j in range(length))
+
+
+def test_hybrid_attack_recovers_both_registers(tmp_path, capsys):
+    # A coupled 10 + 10-bit hybrid: the recovered state is one hex string
+    # per register, and the table form prints the window line.
+    from fsglab import HybridSpec, HybridTaps, NfsrSpec
+
+    L, n, m = 10, 4, 1
+    rng = random.Random(21)
+    nfsr = NfsrSpec(L, 1, (frozenset({1}), frozenset({3, 7})))
+    register = HybridSpec(primitive_lfsr(L), nfsr, True)
+    taps = HybridTaps(TapSet((1, 2), L), TapSet((1, 3), L))
+    gen = GeneratorSpec(register, taps, FilterSpec.uniform_random(n, m, 5))
+    planted = tuple(tuple(rng.getrandbits(1) for _ in range(L)) for _ in "ab")
+    blocks = keystream(gen, planted, 6 * L)
+    ks = tmp_path / "stream.ks"
+    write_keystream_file(ks, n, m, 2 * L, blocks)
+    cfg = write_config(tmp_path, "c.json", {
+        "generator": {
+            "kind": "hybrid", "coupling": True,
+            "lfsr": {"length": L, "feedback": sorted(register.lfsr.feedback_positions)},
+            "nfsr": {"length": L, "anf": {"constant": 1, "monomials": [[1], [3, 7]]}},
+            "taps": {"lfsr": [1, 2], "nfsr": [1, 3]},
+            "filter": {"n": n, "m": m, "source": "random", "seed": 5},
+        },
+        "attack": {"keystream": str(ks)},
+    })
+    assert main(["attack", "--config", cfg, "--format", "structured"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    state = payload["recovered_state"]
+    assert set(state) == {"lfsr", "nfsr"}
+    recovered = (_state_bits(state["lfsr"], L), _state_bits(state["nfsr"], L))
+    assert keystream(gen, recovered, len(blocks)) == blocks
+    window = payload["window"]
+    assert main(["attack", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"recovered_state: {state}" in lines
+    assert (f"window: length={window['window_length']} "
+            f"recovered={window['recovered_bit_count']} "
+            f"remaining={window['remaining_guess']}") in lines
 
 
 def test_window_generator_takes_an_empty_analysis_section(tmp_path, capsys):

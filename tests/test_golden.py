@@ -14,7 +14,6 @@ pins the raw text of the structured output, not only its parsed payload.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import random
@@ -188,7 +187,12 @@ def _window_run(gen, state, window: int, describe: dict) -> dict:
         **describe, "model": "per-register", "planted": planted, "recovered": got,
         "systems_solved": result.systems_solved,
         "candidates_pruned": result.candidates_pruned,
-        "window": dataclasses.asdict(recovery),
+        "window": {
+            "window_length": recovery.window_length,
+            "recovered_bit_count": recovery.recovered_bit_count,
+            "remaining_guess": recovery.remaining_guess,
+            "per_sample_sizes": recovery.per_sample_sizes,
+        },
     }
 
 

@@ -7,6 +7,7 @@ write itself.
 
 import enum
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -110,3 +111,14 @@ class Log2(float):
 def test_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         to_json(value)
+
+
+def test_provenance_python_version_is_platforms():
+    # The report reads the version off sys.version, so that no command
+    # loads platform; the two agree on every supported Python.
+    import platform
+
+    from fsglab.report import make_provenance
+
+    assert sys.version.split()[0] == platform.python_version()
+    assert make_provenance(None, None)["python_version"] == platform.python_version()

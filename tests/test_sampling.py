@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from fsglab import (
     NoOverdefinedSystemError,
     RankStop,
+    RepetitionProfile,
     SampleStop,
     SamplingSchedule,
     TapSet,
@@ -397,7 +397,9 @@ def test_pricing_profiles_equal_the_public_builders():
             _, full = build(taps, RankStop())
             _, priced = build(taps, materialize_sets=False)
             assert priced.repeated_sets is None
-            assert priced == dataclasses.replace(full, repeated_sets=None)
+            assert priced == RepetitionProfile(
+                full.q, full.samples, full.total, full.n, full.register_length,
+                full.mode, full.steps, full.sigma, full.k, repeated_sets=None)
 
 
 def test_custom_schedule_exhaustion_raises():

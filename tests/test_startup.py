@@ -31,6 +31,19 @@ def test_import_cli_loads_only_parsing_and_dispatch():
     assert not loaded & {"attack", "optimizer", "complexity", "fixtures", "gf2"}
 
 
+def test_import_cli_loads_no_dataclasses_inspect_or_platform():
+    # The value types are plain slotted classes and the report reads the
+    # Python version off sys.version, so none of these is on the path.
+    # Site hooks may load any of them first; only what the import adds counts.
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import fsglab.cli\n"
+              "print(sorted({'dataclasses', 'inspect', 'platform'} & (set(sys.modules) - before)))")
+    done = run_python("-c", script, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_optimize_leaves_attack_and_fixtures_unloaded():
     loaded = loaded_after(
         "from fsglab.cli import main\n"
