@@ -65,7 +65,6 @@ _EXPORTS = {
         "Scorecard",
         "SearchExhaustedError",
         "StagedSearchParams",
-        "calibrate_filter_width",
         "scorecard",
         "staged_search",
         "step_a_candidates",

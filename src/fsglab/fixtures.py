@@ -16,7 +16,7 @@ from .complexity import (
     optimal_constant_sigma,
     restricted_annihilator_cost,
 )
-from .optimizer import calibrate_filter_width, scorecard
+from .optimizer import _calibration_widths, _scorecards, scorecard
 from .sampling import (
     RankStop,
     RepetitionProfile,
@@ -228,18 +228,6 @@ def _difference_table_fixture(fixture: str, title: str, table_rows) -> dict:
     return _report(fixture, title, rows)
 
 
-def fixture_table2() -> dict:
-    return _difference_table_fixture(
-        "table2", "Attack complexities for poorly spread tap choices", TABLE2_ROWS
-    )
-
-
-def fixture_table3() -> dict:
-    return _difference_table_fixture(
-        "table3", "Attack complexities for algorithmically chosen taps", TABLE3_ROWS
-    )
-
-
 def fixture_table4() -> dict:
     rows = []
     for L, n, m, taps_pos, ref_c, ref_g, ref_y in TABLE4_FPDS_ROWS:
@@ -261,28 +249,33 @@ def fixture_table4() -> dict:
     )
 
 
+def _walkthrough_rows(mode: str, schedule, ref_rows, ref_total, ref_samples, ref_log2):
+    """The rows of a variable-mode walkthrough on the example taps: per-sample
+    q, sigma and repeated labels, then R*, c* and the log2 cost."""
+    n, m, L = EXAMPLE1_PARAMS
+    _, prof = schedule(TapSet(EXAMPLE1_TAPS, L), RankStop())
+    est = gfsga_variable_cost(prof, n, m, L)
+    return [
+        _delta_row(f"{mode} q table", [r[1] for r in ref_rows], list(prof.q)),
+        _delta_row(f"{mode} sigma table", [r[2] for r in ref_rows], list(prof.steps)),
+        _delta_row(
+            f"{mode} repeated labels",
+            [list(r[0]) for r in ref_rows],
+            [sorted(s) for s in prof.repeated_sets],
+        ),
+        _delta_row(f"{mode} R*", ref_total, prof.total),
+        _delta_row(f"{mode} c*", ref_samples, prof.samples),
+        _delta_row(f"{mode} log2 cost", ref_log2, round(est.log2_total, 2)),
+    ]
+
+
 def fixture_example1() -> dict:
     n, m, L = EXAMPLE1_PARAMS
     taps = TapSet(EXAMPLE1_TAPS, L)
-    _, prof = greedy_schedule(taps, RankStop())
-    rows = []
-    ref_q = [r[1] for r in EXAMPLE1_GREEDY_ROWS]
-    ref_sigma = [r[2] for r in EXAMPLE1_GREEDY_ROWS]
-    ref_sets = [list(r[0]) for r in EXAMPLE1_GREEDY_ROWS]
-    rows.append(_delta_row("greedy q table", ref_q, list(prof.q)))
-    rows.append(_delta_row("greedy sigma table", ref_sigma, list(prof.steps)))
-    rows.append(
-        _delta_row(
-            "greedy repeated labels",
-            ref_sets,
-            [sorted(s) for s in prof.repeated_sets],
-        )
+    rows = _walkthrough_rows(
+        "greedy", greedy_schedule, EXAMPLE1_GREEDY_ROWS, EXAMPLE1_GREEDY_TOTAL,
+        EXAMPLE1_GREEDY_SAMPLES, EXAMPLE1_GREEDY_LOG2,
     )
-    rows.append(_delta_row("greedy R*", EXAMPLE1_GREEDY_TOTAL, prof.total))
-    rows.append(_delta_row("greedy c*", EXAMPLE1_GREEDY_SAMPLES, prof.samples))
-    est = gfsga_variable_cost(prof, n, m, L)
-    rows.append(_delta_row("greedy log2 cost", EXAMPLE1_GREEDY_LOG2, round(est.log2_total, 2)))
-
     sigma_star, best = optimal_constant_sigma(taps, n, m, L)
     rows.append(
         _delta_row("constant optimum log2", EXAMPLE1_CONSTANT["log2"], round(best.log2_total, 2))
@@ -333,38 +326,16 @@ def fixture_example1() -> dict:
 
 
 def fixture_example2() -> dict:
-    n, m, L = EXAMPLE1_PARAMS
-    taps = TapSet(EXAMPLE1_TAPS, L)
-    _, prof = cyclic_schedule(taps, RankStop())
-    est = gfsga_variable_cost(prof, n, m, L)
-    rows = [
-        _delta_row("cyclic q table", [r[1] for r in EXAMPLE2_CYCLIC_ROWS], list(prof.q)),
-        _delta_row("cyclic sigma table", [r[2] for r in EXAMPLE2_CYCLIC_ROWS], list(prof.steps)),
-        _delta_row(
-            "cyclic repeated labels",
-            [list(r[0]) for r in EXAMPLE2_CYCLIC_ROWS],
-            [sorted(s) for s in prof.repeated_sets],
-        ),
-        _delta_row("cyclic R*", EXAMPLE2_CYCLIC_TOTAL, prof.total),
-        _delta_row("cyclic c*", EXAMPLE2_CYCLIC_SAMPLES, prof.samples),
-        _delta_row("cyclic log2 cost", EXAMPLE2_CYCLIC_LOG2, round(est.log2_total, 2)),
-    ]
-    return _report(
-        "example2",
-        "Cyclic-mode walkthrough on taps {1,6,19,26,52,63,80}",
-        rows,
+    rows = _walkthrough_rows(
+        "cyclic", cyclic_schedule, EXAMPLE2_CYCLIC_ROWS, EXAMPLE2_CYCLIC_TOTAL,
+        EXAMPLE2_CYCLIC_SAMPLES, EXAMPLE2_CYCLIC_LOG2,
     )
-
-
-def example3_window_profile() -> RepetitionProfile:
-    n, m, L = EXAMPLE3_PARAMS
-    taps = TapSet(EXAMPLE3_TAPS, L)
-    return repetition_profile(taps, [1] * len(EXAMPLE3_Q))
+    return _report("example2", "Cyclic-mode walkthrough on taps {1,6,19,26,52,63,80}", rows)
 
 
 def fixture_example3() -> dict:
     n, m, L = EXAMPLE3_PARAMS
-    prof = example3_window_profile()
+    prof = repetition_profile(TapSet(EXAMPLE3_TAPS, L), [1] * len(EXAMPLE3_Q))
     cost = internal_state_recovery_cost(prof, n, m, L)
     rows = [
         _delta_row("window q table", list(EXAMPLE3_Q), list(prof.q)),
@@ -450,42 +421,54 @@ def fixture_example4() -> dict:
     )
 
 
-def grain_calibration(which: str):
+def grain_calibration(which: str) -> dict:
+    """Fit the filter output width m that the Grain tables leave unstated.
+
+    ``which`` is ``"table6"`` (the linear register's taps) or ``"table7"``
+    (the nonlinear register's). Each m in 1..4 is priced in all three modes,
+    and its deltas to the table's (constant, greedy, cyclic) costs are kept;
+    ``best_m`` has the smallest total absolute delta, the smaller m on a tie.
+    """
     if which == "table6":
-        taps = TapSet(GRAIN_LFSR_TAPS, GRAIN_REGISTER_LENGTH)
-        targets = TABLE6_TARGETS
+        positions, targets = GRAIN_LFSR_TAPS, TABLE6_TARGETS
     elif which == "table7":
-        taps = TapSet(GRAIN_NFSR_TAPS, GRAIN_REGISTER_LENGTH)
-        targets = TABLE7_TARGETS
+        positions, targets = GRAIN_NFSR_TAPS, TABLE7_TARGETS
     else:
         raise ValueError("which must be table6 or table7")
-    return calibrate_filter_width(taps, GRAIN_REGISTER_LENGTH, targets)
+    taps = TapSet(positions, GRAIN_REGISTER_LENGTH)
+    ms = _calibration_widths(taps.n)
+    rows = []
+    for m, card in zip(ms, _scorecards(taps, taps.n, ms, GRAIN_REGISTER_LENGTH)):
+        costs = (card.constant_cost.log2_total, card.greedy_cost.log2_total,
+                 card.cyclic_cost.log2_total)
+        rows.append({
+            "m": m,
+            "constant_log2": costs[0],
+            "greedy_log2": costs[1],
+            "cyclic_log2": costs[2],
+            "deltas": [have - want for have, want in zip(costs, targets)],
+        })
+    best = min(rows, key=lambda row: sum(abs(d) for d in row["deltas"]))
+    return {"best_m": best["m"], "targets": list(targets), "rows": rows}
 
 
 def _grain_fixture(which: str, title: str) -> dict:
     cal = grain_calibration(which)
     rows = [
         _delta_row(
-            f"m={r.m} (constant, greedy, cyclic)",
-            list(cal.targets),
-            [round(r.constant_log2, 2), round(r.greedy_log2, 2), round(r.cyclic_log2, 2)],
+            f"m={r['m']} (constant, greedy, cyclic)",
+            cal["targets"],
+            [round(r["constant_log2"], 2), round(r["greedy_log2"], 2),
+             round(r["cyclic_log2"], 2)],
         )
-        for r in cal.rows
+        for r in cal["rows"]
     ]
-    rows.append(_delta_row("best m", "unstated in reference", cal.best_m))
+    rows.append(_delta_row("best m", "unstated in reference", cal["best_m"]))
     notes = (
         "the reference omits the filter output width m; the sweep reports "
-        f"m={cal.best_m} as the closest fit",
+        f"m={cal['best_m']} as the closest fit",
     )
     return _report(which, title, rows, notes)
-
-
-def fixture_table6() -> dict:
-    return _grain_fixture("table6", "Mode costs on the 128-bit linear register tap set")
-
-
-def fixture_table7() -> dict:
-    return _grain_fixture("table7", "Mode costs on the 128-bit nonlinear register tap set")
 
 
 def fixture_annihilator() -> dict:
@@ -522,11 +505,19 @@ def fixture_annihilator() -> dict:
 
 FIXTURES = {
     "table1": fixture_table1,
-    "table2": fixture_table2,
-    "table3": fixture_table3,
+    "table2": lambda: _difference_table_fixture(
+        "table2", "Attack complexities for poorly spread tap choices", TABLE2_ROWS
+    ),
+    "table3": lambda: _difference_table_fixture(
+        "table3", "Attack complexities for algorithmically chosen taps", TABLE3_ROWS
+    ),
     "table4": fixture_table4,
-    "table6": fixture_table6,
-    "table7": fixture_table7,
+    "table6": lambda: _grain_fixture(
+        "table6", "Mode costs on the 128-bit linear register tap set"
+    ),
+    "table7": lambda: _grain_fixture(
+        "table7", "Mode costs on the 128-bit nonlinear register tap set"
+    ),
     "example1": fixture_example1,
     "example2": fixture_example2,
     "example3": fixture_example3,

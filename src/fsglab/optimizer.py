@@ -503,6 +503,11 @@ def staged_search(
     search is refused before anything is drawn or priced when the later
     stages could step through more than ``MAX_STAGED_PERMUTATIONS``
     permutations.
+
+    Every join fits the register: a stage draws candidates that sum to at
+    most its chunk span, which leaves a cell for each difference still to
+    place. So each trace row's ``rejections`` is 0; the field stays because
+    the staged payload's bytes are pinned.
     """
     if n < 3:
         raise ValueError("staged search needs n >= 3; use step_b_best_ordering")
@@ -545,7 +550,6 @@ def staged_search(
         best = None
         probes: list[int] = []
         tried = 0
-        rejections = 0
         for _ in range(params.retries):
             cands = step_a_candidates(
                 chunk_span + 1, size + 1, params.stage_budget, rng.getrandbits(32)
@@ -553,9 +557,6 @@ def staged_search(
             for cand in cands:
                 tried += 1
                 join_l = 1 + sum(cand.differences) + sum(current)
-                if join_l > L:
-                    rejections += 1
-                    continue
                 # join_l sets the solver term, so the incumbent carried across
                 # candidates compares full log2 costs.
                 best = _bounded_search(_orderings(cand.differences, current),
@@ -569,82 +570,14 @@ def staged_search(
         (neg_cost, _, _), current, sigma = best
         chunk = tuple(sorted(current[:size]))  # the winning candidate's differences
         trace.append(
-            StageTrace(len(trace) + 1, chunk, current, sigma, -neg_cost, tried, rejections)
+            StageTrace(len(trace) + 1, chunk, current, sigma, -neg_cost, tried, 0)
         )
 
     card = scorecard(TapSet.from_differences(current, L), n, m, L)
     return current, card, trace
 
 
-class CalibrationRow(_Frozen):
-    __slots__ = ("m", "constant_log2", "greedy_log2", "cyclic_log2", "deltas")
-
-    def __init__(self, m: int, constant_log2: float, greedy_log2: float, cyclic_log2: float,
-                 deltas: tuple[float, float, float]):
-        _set(self, "m", m)
-        _set(self, "constant_log2", constant_log2)
-        _set(self, "greedy_log2", greedy_log2)
-        _set(self, "cyclic_log2", cyclic_log2)
-        _set(self, "deltas", deltas)
-
-    @property
-    def total_abs_delta(self) -> float:
-        return sum(abs(d) for d in self.deltas)
-
-
-class CalibrationResult(_Frozen):
-    __slots__ = ("best_m", "rows", "targets")
-
-    def __init__(self, best_m: int, rows: tuple[CalibrationRow, ...],
-                 targets: tuple[float, float, float]):
-        _set(self, "best_m", best_m)
-        _set(self, "rows", rows)
-        _set(self, "targets", targets)
-
-    def to_dict(self) -> dict:
-        return {
-            "best_m": self.best_m,
-            "targets": list(self.targets),
-            "rows": [
-                {
-                    "m": r.m,
-                    "constant_log2": r.constant_log2,
-                    "greedy_log2": r.greedy_log2,
-                    "cyclic_log2": r.cyclic_log2,
-                    "deltas": list(r.deltas),
-                }
-                for r in self.rows
-            ],
-        }
-
-
 def _calibration_widths(n: int) -> range:
-    """The filter widths a calibration sweeps: m in 1..4 below n."""
+    """The filter widths that ``analyze``'s ``m_calibration`` sweep and the
+    Grain fixtures' fit price: m in 1..4 below n."""
     return range(1, min(5, n))
-
-
-def calibrate_filter_width(
-    taps: TapSet,
-    L: int,
-    targets: tuple[float, float, float],
-) -> CalibrationResult:
-    """Sweep the filter output width and rank by fit to target mode costs.
-
-    Used when a reference cost table leaves m unstated: reports each m in
-    1..4 below n with its (constant, greedy, cyclic) log2 costs, their deltas
-    to the targets, and the best-fitting m by total absolute delta.
-    """
-    ms = _calibration_widths(taps.n)
-    rows = []
-    for m, card in zip(ms, _scorecards(taps, taps.n, ms, L)):
-        trio = (
-            card.constant_cost.log2_total,
-            card.greedy_cost.log2_total,
-            card.cyclic_cost.log2_total,
-        )
-        deltas = tuple(have - want for have, want in zip(trio, targets))
-        rows.append(CalibrationRow(m, *trio, deltas=deltas))
-    if not rows:
-        raise ValueError("no feasible m in range")
-    best = min(rows, key=lambda r: (r.total_abs_delta, r.m))
-    return CalibrationResult(best.m, tuple(rows), tuple(targets))

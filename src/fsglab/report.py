@@ -197,7 +197,10 @@ def render_table(report: Report) -> str:
             )
     for key in ("recovered_state", "systems_solved", "candidates_pruned"):
         if key in payload:
-            out.append(f"{key}: {payload[key]}")
+            value = payload[key]
+            if isinstance(value, dict):  # a hybrid state: one hex string per register
+                value = " ".join(f"{reg}={bits}" for reg, bits in value.items())
+            out.append(f"{key}: {value}")
     if "window" in payload and payload["window"]:
         w = payload["window"]
         out.append(

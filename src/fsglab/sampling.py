@@ -492,11 +492,11 @@ def _greedy_chooser(taps: TapSet) -> Callable[[int], int]:
         if lane > 1:
             counts = memoryview(counts).cast(code).tolist()
             return counts.index(max(counts)) + 1  # the smallest sigma on ties
+        # seen holds the taps, so shift l_n - l_1 meets tap l_n: some v is found.
         for v in range(n - 1, 0, -1):  # the top tap never meets seen
             s = counts.find(v)
             if s >= 0:
                 return s + 1  # the smallest sigma on ties
-        return 1
 
     return most_overlap
 

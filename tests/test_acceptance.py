@@ -308,18 +308,14 @@ def test_criterion_11_grain_calibration_sweep():
         cal6 = grain_calibration("table6")
         cal7 = grain_calibration("table7")
     for cal, targets in ((cal6, TABLE6_TARGETS), (cal7, TABLE7_TARGETS)):
-        assert cal.best_m in (1, 2, 3, 4)
-        assert [r.m for r in cal.rows] == [1, 2, 3, 4]
-        for row in cal.rows:
-            assert len(row.deltas) == 3
-        assert cal.targets == targets
+        assert cal["best_m"] in (1, 2, 3, 4)
+        assert [r["m"] for r in cal["rows"]] == [1, 2, 3, 4]
+        for row in cal["rows"]:
+            assert len(row["deltas"]) == 3
+        assert cal["targets"] == list(targets)
     # The sweep must reproduce the checked-in archive; a calibration change
     # fails here instead of rewriting it.
     archive = ARTIFACT_DIR / "grain_calibration.json"
-    text = json.dumps(
-        {"table6": cal6.to_dict(), "table7": cal7.to_dict()},
-        indent=2,
-        sort_keys=True,
-    )
+    text = json.dumps({"table6": cal6, "table7": cal7}, indent=2, sort_keys=True)
     assert text == archive.read_text()
-    print(f"  best m: table6={cal6.best_m}, table7={cal7.best_m}; matches {archive.name}")
+    print(f"  best m: table6={cal6['best_m']}, table7={cal7['best_m']}; matches {archive.name}")

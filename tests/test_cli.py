@@ -472,6 +472,16 @@ def test_attack_keystream_too_short_is_exit_4(tmp_path, capsys, kind):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_window_attack_on_a_keystream_no_state_produces_is_exit_4(tmp_path, capsys):
+    # 60 random blocks: no 16-bit state of the register regenerates them.
+    rng = random.Random(60)
+    ks = tmp_path / "stream.ks"
+    write_keystream_file(ks, 4, 1, 16, [rng.getrandbits(1) for _ in range(60)])
+    doc = {"generator": NFSR_GENERATOR, "attack": {"keystream": str(ks)}}
+    assert main(["attack", "--config", write_config(tmp_path, "c.json", doc)]) == 4
+    assert capsys.readouterr().err == "error: no window candidate reproduces the keystream\n"
+
+
 def planted_lfsr_attack(tmp_path, analysis):
     """Config path for an attack on a planted L=20 LFSR keystream."""
     rng = random.Random(6)
@@ -711,7 +721,7 @@ def test_hybrid_attack_recovers_both_registers(tmp_path, capsys):
     window = payload["window"]
     assert main(["attack", "--config", cfg]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert f"recovered_state: {state}" in lines
+    assert f"recovered_state: lfsr={state['lfsr']} nfsr={state['nfsr']}" in lines
     assert (f"window: length={window['window_length']} "
             f"recovered={window['recovered_bit_count']} "
             f"remaining={window['remaining_guess']}") in lines
@@ -982,6 +992,23 @@ def test_rank_and_sample_stop_together_is_exit_2(tmp_path, capsys, command, rank
     err = capsys.readouterr().err
     assert err == ("error: analysis.stop takes analysis.stop.rank or analysis.stop.samples, "
                    "not both\n")
+
+
+def test_null_stop_reads_as_the_rank_stop(tmp_path, capsys):
+    doc = json.loads((SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
+    argv = ["analyze", "--format", "structured", "--config"]
+    without = _structured([*argv, write_config(tmp_path, "a.json", doc)], capsys)
+    doc["analysis"]["stop"] = None
+    null = _structured([*argv, write_config(tmp_path, "b.json", doc)], capsys)
+    assert null["payload"] == without["payload"]
+
+
+def test_rank_stop_false_is_exit_2(tmp_path, capsys):
+    doc = json.loads((SHIPPED_CONFIGS / "toy_attack_lfsr.json").read_text())
+    doc["analysis"]["stop"] = {"rank": False}
+    assert main(["analyze", "--config", write_config(tmp_path, "c.json", doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: analysis.stop must be {'rank': true} or {'samples': c}\n")
 
 
 NFSR_CONFIG = {

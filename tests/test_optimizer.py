@@ -10,7 +10,6 @@ from fsglab import (
     StagedSearchParams,
     TapSet,
     RankStop,
-    calibrate_filter_width,
     constant_profile,
     cyclic_schedule,
     gfsga_variable_cost,
@@ -24,7 +23,7 @@ from fsglab import (
     step_ab_best_ordering,
     step_b_best_ordering,
 )
-from fsglab.fixtures import GRAIN_LFSR_TAPS, GRAIN_NFSR_TAPS
+from fsglab.fixtures import grain_calibration
 from fsglab import optimizer, sampling
 from fsglab.complexity import _constant_sweep, _optimal_sigma
 from fsglab.optimizer import StageTrace, _ceiling, _ordering_key, _scorecards, _stage_m
@@ -531,15 +530,13 @@ def test_algorithmic_choice_dominates_fpds_at_equal_parameters():
 
 
 def test_calibration_sweep_reports_best_m():
-    taps = TapSet(GRAIN_LFSR_TAPS, 128)
-    cal = calibrate_filter_width(taps, 128, (108.0, 125.0, 118.0))
-    assert [r.m for r in cal.rows] == [1, 2, 3, 4]
-    assert cal.best_m == 1
-    best_row = cal.rows[0]
-    assert best_row.constant_log2 == pytest.approx(108.0, abs=0.01)
-    assert best_row.cyclic_log2 == pytest.approx(118.0, abs=0.01)
-    nfsr = calibrate_filter_width(TapSet(GRAIN_NFSR_TAPS, 128), 128, (114.0, 125.0, 122.0))
-    assert nfsr.best_m == 1
+    cal = grain_calibration("table6")
+    assert [r["m"] for r in cal["rows"]] == [1, 2, 3, 4]
+    assert cal["best_m"] == 1
+    best_row = cal["rows"][0]
+    assert best_row["constant_log2"] == pytest.approx(108.0, abs=0.01)
+    assert best_row["cyclic_log2"] == pytest.approx(118.0, abs=0.01)
+    assert grain_calibration("table7")["best_m"] == 1
 
 
 def test_staged_search_steps_through_at_most_its_permutation_bound(monkeypatch):
